@@ -8,9 +8,13 @@ is computed on a graded time grid t_k = T (k/K)^g with the singular
 product-integration rule from `quadrature`, contracting in the weighted
 norm  sup_t e^{-theta t} t^{d(alpha, gamma)} ||phi(t)||_alpha.  theta is
 chosen from the closed-form contraction bound unless fixed by the
-caller.  Two-potential evolutions can also be built sequentially, one
-perturbation at a time, with the first-stage propagator realized as a
-matrix on the grid and extended to all nodes by the semigroup property.
+caller.  Every solve runs one sweep engine with one node rule; only the
+history sum differs.  The joint solve sums Fourier multipliers in hat
+space.  Two-potential evolutions can also be built sequentially, one
+perturbation at a time: the first-stage propagator over one time step is
+the engine's fixed point with the identity matrix as datum, and the
+second stage reaches every lag with powers of it (the semigroup
+property).
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.special import gammaln
 
 from .grids import GridFunction
 from .indices import (
@@ -46,7 +51,10 @@ __all__ = [
     "time_grid",
 ]
 
-_LOG_BETA_CACHE: dict = {}
+# first-stage sub-steps on [0, t_1], and the most memory its working set
+# (base, old and new iterates, hats: complex n x n each) may take
+_SUB_NODES = 32
+_FIRST_STAGE_MAX_BYTES = 3 * 2**30
 
 
 @dataclass(frozen=True)
@@ -70,7 +78,6 @@ class SolverConfig:
     theta_min: float = 1.0
     theta_max: float = 2.0**24
     estimate_tolerance: bool = False
-    multiplier_cache_bytes: int = 2 * 10**8
 
     def __post_init__(self):
         if self.horizon <= 0.0:
@@ -99,17 +106,6 @@ def multiply(V: PotentialSpec | GridFunction, phi: GridFunction) -> GridFunction
 # -- contraction bound ------------------------------------------------------
 
 
-def _log_beta(p: float, q: float) -> float:
-    from scipy.special import gammaln
-
-    key = (p, q)
-    v = _LOG_BETA_CACHE.get(key)
-    if v is None:
-        v = float(gammaln(p) + gammaln(q) - gammaln(p + q))
-        _LOG_BETA_CACHE[key] = v
-    return v
-
-
 def contraction_bound(theta: float, T: float, d_list, d_gamma: float,
                       n_q: int = 96, q_max: float = 60.0):
     """Closed-form upper bounds on the per-perturbation contraction factors
@@ -133,11 +129,12 @@ def contraction_bound(theta: float, T: float, d_list, d_gamma: float,
             q_hi = min(q_hi, 1.0 / d_gamma)
         qs = 1.0 + (q_hi - 1.0) * np.linspace(1e-4, 1.0 - 1e-6, n_q) ** 2
         qp = qs / (qs - 1.0)
+        p, r = 1.0 - qs * d, 1.0 - qs * d_gamma
         logs = (
             -np.log(theta) / qp
             + (1.0 / qs - d) * math.log(T)
             - np.log(qp) / qp
-            + np.array([_log_beta(1.0 - q * d, 1.0 - q * d_gamma) for q in qs]) / qs
+            + (gammaln(p) + gammaln(r) - gammaln(p + r)) / qs
         )
         bounds.append(float(np.exp(logs.min())))
     return bounds
@@ -162,44 +159,106 @@ def choose_theta(norm_bound: float, d_list, d_gamma: float, T: float,
         theta *= 2.0
 
 
-# -- semigroup applier with hat-space fast path ------------------------------
+def _theta(cfg: SolverConfig, norm_bound: float, d_list, d_gamma: float):
+    """theta and the predicted contraction ratio at it (fixed theta or the ladder)."""
+    if cfg.theta is None:
+        return choose_theta(norm_bound, d_list, d_gamma, cfg.horizon, cfg.calibration,
+                            cfg.theta_min, cfg.theta_max)
+    bound = sum(contraction_bound(cfg.theta, cfg.horizon, d_list, d_gamma))
+    return cfg.theta, cfg.calibration * norm_bound * bound
 
 
-class _SemigroupApplier:
-    """S(tau) with a cache of Fourier multipliers keyed by tau."""
+# -- the sweep engine ------------------------------------------------------------
 
-    def __init__(self, symbol: SymbolSpec, mu: float, cache_bytes: int):
-        self.symbol = symbol
-        self.mu = mu
-        self.a_mu = symbol.power(mu)
-        itemsize = 16 if np.iscomplexobj(self.a_mu) else 8
-        self._cache_limit = max(8, cache_bytes // (self.a_mu.size * itemsize))
-        self._cache: dict = {}
 
-    def multiplier(self, tau: float) -> np.ndarray:
+def _sweep(u0, base, tables, d_list, d_gamma: float, times, history, residual,
+           stop: float, max_sweeps: int):
+    """Picard sweeps u_k = base_k + sum_i sum_j W_i[k, j] P(t_k - s_j)[V_i u_j].
+
+    Data bounded at s = 0 (d_gamma = 0) get a node there carrying V_i u0,
+    which restores second order at the initial layer; P is a semigroup,
+    so the weights use top="identity".  `history(tables, nodes, W, conv)`
+    realizes the sums over j for every node k from the states at the
+    convolution nodes; `residual(k, change)` measures one node's update.
+    Returns the states and the per-sweep residuals, and raises on blow-up
+    and when max_sweeps run out.
+    """
+    with_zero = d_gamma == 0.0
+    conv = np.concatenate([[0.0], times]) if with_zero else times
+    W = np.zeros((len(d_list), times.size, conv.size))
+    for i, a in enumerate(d_list):
+        for k, t in enumerate(times):
+            W[i, k, : k + 1 + with_zero] = product_weights(
+                conv[: k + 1 + with_zero], t, a, d_gamma, top="identity")
+    current = list(base)
+    residuals = []
+    for sweep in range(max_sweeps):
+        nodes = ([u0] if with_zero else []) + current
+        new, worst = [], 0.0
+        for k, corr in enumerate(history(tables, nodes, W, conv)):
+            u = base[k] + (corr.real if np.isrealobj(base[k]) else corr)
+            if not np.all(np.isfinite(u)):
+                raise RuntimeError(f"blow-up at t = {times[k]:.6g} during sweep {sweep}")
+            worst = max(worst, residual(k, u - current[k]))
+            new.append(u)
+        current = new
+        residuals.append(worst)
+        if worst <= stop:
+            return current, residuals
+    raise RuntimeError(f"no contraction: residual {residuals[-1]:.3e} above {stop:.3e} "
+                       f"after {max_sweeps} sweeps")
+
+
+def _fourier_sum(a_mu: np.ndarray, times, axes=None):
+    """History sums in hat space with the multipliers e^{-tau a^mu}.
+
+    Each datum is transformed as it is formed; `axes` are the
+    transformed axes (the first stage carries a batch on the trailing
+    one).  Multipliers are kept per distinct lag for one solve.
+    """
+    mults: dict = {}
+
+    def multiplier(tau):
         key = round(float(tau), 15)
-        mult = self._cache.get(key)
-        if mult is None:
-            mult = np.exp(-tau * self.a_mu)
-            if len(self._cache) >= self._cache_limit:
-                self._cache.clear()
-            self._cache[key] = mult
-        return mult
+        if key not in mults:
+            mults[key] = np.exp(-tau * a_mu)
+        return mults[key]
 
-    def __call__(self, tau: float, g: GridFunction) -> GridFunction:
-        if tau == 0.0:
-            return g
-        return apply_semigroup(g, tau, self.mu, self.symbol)
+    def history(tables, nodes, W, conv):
+        hats = [[np.fft.fftn(tab * u, axes=axes) for u in nodes] for tab in tables]
+        for k, t in enumerate(times):
+            acc = np.zeros_like(hats[0][0])
+            for W_i, hats_i in zip(W, hats):
+                for j in np.flatnonzero(W_i[k]):
+                    acc += (W_i[k, j] * multiplier(t - conv[j])) * hats_i[j]
+            yield np.fft.ifftn(acc, axes=axes)
 
-    def combine(self, taus, weights, hats):
-        """sum_j w_j e^{-tau_j a^mu} hat_j, staying in Fourier space."""
-        out = None
-        for tau, w, h in zip(taus, weights, hats):
-            if w == 0.0:
-                continue
-            term = (w * self.multiplier(tau)) * h
-            out = term if out is None else out + term
-        return out
+    return history
+
+
+def _power_sum(U1: np.ndarray):
+    """History sums on a uniform grid, where every lag t_k - s_j is a whole
+    number of steps and P is the matching power of the one-step matrix.
+
+    The stacked data go through U1 once per lag; only the columns a
+    later node still needs are carried forward.
+    """
+
+    def history(tables, nodes, W, conv):
+        K, J = W.shape[1:]
+        off = J - K
+        out = np.zeros((U1.shape[0], K), dtype=complex)
+        for W_i, tab in zip(W, tables):
+            Y = np.stack([tab * u for u in nodes], axis=-1)
+            for lag in range(J):
+                if lag:
+                    Y = U1 @ Y[:, : J - lag]
+                w = np.diagonal(W_i, off - lag)
+                j0 = max(off - lag, 0)
+                out[:, K - w.size:] += Y[:, j0 : j0 + w.size] * w
+        return list(out.T)
+
+    return history
 
 
 # -- trajectories -------------------------------------------------------------
@@ -303,8 +362,16 @@ def _resolve_indices(u0, potentials, gamma, dims, alpha_override=None):
     return classes, alpha, d_gamma, d_list
 
 
-def _measured_norms(potentials, grid):
-    return [V.measured_norm(grid.N, grid.n, grid.L) for V in potentials]
+def _weighted_residual(alpha_norm, theta, times, d_gamma, base, grid, tol):
+    """Per-node residual in the contraction norm, and the level that stops
+    the sweeps: tol relative to the size of the base sweep in that norm,
+    so large data do not stall on roundoff."""
+    t_weight = np.exp(-theta * times) * times**d_gamma
+
+    def residual(k, change):
+        return t_weight[k] * alpha_norm(GridFunction(grid.N, grid.n, grid.L, change))
+
+    return residual, tol * max(1.0, max(residual(k, b) for k, b in enumerate(base)))
 
 
 def picard_solve(u0: GridFunction, potentials, cfg: SolverConfig, gamma: ScaleIndex,
@@ -319,76 +386,23 @@ def picard_solve(u0: GridFunction, potentials, cfg: SolverConfig, gamma: ScaleIn
     classes, alpha, d_gamma, d_list = _resolve_indices(u0, potentials, gamma, dims,
                                                        cfg.alpha)
     times = time_grid(cfg)
-    applier = _SemigroupApplier(symbol, mu, cfg.multiplier_cache_bytes)
-
-    base = [applier(t, u0) for t in times]
+    base = [apply_semigroup(u0, t, mu, symbol) for t in times]
     if not potentials:
         return Trajectory(times, tuple(base), gamma, alpha, cfg.theta_min, 0.0, (0.0,),
                           cfg, potentials, dims, symbol, mu, u0)
 
-    norms_v = _measured_norms(potentials, u0)
-    if cfg.theta is not None:
-        theta = cfg.theta
-        predicted = cfg.calibration * max(norms_v) * sum(
-            contraction_bound(theta, cfg.horizon, d_list, d_gamma))
-    else:
-        theta, predicted = choose_theta(max(norms_v), d_list, d_gamma, cfg.horizon,
-                                        cfg.calibration, cfg.theta_min, cfg.theta_max)
-
-    tables = [V.on_grid(u0.N, u0.n, u0.L).values for V in potentials]
-    # with no initial layer the datum at s = 0 is exact data for the
-    # convolution; including it restores second-order accuracy there
-    with_zero = d_gamma == 0.0
-    conv_times = np.concatenate([[0.0], times]) if with_zero else times
-    weights = [[product_weights(conv_times[: k + 1 + with_zero], times[k], a_i, d_gamma,
-                                top="identity")
-                for k in range(cfg.nodes)] for a_i in d_list]
-    zero_hats = [np.fft.fftn(tab * u0.values) for tab in tables] if with_zero else None
+    norm_bound = max(V.measured_norm(u0.N, u0.n, u0.L) for V in potentials)
+    theta, predicted = _theta(cfg, norm_bound, d_list, d_gamma)
     alpha_norm = _AlphaNorm(alpha, dims, u0)
-    t_weight = np.exp(-theta * times) * times**d_gamma
-    # residual tolerance is relative to the size of the base sweep in
-    # the contraction norm, so large data do not stall on roundoff
-    scale = max(1.0, max(t_weight[k] * alpha_norm(base[k]) for k in range(cfg.nodes)))
-    stop = cfg.picard_tol * scale
-
-    current = list(base)
-    history = []
-    for sweep in range(cfg.max_sweeps):
-        hats = [[np.fft.fftn(tab * st.values) for st in current] for tab in tables]
-        if with_zero:
-            hats = [[zero_hats[i]] + hats[i] for i in range(len(potentials))]
-        residual = 0.0
-        new_states = []
-        for k in range(cfg.nodes):
-            acc = None
-            for i in range(len(potentials)):
-                w = weights[i][k]
-                taus = times[k] - conv_times[: k + 1 + with_zero]
-                part = applier.combine(taus, w, hats[i][: k + 1 + with_zero])
-                if part is not None:
-                    acc = part if acc is None else acc + part
-            if acc is None:
-                new_k = base[k]
-            else:
-                corr = np.fft.ifftn(acc)
-                if np.isrealobj(base[k].values):
-                    corr = corr.real
-                if not np.all(np.isfinite(corr)):
-                    raise RuntimeError(f"blow-up at t = {times[k]:.6g} during sweep {sweep}")
-                new_k = GridFunction(u0.N, u0.n, u0.L, base[k].values + corr)
-            residual = max(residual, t_weight[k] * alpha_norm(new_k - current[k]))
-            new_states.append(new_k)
-        current = new_states
-        history.append(residual)
-        if residual <= stop:
-            break
-    else:
-        raise RuntimeError(
-            f"no contraction: weighted residual {history[-1]:.3e} after "
-            f"{cfg.max_sweeps} sweeps (theta={theta:g}, predicted ratio {predicted:.3g})"
-        )
-
-    traj = Trajectory(times, tuple(current), gamma, alpha, theta, predicted,
+    base = [b.values for b in base]
+    residual, stop = _weighted_residual(alpha_norm, theta, times, d_gamma, base, u0,
+                                        cfg.picard_tol)
+    tables = [V.on_grid(u0.N, u0.n, u0.L).values for V in potentials]
+    values, history = _sweep(u0.values, base, tables, d_list, d_gamma, times,
+                             _fourier_sum(symbol.power(mu), times), residual, stop,
+                             cfg.max_sweeps)
+    states = tuple(GridFunction(u0.N, u0.n, u0.L, v) for v in values)
+    traj = Trajectory(times, states, gamma, alpha, theta, predicted,
                       tuple(history), cfg, potentials, dims, symbol, mu, u0)
     if cfg.estimate_tolerance and cfg.nodes % 2 == 0:
         coarse_cfg = replace(cfg, nodes=cfg.nodes // 2, estimate_tolerance=False)
@@ -404,60 +418,32 @@ def picard_solve(u0: GridFunction, potentials, cfg: SolverConfig, gamma: ScaleIn
 # -- sequential (iterated) perturbations --------------------------------------
 
 
-def _propagator_matrices(V: PotentialSpec, cfg: SolverConfig, gamma: ScaleIndex,
-                         dims: ProblemDims, symbol: SymbolSpec, mu: float,
-                         sub_nodes: int = 32):
-    """S_{V}(t_k) as matrices on a uniform grid, k = 1..K.
+def _propagator_matrices(V: PotentialSpec, cfg: SolverConfig, dims: ProblemDims,
+                         symbol: SymbolSpec, mu: float) -> np.ndarray:
+    """S_V(t_1) as an n x n matrix, 1D grids only.
 
-    The single-step matrix on [0, t_1] comes from a Picard iteration
-    with the identity as (matrix-valued) datum; later nodes are powers,
-    which is the semigroup property used exactly.  1D grids only.
+    The sweep engine runs on _SUB_NODES uniform sub-steps of [0, t_1]
+    with the identity as datum, each column a unit spike.  The spikes are
+    bounded on the grid, so the node rule puts a node at s = 0.
     """
     if symbol.N != 1:
         raise ValueError("matrix propagators are only built for 1D grids")
-    if symbol.n > 2048:
-        raise ValueError("grid too large for a dense propagator matrix")
-    times = time_grid(cfg)
-    t1 = float(times[0])
-    cls = V.potential_class(dims)
-    alpha = choose_alpha(gamma, [cls])
-    a_pow = symbol.power(mu)
-    table = V.on_grid(1, symbol.n, symbol.L).values
-
-    # datum = identity; columns are unit-mass spikes, so the initial
-    # layer is the worst admissible one under this alpha
-    b_id = min(0.95, max(0.0, dims.slope_cap - alpha.gamma2))
-    sub = np.array([t1 * (j / sub_nodes) ** cfg.grading for j in range(1, sub_nodes + 1)])
-    sub[-1] = t1
-
-    def half_step(tau, M):
-        return np.fft.ifft(np.exp(-tau * a_pow)[:, None] * np.fft.fft(M, axis=0), axis=0)
-
-    eye = np.eye(symbol.n, dtype=complex)
-    base = [half_step(s, eye) for s in sub]
-    w_rows = [product_weights(sub[: j + 1], sub[j], cls.kappa, b_id) for j in range(sub_nodes)]
-    current = list(base)
-    for _ in range(cfg.max_sweeps):
-        data = [table[:, None] * M for M in current]
-        delta = 0.0
-        new = []
-        for j in range(sub_nodes):
-            acc = np.zeros_like(eye)
-            for wjj, tau, D in zip(w_rows[j], sub[j] - sub[: j + 1], data[: j + 1]):
-                if wjj == 0.0:
-                    continue
-                acc += wjj * (D if tau == 0.0 else half_step(tau, D))
-            Mj = base[j] + acc
-            delta = max(delta, float(np.max(np.abs(Mj - current[j]))))
-            new.append(Mj)
-        current = new
-        if delta <= cfg.picard_tol:
-            break
-    U1 = current[-1]
-    mats = [U1]
-    for _ in range(cfg.nodes - 1):
-        mats.append(U1 @ mats[-1])
-    return mats
+    n = symbol.n
+    need = 4 * (_SUB_NODES + 1) * n * n * 16
+    if need > _FIRST_STAGE_MAX_BYTES:
+        raise ValueError(f"first-stage propagator at n={n} needs {need} bytes, "
+                         f"above the {_FIRST_STAGE_MAX_BYTES}-byte limit")
+    sub = time_grid(replace(cfg, horizon=float(time_grid(cfg)[0]), nodes=_SUB_NODES))
+    a_mu = symbol.power(mu)[:, None]
+    eye = np.eye(n, dtype=complex)
+    eye_hat = np.fft.fft(eye, axis=0)
+    base = [np.fft.ifft(np.exp(-s * a_mu) * eye_hat, axis=0) for s in sub]
+    table = V.on_grid(1, n, symbol.L).values[:, None]
+    mats, _ = _sweep(eye, base, [table], [V.potential_class(dims).kappa], 0.0, sub,
+                     _fourier_sum(a_mu, sub, axes=(0,)),
+                     lambda k, change: float(np.max(np.abs(change))),
+                     cfg.picard_tol, cfg.max_sweeps)
+    return mats[-1]
 
 
 def sequential_solve(u0: GridFunction, order, cfg: SolverConfig, gamma: ScaleIndex,
@@ -465,8 +451,9 @@ def sequential_solve(u0: GridFunction, order, cfg: SolverConfig, gamma: ScaleInd
     """Apply up to two perturbations one at a time.
 
     The first potential's evolution becomes the base propagator for the
-    second solve.  Needs a uniform time grid (grading 1) so that every
-    propagator evaluation t_k - s_j lands exactly on a stored node.
+    second solve.  Needs a uniform time grid (grading 1): every lag
+    t_k - s_j is then a whole number of steps, and the first-stage
+    propagator over one step, raised to that power, realizes it.
     """
     order = tuple(order)
     if len(order) == 1:
@@ -477,69 +464,21 @@ def sequential_solve(u0: GridFunction, order, cfg: SolverConfig, gamma: ScaleInd
         raise ValueError("sequential composition requires a uniform grid (grading = 1)")
 
     V1, V2 = order
-    classes, alpha, d_gamma, _ = _resolve_indices(u0, order, gamma, dims, cfg.alpha)
-    mats = _propagator_matrices(V1, cfg, gamma, dims, symbol, mu)
+    classes, alpha, d_gamma, d_list = _resolve_indices(u0, order, gamma, dims, cfg.alpha)
+    U1 = _propagator_matrices(V1, cfg, dims, symbol, mu)
     times = time_grid(cfg)
-    table2 = V2.on_grid(u0.N, u0.n, u0.L).values
-    kappa2 = V2.potential_class(dims).kappa
-    norm2 = V2.measured_norm(u0.N, u0.n, u0.L)
-    if cfg.theta is not None:
-        theta = cfg.theta
-    else:
-        theta, _ = choose_theta(norm2, [kappa2], d_gamma, cfg.horizon,
-                                cfg.calibration, cfg.theta_min, cfg.theta_max)
+    theta, predicted = _theta(cfg, V2.measured_norm(u0.N, u0.n, u0.L), d_list[1:], d_gamma)
 
-    real_data = np.isrealobj(u0.values)
-
-    def prop(idx: int, vec: np.ndarray) -> np.ndarray:
-        return vec if idx == 0 else mats[idx - 1] @ vec
-
-    base = [prop(k + 1, u0.values.astype(complex)) for k in range(cfg.nodes)]
-    with_zero = d_gamma == 0.0
-    conv_times = np.concatenate([[0.0], times]) if with_zero else times
-    weights = [product_weights(conv_times[: k + 1 + with_zero], times[k], kappa2, d_gamma,
-                               top="identity")
-               for k in range(cfg.nodes)]
-    zero_data = table2 * u0.values.astype(complex) if with_zero else None
-    alpha_norm = _AlphaNorm(alpha, dims, u0)
-    t_weight = np.exp(-theta * times) * times**d_gamma
-    scale = max(1.0, max(t_weight[k] * alpha_norm(GridFunction(u0.N, u0.n, u0.L, base[k]))
-                         for k in range(cfg.nodes)))
-    stop = cfg.picard_tol * scale
-
-    current = list(base)
-    history = []
-    for _ in range(cfg.max_sweeps):
-        data = [table2 * st for st in current]
-        if with_zero:
-            data = [zero_data] + data
-        residual = 0.0
-        new = []
-        for k in range(cfg.nodes):
-            acc = np.zeros_like(base[k])
-            for j in range(k + 1 + with_zero):
-                wkj = weights[k][j]
-                if wkj == 0.0:
-                    continue
-                # conv node j sits (k + with_zero - j) uniform steps before t_k
-                acc += wkj * prop(k + with_zero - j, data[j])
-            vk = base[k] + acc
-            if not np.all(np.isfinite(vk)):
-                raise RuntimeError(f"blow-up at t = {times[k]:.6g} in sequential stage")
-            diff = GridFunction(u0.N, u0.n, u0.L, vk - current[k])
-            residual = max(residual, t_weight[k] * alpha_norm(diff))
-            new.append(vk)
-        current = new
-        history.append(residual)
-        if residual <= stop:
-            break
-    else:
-        raise RuntimeError("sequential stage failed to contract")
-
-    states = tuple(
-        GridFunction(u0.N, u0.n, u0.L, v.real if real_data else v) for v in current
-    )
-    return Trajectory(times, states, gamma, alpha, theta, 0.0, tuple(history),
+    base = [U1 @ u0.values]
+    for _ in range(cfg.nodes - 1):
+        base.append(U1 @ base[-1])
+    residual, stop = _weighted_residual(_AlphaNorm(alpha, dims, u0), theta, times,
+                                        d_gamma, base, u0, cfg.picard_tol)
+    values, history = _sweep(u0.values, base, [V2.on_grid(u0.N, u0.n, u0.L).values], d_list[1:],
+                             d_gamma, times, _power_sum(U1), residual, stop, cfg.max_sweeps)
+    states = tuple(GridFunction(u0.N, u0.n, u0.L, v.real if np.isrealobj(u0.values) else v)
+                   for v in values)
+    return Trajectory(times, states, gamma, alpha, theta, predicted, tuple(history),
                       cfg, order, dims, symbol, mu, u0)
 
 

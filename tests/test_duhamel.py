@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from morreylab.checks import _two_potentials
 from morreylab.duhamel import (
     SolverConfig,
+    _propagator_matrices,
     contraction_bound,
     choose_theta,
     evaluate,
@@ -278,6 +280,45 @@ def test_sequential_orders_and_joint_agree(sym, bump):
                   for a, b in zip(s01.states, joint.states))
     assert d_orders < 0.05
     assert d_joint < 0.05
+
+
+def test_sequential_gap_to_joint_shrinks_with_nodes(sym, bump):
+    """The sequential composition converges to the joint evolution: no
+    bias survives refinement of the time grid."""
+    V0, V1 = _two_potentials()
+    gamma = gamma_of(2.0, 0.3)
+    gaps = []
+    for nodes in (32, 64):
+        cfg = SolverConfig(horizon=0.25, nodes=nodes, grading=1.0, picard_tol=1e-9)
+        joint = picard_solve(bump, [V0, V1], cfg, gamma, DIMS, sym, 1.0)
+        seq = sequential_solve(bump, [V0, V1], cfg, gamma, DIMS, sym, 1.0)
+        gaps.append(max(float(np.max(np.abs(a.values - b.values)))
+                        for a, b in zip(seq.states, joint.states)))
+    assert gaps[1] <= 0.7 * gaps[0]
+
+
+def test_sequential_predicted_ratio(sym, bump):
+    cfg = SolverConfig(horizon=0.25, nodes=32, grading=1.0, picard_tol=1e-9)
+    V0, V1 = _two_potentials()
+    for order in ([V0, V1], [V1, V0]):
+        traj = sequential_solve(bump, order, cfg, gamma_of(2.0, 0.3), DIMS, sym, 1.0)
+        hist = traj.residual_history
+        assert traj.predicted_ratio > 0.0
+        assert all(b / a <= traj.predicted_ratio + 0.1 for a, b in zip(hist, hist[1:]))
+
+
+def test_first_stage_raises_when_sweeps_run_out(sym):
+    V0, _ = _two_potentials()
+    cfg = SolverConfig(horizon=0.25, nodes=32, grading=1.0, picard_tol=1e-9, max_sweeps=1)
+    with pytest.raises(RuntimeError):
+        _propagator_matrices(V0, cfg, DIMS, sym, 1.0)
+
+
+def test_first_stage_memory_bounded_before_allocation():
+    V0, _ = _two_potentials()
+    cfg = SolverConfig(horizon=0.25, nodes=32, grading=1.0)
+    with pytest.raises(ValueError, match="bytes"):
+        _propagator_matrices(V0, cfg, DIMS, laplacian_power_symbol(1, 2048, L, 1), 1.0)
 
 
 def test_sequential_needs_uniform_grid(sym, bump):
