@@ -9,6 +9,7 @@ contract values.
 
 from __future__ import annotations
 
+import logging
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -34,13 +35,14 @@ from .semigroup import (
     apply_semigroup,
     kernel,
     laplacian_power_symbol,
-    mass,
     positivity_defect,
     selfsimilar_collapse,
     subordination_apply,
 )
 
 __all__ = ["CheckContext", "CheckRecord", "CHECKS", "run_checks", "default_context"]
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -98,7 +100,7 @@ def check_kernel_mass(ctx: CheckContext, t: float = 0.02, mus=(0.5, 0.75, 1.0),
     start = time.perf_counter()
     sym = ctx.symbol()
     t = _resolved_t(t, sym.h, sym.m, mus)
-    masses = {mu: mass(kernel(t, mu, sym).grid) for mu in mus}
+    masses = {mu: kernel(t, mu, sym).grid.mass() for mu in mus}
     worst = max(abs(v - 1.0) for v in masses.values())
     return _record("kernel_mass", worst <= tol, start, worst=worst, t=t,
                    masses={str(k): v for k, v in masses.items()}, tol=tol)
@@ -164,7 +166,7 @@ def check_kernel_2d(ctx: CheckContext, n: int = 256, t: float = 0.25,
     start = time.perf_counter()
     sym = ctx.symbol(N=2, n=n, m=1)
     k = kernel(t, 1.0, sym).grid
-    m = mass(k)
+    m = k.mass()
     defect = positivity_defect(k)
     ax = k.axis()
     X, Y = np.meshgrid(ax, ax, indexing="ij")
@@ -552,11 +554,22 @@ CHECK_GROUPS = {
 }
 
 
+def _guarded(ctx: CheckContext, name: str, fn, params) -> CheckRecord:
+    """Run one check; an exception becomes a FAIL record naming its type and message."""
+    start = time.perf_counter()
+    try:
+        return fn(ctx, **params)
+    except Exception as exc:
+        _log.exception("check %s raised", name)
+        return _record(name, False, start, error_type=type(exc).__name__, error=str(exc))
+
+
 def run_checks(ctx: CheckContext, entries, jobs: int = 1):
     """Execute configured checks; `entries` are (name, params) pairs.
 
     Workers may run in parallel, but records are assembled in the
-    configured order so reports are deterministic.
+    configured order so reports are deterministic.  A check that raises
+    yields a FAIL record and the others still run.
     """
     tasks = []
     for name, params in entries:
@@ -565,9 +578,9 @@ def run_checks(ctx: CheckContext, entries, jobs: int = 1):
             raise KeyError(f"unknown check {name!r}")
         tasks.append((name, fn, params))
     if jobs <= 1:
-        return [fn(ctx, **params) for _, fn, params in tasks]
+        return [_guarded(ctx, *task) for task in tasks]
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(fn, ctx, **params) for _, fn, params in tasks]
+        futures = [pool.submit(_guarded, ctx, *task) for task in tasks]
         return [f.result() for f in futures]

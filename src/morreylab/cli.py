@@ -48,7 +48,9 @@ def _run_entries(cfg: ExperimentConfig, entries, jobs: int, out_dir: str | None)
     records = run_checks(ctx, entries, jobs=jobs)
     for rec in records:
         status = "PASS" if rec.passed else "FAIL"
-        print(f"[{status}] {rec.name} ({rec.duration:.2f}s)", file=sys.stderr)
+        raised = rec.details.get("error_type")
+        suffix = f": {raised}: {rec.details['error']}" if raised else ""
+        print(f"[{status}] {rec.name} ({rec.duration:.2f}s){suffix}", file=sys.stderr)
     report = build_report(records, cfg.echo(), cfg.seed)
     _emit(report, out_dir or cfg.output_dir)
     return 0 if report["all_passed"] else 1

@@ -1,4 +1,4 @@
-"""Code-generated initial-datum and potential fixtures.
+"""Code-generated initial-datum fixtures.
 
 Fixtures are always regenerated from formulas (never shipped as data)
 so that report runs are reproducible bit for bit.
@@ -9,13 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from .grids import GridFunction
-from .potentials import PotentialSpec, constant_potential, power_law_potential
 
-__all__ = ["initial_datum", "potential_fixture", "INITIAL_DATA"]
-
-
-def dirac(N: int, n: int, L: float) -> GridFunction:
-    return GridFunction.dirac(N, n, L)
+__all__ = ["gaussian_bump", "half_box_indicator", "power_law"]
 
 
 def gaussian_bump(N: int, n: int, L: float, width: float = 1.0) -> GridFunction:
@@ -69,46 +64,3 @@ def power_law(N: int, n: int, L: float, beta: float = 0.5, amplitude: float = 1.
     if support_radius is not None:
         vals = np.where(g.radii() <= support_radius, vals, 0.0)
     return GridFunction(N, n, L, vals)
-
-
-def constant_one(N: int, n: int, L: float) -> GridFunction:
-    return GridFunction.constant(1.0, N, n, L)
-
-
-INITIAL_DATA = {
-    "dirac": dirac,
-    "gaussian_bump": gaussian_bump,
-    "half_box_indicator": half_box_indicator,
-    "power_law": power_law,
-    "constant_one": constant_one,
-}
-
-
-def initial_datum(spec, N: int, n: int, L: float) -> GridFunction:
-    """Build a fixture from its id string or a {'fixture': ..., params} mapping."""
-    if isinstance(spec, str):
-        name, params = spec, {}
-    else:
-        params = dict(spec)
-        name = params.pop("fixture")
-    try:
-        maker = INITIAL_DATA[name]
-    except KeyError:
-        raise ValueError(f"unknown initial-datum fixture {name!r}") from None
-    return maker(N, n, L, **params)
-
-
-def potential_fixture(spec) -> PotentialSpec:
-    """Build a potential from a config mapping."""
-    params = dict(spec)
-    kind = params.pop("kind")
-    if kind == "power_law":
-        return power_law_potential(
-            amplitude=params.pop("amplitude"),
-            beta=params.pop("beta"),
-            p0=params.pop("p0"),
-            cap_radius=params.pop("cap_radius", None),
-        )
-    if kind == "constant":
-        return constant_potential(params.pop("value"), N=params.pop("N", 1))
-    raise ValueError(f"unknown potential kind {kind!r}")

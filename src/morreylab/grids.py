@@ -18,7 +18,6 @@ __all__ = [
     "GridFunction",
     "AtomicMeasure",
     "wrap_offsets",
-    "periodic_distance",
 ]
 
 _HEADER = struct.Struct("<qqd")  # N, n as int64; L as float64 (little endian)
@@ -31,14 +30,6 @@ def _is_power_of_two(n: int) -> bool:
 def wrap_offsets(delta: np.ndarray, L: float) -> np.ndarray:
     """Reduce coordinate offsets to the fundamental window [-L, L)."""
     return np.mod(delta + L, 2.0 * L) - L
-
-
-def periodic_distance(x: np.ndarray, y: np.ndarray, L: float) -> np.ndarray:
-    """Torus distance between points given by coordinate arrays of shape (..., N)."""
-    d = wrap_offsets(np.asarray(x) - np.asarray(y), L)
-    if d.ndim == 0:
-        return np.abs(d)
-    return np.sqrt(np.sum(d * d, axis=-1)) if d.shape[-1] > 1 else np.abs(d[..., 0])
 
 
 @dataclass(frozen=True)

@@ -5,12 +5,15 @@ radius ladder and strided centers, so every estimator here is a lower
 bound of the true sup.  Ball integrals for all centers at once are
 circular convolutions with a ball indicator, done with FFTs; the torus
 wrap distance is used throughout so semigroup output can be normed
-directly.
+directly.  One scan takes one forward transform of |phi|^p and
+evaluates the inverse transforms only at the strided centers, for a
+batch of radii at a time.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -30,8 +33,13 @@ __all__ = [
     "holder_product_check",
 ]
 
-_BALL_FFT_CACHE: dict = {}
-_CACHE_LIMIT = 256
+# Ball spectra are cached per grid, ladder and stride; the least recently
+# used are evicted to keep the cache under _CACHE_BYTES.  A scan processes
+# its radii in chunks whose folded spectra and sums stay under _BLOCK_BYTES.
+_BALL_SPECTRA: dict = {}
+_CACHE_BYTES = 64 << 20
+_BLOCK_BYTES = 4 << 20
+_CACHE_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -71,28 +79,37 @@ def _ball_mask(g: GridFunction, radius: float) -> np.ndarray:
     return g.radii() <= radius + 1e-12 * max(1.0, radius)
 
 
-def _ball_indicator_fft(g: GridFunction, radius: float) -> np.ndarray:
-    key = (g.N, g.n, round(g.L, 12), round(radius, 12))
-    hit = _BALL_FFT_CACHE.get(key)
-    if hit is not None:
-        return hit
-    mask = _ball_mask(g, radius).astype(float)
-    # convolving with an origin-centered symmetric indicator needs the
-    # kernel indexed by offsets, i.e. rolled so offset 0 is at index 0
-    kernel = np.roll(mask, (-(g.n // 2),) * g.N, axis=tuple(range(g.N)))
-    out = np.fft.rfftn(kernel)
-    if len(_BALL_FFT_CACHE) >= _CACHE_LIMIT:
-        _BALL_FFT_CACHE.clear()
-    _BALL_FFT_CACHE[key] = out
-    return out
+def _aliased(spec: np.ndarray, stride: int) -> np.ndarray:
+    """View an n^N spectrum with each frequency k split as q*m + j
+    (m = n/stride): axes (q1, j1, ..., qN, jN), last j only up to m/2."""
+    m = spec.shape[0] // stride
+    return spec.reshape((stride, m) * spec.ndim)[..., : m // 2 + 1]
 
 
-def _ball_sums(g: GridFunction, weights: np.ndarray, radius: float) -> np.ndarray:
-    """Circular convolution: sum of `weights` over the ball around every center."""
-    axes = tuple(range(weights.ndim))
-    conv = np.fft.irfftn(np.fft.rfftn(weights) * _ball_indicator_fft(g, radius),
-                         s=weights.shape, axes=axes)
-    return np.maximum(conv, 0.0)
+def _ball_spectra(g: GridFunction, radii: tuple, stride: int) -> np.ndarray:
+    """Aliased spectra of the ball indicators, one row per radius.
+
+    The indicators are even, so their spectra are real.  Convolving with
+    an origin-centered indicator needs the kernel indexed by offsets,
+    i.e. rolled so offset 0 is at index 0.
+    """
+    key = (g.N, g.n, g.L, radii, stride)
+    with _CACHE_LOCK:
+        spectra = _BALL_SPECTRA.pop(key, None)
+        if spectra is not None:
+            _BALL_SPECTRA[key] = spectra  # now the most recently used
+            return spectra
+    axes = tuple(range(g.N))
+    m = g.n // stride
+    spectra = np.empty((len(radii),) + (stride, m) * (g.N - 1) + (stride, m // 2 + 1))
+    for row, radius in zip(spectra, radii):
+        kernel = np.roll(_ball_mask(g, radius).astype(float), (-(g.n // 2),) * g.N, axis=axes)
+        row[...] = _aliased(np.fft.fftn(kernel).real, stride)
+    with _CACHE_LOCK:
+        _BALL_SPECTRA[key] = spectra
+        while sum(a.nbytes for a in _BALL_SPECTRA.values()) > _CACHE_BYTES:
+            del _BALL_SPECTRA[next(iter(_BALL_SPECTRA))]
+    return spectra
 
 
 def _center_index(g: GridFunction, x0) -> tuple:
@@ -121,15 +138,34 @@ def lp_ball_norm(phi: GridFunction, x0, R: float, p: float) -> float:
 
 
 def _scan(phi: GridFunction, p: float, ell: float, ladder: RadiusLadder) -> float:
-    """max over ladder radii and strided centers of R^{(ell-N)/p} * ball norm."""
-    w = np.abs(phi.values) ** p * phi.h**phi.N
-    stride_sl = (slice(None, None, ladder.stride),) * phi.N
-    best = 0.0
-    for R in ladder.radii:
-        sums = _ball_sums(phi, w, R)[stride_sl]
-        val = float(np.max(sums)) ** (1.0 / p) * R ** ((ell - phi.N) / p)
-        best = max(best, val)
-    return best
+    """max over ladder radii and strided centers of R^{(ell-N)/p} * ball norm.
+
+    The ball sums are circular convolutions of w = |phi|^p h^N with the
+    ball indicators.  Sampled at every stride-th point along each axis
+    (m = n/stride per axis), a convolution with spectrum W B is the
+    m^N-point inverse transform of its aliased spectrum, the sum of
+    W B over the frequencies q*m + j for each j.  So one forward
+    transform serves every radius, and each inverse transform has only
+    m^N points.
+    """
+    N, n, stride = phi.N, phi.n, ladder.stride
+    if stride < 1 or n % stride:
+        raise ValueError(f"center stride {stride} does not divide n={n}")
+    m = n // stride
+    # norm="forward" puts the whole 1/n^N on the forward transform (a
+    # power of two, so exact); the inverse is then a plain sum
+    w_hat = _aliased(np.fft.fftn(np.abs(phi.values) ** p * phi.h**N, norm="forward"), stride)
+    spectra = _ball_spectra(phi, ladder.radii, stride)
+    qj = list(range(1, 2 * N + 1))  # axes (q1, j1, ..., qN, jN); sum over the q's
+    chunk = max(1, _BLOCK_BYTES // (16 * m**N))
+    peaks = np.empty(len(spectra))
+    for lo in range(0, len(spectra), chunk):
+        block = spectra[lo:lo + chunk]
+        folded = np.einsum(w_hat, qj, block, [0] + qj, [0] + qj[1::2])
+        sums = np.fft.irfftn(folded, s=(m,) * N, axes=tuple(range(1, N + 1)), norm="forward")
+        peaks[lo:lo + chunk] = sums.reshape(len(block), -1).max(axis=1)
+    radii = np.asarray(ladder.radii)
+    return float(np.max(np.maximum(peaks, 0.0) ** (1.0 / p) * radii ** ((ell - N) / p)))
 
 
 def morrey_norm(phi: GridFunction, p: float, ell: float, ladder: RadiusLadder | None = None) -> float:
@@ -153,9 +189,7 @@ def uniform_norm(phi: GridFunction, p: float, stride: int = 4) -> float:
         raise ValueError("uniform norm needs a box with L >= 1")
     if p == math.inf:
         return float(np.max(np.abs(phi.values)))
-    w = np.abs(phi.values) ** p * phi.h**phi.N
-    sums = _ball_sums(phi, w, 1.0)[(slice(None, None, stride),) * phi.N]
-    return float(np.max(sums)) ** (1.0 / p)
+    return _scan(phi, p, float(phi.N), RadiusLadder((1.0,), stride))
 
 
 class MeasureNorm(NamedTuple):

@@ -28,7 +28,6 @@ __all__ = [
     "SubordinatorDensity",
     "subordination_apply",
     "pseudoresolvent",
-    "mass",
     "positivity_defect",
 ]
 
@@ -304,11 +303,6 @@ def pseudoresolvent(u0: GridFunction, lam: complex, mu: float, symbol: SymbolSpe
     if np.isrealobj(u0.values) and abs(lam.imag) == 0.0:
         out = out.real
     return GridFunction(u0.N, u0.n, u0.L, out)
-
-
-def mass(u: GridFunction) -> float:
-    """Riemann sum of u."""
-    return u.mass()
 
 
 def positivity_defect(u: GridFunction) -> float:

@@ -144,6 +144,30 @@ def test_cli_config_error_exit_2(tmp_path):
     assert main(["run", "--config", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("exc", [RuntimeError("Picard iteration blew up"),
+                                 ValueError("bad inside the check")])
+def test_cli_raising_check_is_a_fail_record(tmp_path, monkeypatch, capsys, exc):
+    """A check that raises becomes a FAIL record; the report is still
+    written, the other checks still run, and the exit code is 1, not 2."""
+    from morreylab.checks import CHECKS
+
+    def boom(ctx):
+        raise exc
+
+    monkeypatch.setitem(CHECKS, "boom", boom)
+    cfg = {**TINY, "checks": [{"name": "boom"}, {"name": "tangent"}]}
+    out = tmp_path / "out"
+    code = main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+    assert code == 1
+    report = json.loads((out / "report.json").read_text())
+    failed, tangent = report["checks"]
+    assert failed["name"] == "boom" and not failed["passed"]
+    assert failed["details"]["error_type"] == type(exc).__name__
+    assert failed["details"]["error"] == str(exc)
+    assert tangent["name"] == "tangent" and tangent["passed"]
+    assert "[FAIL] boom" in capsys.readouterr().err
+
+
 def test_cli_regions_group(tmp_path):
     code = main(["regions", "--config", write_cfg(tmp_path), "--out",
                  str(tmp_path / "o")])

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -88,9 +89,14 @@ def test_multiply_operator_norm_proxy(bump):
 # -- contraction bound ----------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _leggauss(n_z):
+    return np.polynomial.legendre.leggauss(n_z)
+
+
 def direct_c_i(theta, T, d_i, d_gamma, n_t=60, n_z=4000):
     """Independent quadrature oracle for the contraction factor."""
-    zs, wz = np.polynomial.legendre.leggauss(n_z)
+    zs, wz = _leggauss(n_z)
     zs = 0.5 * (zs + 1.0)
     wz = 0.5 * wz
     best = 0.0

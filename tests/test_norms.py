@@ -1,10 +1,13 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from morreylab import norms
 from morreylab.fixtures import gaussian_bump, half_box_indicator, power_law
 from morreylab.grids import AtomicMeasure, GridFunction
 from morreylab.norms import (
@@ -28,6 +31,21 @@ def dense_scan(phi, p, ell, n_radii=80):
         axes = tuple(range(w.ndim))
         conv = np.fft.irfftn(np.fft.rfftn(w) * np.fft.rfftn(kern), s=w.shape, axes=axes)
         best = max(best, float(np.maximum(conv, 0).max()) ** (1 / p) * R ** ((ell - phi.N) / p))
+    return best
+
+
+def strided_reference(phi, p, ell, ladder):
+    """Independent oracle for the ladder scan: a full-size inverse transform
+    per radius, then the sums at every stride-th center."""
+    w = np.abs(phi.values) ** p * phi.h**phi.N
+    axes = tuple(range(phi.N))
+    best = 0.0
+    for R in ladder.radii:
+        mask = (phi.radii() <= R + 1e-12 * max(1.0, R)).astype(float)
+        kern = np.roll(mask, (-(phi.n // 2),) * phi.N, axis=axes)
+        conv = np.fft.irfftn(np.fft.rfftn(w) * np.fft.rfftn(kern), s=w.shape, axes=axes)
+        sums = np.maximum(conv, 0)[(slice(None, None, ladder.stride),) * phi.N]
+        best = max(best, float(sums.max()) ** (1 / p) * R ** ((ell - phi.N) / p))
     return best
 
 
@@ -144,6 +162,52 @@ def test_ladder_refinement():
     assert abs(a - b) / b < 0.02
 
 
+@pytest.mark.parametrize("N,n", [(1, 256), (2, 64)])
+@pytest.mark.parametrize("stride", [1, 2, 4])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("complex_values", [False, True])
+def test_scan_matches_strided_reference(rng, N, n, stride, p, complex_values):
+    vals = rng.normal(size=(n,) * N)
+    if complex_values:
+        vals = vals + 1j * rng.normal(size=(n,) * N)
+    phi = GridFunction(N, n, 2.0, vals)
+    ladder = RadiusLadder.for_grid(phi, stride=stride)
+    ell = 0.6 * N
+    assert morrey_norm(phi, p, ell, ladder) == pytest.approx(
+        strided_reference(phi, p, ell, ladder), rel=1e-12)
+
+
+def test_scan_rejects_stride_not_dividing_n():
+    phi = power_law(1, 256, 1.0, beta=0.5)
+    for stride in (3, 0):
+        with pytest.raises(ValueError, match="stride"):
+            morrey_norm(phi, 1.0, 0.5, RadiusLadder.for_grid(phi, stride=stride))
+        with pytest.raises(ValueError, match="stride"):
+            uniform_norm(phi, 1.0, stride=stride)
+
+
+def test_scan_cache_under_threads(monkeypatch):
+    """Threads scanning more grids than the ball-spectra cache holds get the
+    sequential answers, and the cache stays within its byte budget."""
+    grids = [GridFunction(1, n, L, np.cos(np.arange(n) * 0.37) + 1.5)
+             for n in (64, 128, 256) for L in (1.0, 2.0)]
+    expected = [morrey_norm(g, 1.5, 0.5) for g in grids]
+    biggest = max(norms._ball_spectra(g, RadiusLadder.for_grid(g).radii, 4).nbytes for g in grids)
+    monkeypatch.setattr(norms, "_CACHE_BYTES", 2 * biggest)
+    monkeypatch.setattr(norms, "_BALL_SPECTRA", {})
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(morrey_norm, grids[i % len(grids)], 1.5, 0.5)
+                       for i in range(120)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [expected[i % len(grids)] for i in range(120)]
+    assert sum(a.nbytes for a in norms._BALL_SPECTRA.values()) <= norms._CACHE_BYTES
+
+
 # -- uniform norm ---------------------------------------------------------------
 
 
@@ -162,6 +226,15 @@ def test_uniform_below_morrey():
         phi = power_law(1, 2048, 8.0, beta=beta)
         for ell in (0.4, 0.8, 1.0):
             assert uniform_norm(phi, 1.0) <= morrey_norm(phi, 1.0, ell) + 1e-12
+
+
+@pytest.mark.parametrize("N,n", [(1, 512), (2, 64)])
+@pytest.mark.parametrize("stride", [1, 2, 4])
+def test_uniform_matches_unit_ball_reference(rng, N, n, stride):
+    phi = GridFunction(N, n, 2.0, rng.normal(size=(n,) * N))
+    for p in (1.0, 2.0, 3.0):
+        assert uniform_norm(phi, p, stride) == pytest.approx(
+            strided_reference(phi, p, float(N), RadiusLadder((1.0,), stride)), rel=1e-12)
 
 
 # -- measure norms ---------------------------------------------------------------

@@ -11,7 +11,6 @@ from morreylab.semigroup import (
     apply_semigroup,
     kernel,
     laplacian_power_symbol,
-    mass,
     positivity_defect,
     pseudoresolvent,
     selfsimilar_collapse,
@@ -119,7 +118,7 @@ def test_wrapped_poisson_matches_lattice_sum():
 def test_kernel_mass_and_positivity(sym1):
     for mu in (0.5, 0.75, 1.0):
         k = kernel(0.02, mu, sym1)
-        assert abs(mass(k.grid) - 1.0) <= 1e-8
+        assert abs(k.grid.mass() - 1.0) <= 1e-8
         assert positivity_defect(k.grid) >= -1e-9
 
 
@@ -132,7 +131,7 @@ def test_kernel_2d_spot_check():
     sym = laplacian_power_symbol(2, 256, 8.0, 1)
     t = 0.25
     k = kernel(t, 1.0, sym)
-    assert abs(mass(k.grid) - 1.0) <= 1e-8
+    assert abs(k.grid.mass() - 1.0) <= 1e-8
     assert positivity_defect(k.grid) >= -1e-9
     ax = k.grid.axis()
     X, Y = np.meshgrid(ax, ax, indexing="ij")
