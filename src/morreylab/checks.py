@@ -40,7 +40,8 @@ from .semigroup import (
     subordination_apply,
 )
 
-__all__ = ["CheckContext", "CheckRecord", "CHECKS", "run_checks", "default_context"]
+__all__ = ["CheckContext", "CheckRecord", "CHECKS", "run_checks", "default_context",
+           "record_name"]
 
 _log = logging.getLogger(__name__)
 
@@ -51,7 +52,6 @@ class CheckContext:
     n: int
     L: float
     seed: int = 0
-    solver: SolverConfig | None = None
     memo: dict = field(default_factory=dict)
 
     def symbol(self, m: int | None = None, n: int | None = None, N: int | None = None):
@@ -70,20 +70,28 @@ class CheckRecord:
     name: str
     passed: bool
     details: dict
-    duration: float
+    duration: float = 0.0
 
 
 def default_context(seed: int = 0) -> CheckContext:
     return CheckContext(dims=ProblemDims(1, 1, 1.0), n=4096, L=8.0, seed=seed)
 
 
-def _record(name, passed, start, **details) -> CheckRecord:
+def record_name(name: str, params: dict) -> str:
+    """Name of the record one configured entry produces: the check's name,
+    plus the order for selfsimilar_collapse, which a config may run at several."""
+    if name == "selfsimilar_collapse":
+        return f"{name}_m{params.get('m', 1)}"
+    return name
+
+
+def _record(name, passed, **details) -> CheckRecord:
     clean = {}
     for k, v in details.items():
         if isinstance(v, (np.floating, np.integer)):
             v = float(v)
         clean[k] = v
-    return CheckRecord(name, bool(passed), clean, time.perf_counter() - start)
+    return CheckRecord(name, bool(passed), clean)
 
 
 # -- kernels -------------------------------------------------------------------
@@ -97,36 +105,33 @@ def _resolved_t(t: float, h: float, m: int, mus) -> float:
 
 def check_kernel_mass(ctx: CheckContext, t: float = 0.02, mus=(0.5, 0.75, 1.0),
                       tol: float = 1e-8) -> CheckRecord:
-    start = time.perf_counter()
     sym = ctx.symbol()
     t = _resolved_t(t, sym.h, sym.m, mus)
     masses = {mu: kernel(t, mu, sym).grid.mass() for mu in mus}
     worst = max(abs(v - 1.0) for v in masses.values())
-    return _record("kernel_mass", worst <= tol, start, worst=worst, t=t,
+    return _record("kernel_mass", worst <= tol, worst=worst, t=t,
                    masses={str(k): v for k, v in masses.items()}, tol=tol)
 
 
 def check_kernel_positivity(ctx: CheckContext, t: float = 0.02, mus=(0.5, 0.75, 1.0),
                             tol: float = -1e-9) -> CheckRecord:
-    start = time.perf_counter()
     sym = ctx.symbol(m=1)
     t = _resolved_t(t, sym.h, 1, mus)
     defects = {mu: positivity_defect(kernel(t, mu, sym).grid) for mu in mus}
     worst = min(defects.values())
-    return _record("kernel_positivity", worst >= tol, start, worst=worst, t=t,
+    return _record("kernel_positivity", worst >= tol, worst=worst, t=t,
                    defects={str(k): v for k, v in defects.items()}, tol=tol)
 
 
 def check_kernel_gaussian(ctx: CheckContext, t: float = 0.25, tol: float = 1e-6) -> CheckRecord:
     """m=1, mu=1 kernel against the closed-form heat kernel on |x| <= L/2."""
-    start = time.perf_counter()
     sym = ctx.symbol(m=1)
     k = kernel(t, 1.0, sym).grid
     x = k.axis()
     exact = np.exp(-(x**2) / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
     sel = np.abs(x) <= ctx.L / 2.0
     err = float(np.max(np.abs(k.values[sel] - exact[sel]) / exact[sel]))
-    return _record("kernel_gaussian", err <= tol, start, rel_sup_error=err, t=t, tol=tol)
+    return _record("kernel_gaussian", err <= tol, rel_sup_error=err, t=t, tol=tol)
 
 
 def wrapped_poisson(x: np.ndarray, t: float, L: float) -> np.ndarray:
@@ -141,29 +146,26 @@ def check_kernel_poisson(ctx: CheckContext, t: float = 0.5, tol: float = 1e-4) -
     The torus realization periodizes the heavy Cauchy tails, so the
     honest closed-form oracle is the lattice sum (in its sinh/cosh form).
     """
-    start = time.perf_counter()
     sym = ctx.symbol(m=1)
     k = kernel(t, 0.5, sym).grid
     x = k.axis()
     exact = wrapped_poisson(x, t, ctx.L)
     sel = np.abs(x) <= ctx.L / 2.0
     err = float(np.max(np.abs(k.values[sel] - exact[sel]) / exact[sel]))
-    return _record("kernel_poisson", err <= tol, start, rel_sup_error=err, t=t, tol=tol)
+    return _record("kernel_poisson", err <= tol, rel_sup_error=err, t=t, tol=tol)
 
 
 def check_selfsimilar_collapse(ctx: CheckContext, ts=(0.01, 0.04), m: int = 1,
                                mu: float = 1.0, tol: float = 1e-3) -> CheckRecord:
-    start = time.perf_counter()
     sym = ctx.symbol(m=m)
     resid = selfsimilar_collapse([kernel(t, mu, sym) for t in ts])
-    return _record(f"selfsimilar_collapse_m{m}", resid <= tol, start,
+    return _record(record_name("selfsimilar_collapse", {"m": m}), resid <= tol,
                    residual=resid, ts=list(ts), tol=tol)
 
 
 def check_kernel_2d(ctx: CheckContext, n: int = 256, t: float = 0.25,
                     tol_mass: float = 1e-8, tol_gauss: float = 1e-6) -> CheckRecord:
     """Two-dimensional spot check: mass, positivity, closed-form kernel."""
-    start = time.perf_counter()
     sym = ctx.symbol(N=2, n=n, m=1)
     k = kernel(t, 1.0, sym).grid
     m = k.mass()
@@ -174,19 +176,18 @@ def check_kernel_2d(ctx: CheckContext, n: int = 256, t: float = 0.25,
     sel = np.maximum(np.abs(X), np.abs(Y)) <= ctx.L * 3.0 / 8.0
     rel = float(np.max(np.abs(k.values[sel] - exact[sel]) / exact[sel]))
     ok = abs(m - 1.0) <= tol_mass and defect >= -1e-9 and rel <= tol_gauss
-    return _record("kernel_2d", ok, start, mass=m, positivity=defect, rel_sup_error=rel)
+    return _record("kernel_2d", ok, mass=m, positivity=defect, rel_sup_error=rel)
 
 
 def check_subordination(ctx: CheckContext, t: float = 0.5, tol: float = 1e-3) -> CheckRecord:
     """Multiplier path vs stable-density quadrature at mu = 1/2, Dirac datum."""
-    start = time.perf_counter()
     sym = ctx.symbol(m=1)
     delta = GridFunction.dirac(ctx.dims.N, ctx.n, ctx.L)
     direct = apply_semigroup(delta, t, 0.5, sym)
     sub = subordination_apply(delta, t, sym, SubordinatorDensity.build())
     num = float(np.sum(np.abs(direct.values - sub.values)))
     den = float(np.sum(np.abs(direct.values)))
-    return _record("subordination", num / den <= tol, start, rel_l1=num / den, tol=tol)
+    return _record("subordination", num / den <= tol, rel_l1=num / den, tol=tol)
 
 
 # -- smoothing rates -----------------------------------------------------------
@@ -194,7 +195,6 @@ def check_subordination(ctx: CheckContext, t: float = 0.5, tol: float = 1e-3) ->
 
 def check_smoothing_dirac(ctx: CheckContext, tol: float = 0.03) -> CheckRecord:
     """Dirac datum, measure class to sup norm: slope -(N/(2 m mu))."""
-    start = time.perf_counter()
     sym = ctx.symbol()
     delta = GridFunction.dirac(ctx.dims.N, ctx.n, ctx.L)
     ts = np.logspace(-3, -1, 10)
@@ -202,13 +202,12 @@ def check_smoothing_dirac(ctx: CheckContext, tol: float = 0.03) -> CheckRecord:
             for t in ts]
     predicted = -ctx.dims.N / ctx.dims.order
     fit = verify.fit_decay(ts, sups, predicted, tol)
-    return _record("smoothing_dirac", fit.passed, start, slope=fit.slope,
+    return _record("smoothing_dirac", fit.passed, slope=fit.slope,
                    predicted=predicted, rel_dev=fit.rel_deviation, tol=tol)
 
 
 def check_smoothing_morrey(ctx: CheckContext, tol: float = 0.10) -> CheckRecord:
     """Three Morrey pairs on the truncated power-law datum, t in [1e-3, 1e-1]."""
-    start = time.perf_counter()
     sym = ctx.symbol()
     u0 = power_law(ctx.dims.N, ctx.n, ctx.L, beta=0.8, support_radius=2.0,
                    mass_faithful=True)
@@ -229,7 +228,7 @@ def check_smoothing_morrey(ctx: CheckContext, tol: float = 0.10) -> CheckRecord:
         fits[f"(q={dst.p:g},s={dst.ell:g})"] = {
             "slope": fit.slope, "predicted": predicted, "rel_dev": fit.rel_deviation}
         ok = ok and fit.passed
-    return _record("smoothing_morrey", ok, start, fits=fits, tol=tol)
+    return _record("smoothing_morrey", ok, fits=fits, tol=tol)
 
 
 def check_norm_fixtures(ctx: CheckContext, tol: float = 0.10) -> CheckRecord:
@@ -237,7 +236,6 @@ def check_norm_fixtures(ctx: CheckContext, tol: float = 0.10) -> CheckRecord:
     plus the product inequality and the uniform-space embedding."""
     from morreylab.norms import holder_product_check, uniform_norm
 
-    start = time.perf_counter()
     pl = power_law(1, min(ctx.n, 4096), 1.0, beta=0.5)
     val = morrey_norm(pl, 1.0, 0.5)
     morrey_ok = abs(val - 4.0) <= tol * 4.0
@@ -246,18 +244,17 @@ def check_norm_fixtures(ctx: CheckContext, tol: float = 0.10) -> CheckRecord:
     wide = power_law(1, min(ctx.n, 2048), ctx.L, beta=0.5)
     embed_ok = uniform_norm(wide, 1.0) <= morrey_norm(wide, 1.0, 0.5) + 1e-12
     ok = morrey_ok and holder.passed and embed_ok
-    return _record("norm_fixtures", ok, start, morrey_value=val,
+    return _record("norm_fixtures", ok, morrey_value=val,
                    holder_lhs=holder.lhs, holder_rhs=holder.rhs,
                    embedding_ok=embed_ok, tol=tol)
 
 
 def check_trace(ctx: CheckContext, threshold: float = 1e-3) -> CheckRecord:
-    start = time.perf_counter()
     sym = ctx.symbol()
     bump = gaussian_bump(ctx.dims.N, ctx.n, ctx.L)
     ok, dists = verify.trace_check(bump, 1.0, ctx.L / 2.0, ctx.dims.mu, sym,
                                    threshold=threshold)
-    return _record("trace", ok, start, final=dists[-1], first=dists[0], tol=threshold)
+    return _record("trace", ok, final=dists[-1], first=dists[0], tol=threshold)
 
 
 # -- perturbed evolution fixtures ----------------------------------------------
@@ -290,7 +287,6 @@ def check_constant_potential(ctx: CheckContext, c: float = 1.0, n: int = 256,
                              nodes: int = 256, horizon: float = 0.25,
                              picard_tol: float = 1e-8) -> CheckRecord:
     """Fixed point with a constant potential against e^{c t} times the base flow."""
-    start = time.perf_counter()
     dims, sym, bump = _solver_context(ctx, n)
     V = constant_potential(c, N=dims.N)
     gamma = to_index(MorreyParams(2.0, 1.0), dims)
@@ -302,13 +298,12 @@ def check_constant_potential(ctx: CheckContext, c: float = 1.0, n: int = 256,
         exact = math.exp(c * t) * apply_semigroup(bump, t, dims.mu, sym)
         worst = max(worst, float(np.max(np.abs(state.values - exact.values))))
     tol = 10.0 * picard_tol
-    return _record("constant_potential", worst <= tol, start, sup_error=worst,
+    return _record("constant_potential", worst <= tol, sup_error=worst,
                    sweeps=len(traj.residual_history), tol=tol)
 
 
 def check_contraction(ctx: CheckContext, max_sweeps: int = 25, slack: float = 0.1) -> CheckRecord:
     """Per-sweep residual ratios against the predicted contraction factor."""
-    start = time.perf_counter()
     details = {}
     ok = True
     const_key = ("const_traj", 256, 1.0, 256, 0.25)
@@ -326,12 +321,11 @@ def check_contraction(ctx: CheckContext, max_sweeps: int = 25, slack: float = 0.
         fine = (worst <= bound) and (len(hist) <= max_sweeps)
         details[name] = {"worst_ratio": worst, "bound": bound, "sweeps": len(hist)}
         ok = ok and fine
-    return _record("contraction", ok, start, fixtures=details)
+    return _record("contraction", ok, fixtures=details)
 
 
 def check_semigroup_property(ctx: CheckContext, n: int = 256, tol_factor: float = 10.0) -> CheckRecord:
     """evaluate(t1+t2) against re-propagating evaluate(t2) by t1."""
-    start = time.perf_counter()
     traj = _power_traj(ctx, n=n, nodes=64, horizon=0.25, tol_estimate=True)
     t1, t2 = 0.125, 0.125
     u_sum = evaluate(traj, t1 + t2)
@@ -341,7 +335,7 @@ def check_semigroup_property(ctx: CheckContext, n: int = 256, tol_factor: float 
                         traj.symbol, traj.mu).states[-1]
     disc = float(np.max(np.abs(u_sum.values - comp.values)))
     tol = tol_factor * (traj.tolerance_estimate or traj.config.picard_tol)
-    return _record("semigroup_property", disc <= tol, start, discrepancy=disc, tol=tol)
+    return _record("semigroup_property", disc <= tol, discrepancy=disc, tol=tol)
 
 
 def _two_potentials():
@@ -353,7 +347,6 @@ def _two_potentials():
 def check_iterated(ctx: CheckContext, n: int = 256, nodes: int = 64,
                    horizon: float = 0.25, tol_factor: float = 10.0) -> CheckRecord:
     """Joint two-potential solve vs sequential composition in both orders."""
-    start = time.perf_counter()
     dims, sym, bump = _solver_context(ctx, n)
     V0, V1 = _two_potentials()
     gamma = to_index(MorreyParams(2.0, 0.3), dims)
@@ -375,14 +368,13 @@ def check_iterated(ctx: CheckContext, n: int = 256, nodes: int = 64,
     d_joint = float(max(np.max(np.abs(a.values - b.values))
                         for a, b in zip(seq01.states, joint.states)))
     ok = d_orders <= tol and d_joint <= tol
-    return _record("iterated", ok, start, order_discrepancy=d_orders,
+    return _record("iterated", ok, order_discrepancy=d_orders,
                    joint_discrepancy=d_joint, tol=tol)
 
 
 def check_continuous_dependence(ctx: CheckContext, n: int = 256, nodes: int = 48,
                                 horizon: float = 0.25, tol: float = 0.10) -> CheckRecord:
     """Difference norms scale linearly in the potential gap (slope 1)."""
-    start = time.perf_counter()
     dims, sym, bump = _solver_context(ctx, n)
     gamma = to_index(MorreyParams(2.0, 0.7), dims)
     cfg = SolverConfig(horizon=horizon, nodes=nodes, picard_tol=1e-9)
@@ -399,13 +391,12 @@ def check_continuous_dependence(ctx: CheckContext, n: int = 256, nodes: int = 48
                                              MorreyParams(2.0, 0.7), dims, tol)
     consts = fit.extra["weighted_constants"]
     bounded = max(consts) <= 2.0 * min(consts)
-    return _record("continuous_dependence", fit.passed and bounded, start,
+    return _record("continuous_dependence", fit.passed and bounded,
                    slope=fit.slope, constants=consts, tol=tol)
 
 
 def check_omega_constant(ctx: CheckContext, n: int = 256, tol: float = 0.02) -> CheckRecord:
     """Constant potentials: growth rate equals c, so the size exponent is 1."""
-    start = time.perf_counter()
     dims, sym, _ = _solver_context(ctx, n)
     one = GridFunction.constant(1.0, dims.N, n, ctx.L)
     cs = [0.25, 0.5, 1.0, 2.0]
@@ -415,13 +406,12 @@ def check_omega_constant(ctx: CheckContext, n: int = 256, tol: float = 0.02) -> 
                                            dims, sym, dims.mu, step=0.25, n_steps=8)
         rates.append(verify.growth_rate(times, norms))
     fit = verify.omega_scaling(cs, rates, kappa0=0.0, tolerance=tol)
-    return _record("omega_constant", fit.passed, start, exponent=fit.slope,
+    return _record("omega_constant", fit.passed, exponent=fit.slope,
                    rates=rates, tol=tol)
 
 
 def check_omega_power(ctx: CheckContext, n: int = 512, tol: float = 0.15) -> CheckRecord:
     """kappa = 1/4 power-law family: growth-rate exponent vs 1/(1-kappa) = 4/3."""
-    start = time.perf_counter()
     dims, sym, _ = _solver_context(ctx, n)
     one = GridFunction.constant(1.0, dims.N, n, ctx.L)
     amps = [0.5, 1.0, 2.0, 4.0]
@@ -434,7 +424,7 @@ def check_omega_power(ctx: CheckContext, n: int = 512, tol: float = 0.15) -> Che
                                            step=0.25, n_steps=16)
         rates.append(verify.growth_rate(times, norms))
     fit = verify.omega_scaling(norms_v, rates, kappa0=kappa, tolerance=tol)
-    return _record("omega_power", fit.passed, start, exponent=fit.slope,
+    return _record("omega_power", fit.passed, exponent=fit.slope,
                    predicted=1.0 / (1.0 - kappa), rates=rates, tol=tol)
 
 
@@ -466,24 +456,22 @@ def _random_queries(ctx: CheckContext, count: int):
 
 def check_regions(ctx: CheckContext, count: int = 1000, density: int = 200) -> CheckRecord:
     """Closed-form predicates vs the brute-force witness oracle."""
-    start = time.perf_counter()
     queries = _random_queries(ctx, count)
     disagreements = verify.compare_region_predicates(queries, ctx.dims, density)
     cell = max(1.0, ctx.dims.slope_cap) / density
     outside = [d for d in disagreements if d.boundary_distance > cell]
-    return _record("regions", not outside, start, queries=count,
+    return _record("regions", not outside, queries=count,
                    disagreements=len(disagreements), outside_cell=len(outside),
                    cell=cell)
 
 
 def check_tangent(ctx: CheckContext, tol: float = 1e-12) -> CheckRecord:
     """Analytic tangent case f = x^2 through (0, -1): x* = +-1."""
-    start = time.perf_counter()
     f, fp, fpp = (lambda x: x * x), (lambda x: 2.0 * x), (lambda x: 2.0)
     right = exterior_tangent(f, fp, fpp, -2.0, 2.0, 0.0, -1.0, "right")
     left = exterior_tangent(f, fp, fpp, -2.0, 2.0, 0.0, -1.0, "left")
     err = max(abs(right - 1.0), abs(left + 1.0))
-    return _record("tangent", err <= tol, start, error=err, tol=tol)
+    return _record("tangent", err <= tol, error=err, tol=tol)
 
 
 # -- pseudoresolvent -----------------------------------------------------------
@@ -491,7 +479,6 @@ def check_tangent(ctx: CheckContext, tol: float = 1e-12) -> CheckRecord:
 
 def check_pseudoresolvent_constant(ctx: CheckContext, c: float = 1.0, n: int = 256,
                                    lams=(-4.0, -6.0), tol: float = 1e-3) -> CheckRecord:
-    start = time.perf_counter()
     dims, sym, bump = _solver_context(ctx, n)
     gamma = to_index(MorreyParams(2.0, 1.0), dims)
     cfg = SolverConfig(horizon=3.2, nodes=256, grading=1.0, picard_tol=1e-9)
@@ -499,13 +486,12 @@ def check_pseudoresolvent_constant(ctx: CheckContext, c: float = 1.0, n: int = 2
                         dims, sym, dims.mu)
     residuals = {str(lam): verify.pseudoresolvent_identity(traj, lam) for lam in lams}
     worst = max(residuals.values())
-    return _record("pseudoresolvent_constant", worst <= tol, start,
+    return _record("pseudoresolvent_constant", worst <= tol,
                    residuals=residuals, tol=tol)
 
 
 def check_pseudoresolvent_power(ctx: CheckContext, n: int = 256,
                                 lams=(-4.0, -6.0), tol: float = 0.05) -> CheckRecord:
-    start = time.perf_counter()
     dims, sym, bump = _solver_context(ctx, n)
     gamma = to_index(MorreyParams(2.0, 0.7), dims)
     cfg = SolverConfig(horizon=3.2, nodes=192, picard_tol=1e-9)
@@ -513,7 +499,7 @@ def check_pseudoresolvent_power(ctx: CheckContext, n: int = 256,
     traj = picard_solve(bump, [V], cfg, gamma, dims, sym, dims.mu)
     residuals = {str(lam): verify.pseudoresolvent_identity(traj, lam) for lam in lams}
     worst = max(residuals.values())
-    return _record("pseudoresolvent_power", worst <= tol, start,
+    return _record("pseudoresolvent_power", worst <= tol,
                    residuals=residuals, tol=tol)
 
 
@@ -555,13 +541,16 @@ CHECK_GROUPS = {
 
 
 def _guarded(ctx: CheckContext, name: str, fn, params) -> CheckRecord:
-    """Run one check; an exception becomes a FAIL record naming its type and message."""
+    """Run and time one check; an exception becomes a FAIL record naming
+    its type and message."""
     start = time.perf_counter()
     try:
-        return fn(ctx, **params)
+        rec = fn(ctx, **params)
     except Exception as exc:
         _log.exception("check %s raised", name)
-        return _record(name, False, start, error_type=type(exc).__name__, error=str(exc))
+        rec = _record(record_name(name, params), False, error_type=type(exc).__name__,
+                      error=str(exc))
+    return replace(rec, duration=time.perf_counter() - start)
 
 
 def run_checks(ctx: CheckContext, entries, jobs: int = 1):

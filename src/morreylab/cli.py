@@ -16,6 +16,7 @@ Exit status: 0 all checks passed, 1 any check failed, 2 config error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -29,7 +30,7 @@ __all__ = ["main"]
 
 
 def _context(cfg: ExperimentConfig) -> CheckContext:
-    return CheckContext(dims=cfg.dims, n=cfg.n, L=cfg.L, seed=cfg.seed, solver=cfg.solver)
+    return CheckContext(dims=cfg.dims, n=cfg.n, L=cfg.L, seed=cfg.seed)
 
 
 def _emit(report: dict, out_dir: str | None) -> None:
@@ -62,8 +63,7 @@ def _load(args) -> ExperimentConfig:
     else:
         cfg = validate_config(DEFAULT_CONFIG)
     if args.seed is not None:
-        cfg = ExperimentConfig(cfg.version, args.seed, cfg.dims, cfg.n, cfg.L,
-                               cfg.solver, cfg.checks, cfg.output_dir)
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg
 
 

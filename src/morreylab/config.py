@@ -10,8 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .checks import CHECKS
-from .duhamel import SolverConfig
+from .checks import CHECKS, record_name
 from .indices import ProblemDims
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "validate_config", "DEFAULT_CONFIG"]
@@ -74,12 +73,6 @@ def _optional_string(v, path):
     return _string(v, path)
 
 
-def _optional_number(v, path):
-    if v is None:
-        return None
-    return _number()(v, path)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     version: int
@@ -87,7 +80,6 @@ class ExperimentConfig:
     dims: ProblemDims
     n: int
     L: float
-    solver: SolverConfig
     checks: tuple = field(default_factory=tuple)  # ((name, params), ...)
     output_dir: str | None = None
 
@@ -97,15 +89,6 @@ class ExperimentConfig:
             "seed": self.seed,
             "dims": {"N": self.dims.N, "m": self.dims.m, "mu": self.dims.mu},
             "grid": {"n": self.n, "L": self.L},
-            "solver": {
-                "horizon": self.solver.horizon,
-                "nodes": self.solver.nodes,
-                "grading": self.solver.grading,
-                "theta": self.solver.theta,
-                "picard_tol": self.solver.picard_tol,
-                "max_sweeps": self.solver.max_sweeps,
-                "calibration": self.solver.calibration,
-            },
             "checks": [{"name": name, **params} for name, params in self.checks],
             "output_dir": self.output_dir,
         }
@@ -116,8 +99,6 @@ DEFAULT_CONFIG = {
     "seed": 0,
     "dims": {"N": 1, "m": 1, "mu": 1.0},
     "grid": {"n": 4096, "L": 8.0},
-    "solver": {"horizon": 0.25, "nodes": 64, "grading": 2.0, "theta": None,
-               "picard_tol": 1e-8, "max_sweeps": 60, "calibration": 1.0},
     "checks": [{"name": name} for name in CHECKS]
     + [{"name": "selfsimilar_collapse", "m": 2, "tol": 1e-2}],
     "output_dir": None,
@@ -137,15 +118,6 @@ def validate_config(raw: dict, path: str = "config") -> ExperimentConfig:
             "n": (False, _integer(8)),
             "L": (False, _number(1e-9)),
         }, p)),
-        "solver": (False, lambda v, p: _require_keys(v, {
-            "horizon": (False, _number(1e-12)),
-            "nodes": (False, _integer(16)),
-            "grading": (False, _number(1.0)),
-            "theta": (False, _optional_number),
-            "picard_tol": (False, _number(0.0)),
-            "max_sweeps": (False, _integer(1)),
-            "calibration": (False, _number(0.0)),
-        }, p)),
         "checks": (False, _check_list),
         "output_dir": (False, _optional_string),
     }, path)
@@ -155,16 +127,6 @@ def validate_config(raw: dict, path: str = "config") -> ExperimentConfig:
     dims_raw = top.get("dims", {})
     dims = ProblemDims(dims_raw.get("N", 1), dims_raw.get("m", 1), dims_raw.get("mu", 1.0))
     grid = top.get("grid", {})
-    solver_raw = top.get("solver", {})
-    solver = SolverConfig(
-        horizon=solver_raw.get("horizon", 0.25),
-        nodes=solver_raw.get("nodes", 64),
-        grading=solver_raw.get("grading", 2.0),
-        theta=solver_raw.get("theta"),
-        picard_tol=solver_raw.get("picard_tol", 1e-8),
-        max_sweeps=solver_raw.get("max_sweeps", 60),
-        calibration=solver_raw.get("calibration", 1.0),
-    )
     checks = top.get("checks", tuple((name, {}) for name in CHECKS))
     return ExperimentConfig(
         version=top["version"],
@@ -172,7 +134,6 @@ def validate_config(raw: dict, path: str = "config") -> ExperimentConfig:
         dims=dims,
         n=grid.get("n", 4096),
         L=grid.get("L", 8.0),
-        solver=solver,
         checks=tuple(checks),
         output_dir=top.get("output_dir"),
     )
@@ -181,7 +142,7 @@ def validate_config(raw: dict, path: str = "config") -> ExperimentConfig:
 def _check_list(v, path):
     if not isinstance(v, list):
         raise ConfigError(f"{path}: expected a list of check entries")
-    out = []
+    out, records = [], set()
     for i, entry in enumerate(v):
         p = f"{path}[{i}]"
         if not isinstance(entry, dict) or "name" not in entry:
@@ -193,6 +154,10 @@ def _check_list(v, path):
         for k, val in params.items():
             if isinstance(val, list):
                 params[k] = tuple(val)
+        record = record_name(name, params)
+        if record in records:
+            raise ConfigError(f"{p}: an earlier entry already produces record {record!r}")
+        records.add(record)
         out.append((name, params))
     return tuple(out)
 

@@ -31,7 +31,6 @@ from .indices import (
     ProblemDims,
     choose_alpha,
     from_index,
-    sigma_contains,
     smoothing_distance,
 )
 from .norms import RadiusLadder, morrey_norm
@@ -55,6 +54,10 @@ __all__ = [
 # (base, old and new iterates, hats: complex n x n each) may take
 _SUB_NODES = 32
 _FIRST_STAGE_MAX_BYTES = 3 * 2**30
+# the doubling ladder of choose_theta, and the nodes of evaluate's short re-solves
+_THETA_MIN = 1.0
+_THETA_MAX = 2.0**24
+_SHORT_NODES = 24
 
 
 @dataclass(frozen=True)
@@ -63,8 +66,8 @@ class SolverConfig:
 
     horizon T, K graded nodes t_k = T (k/K)^g, weight parameter theta
     (None selects it from the contraction bound), stopping tolerance on
-    the weighted residual, and the calibration constant C standing in
-    for the generic constant of the base smoothing estimate.
+    the weighted residual, the sweep budget, and whether to estimate the
+    discretisation error against a half-node solve.
     """
 
     horizon: float
@@ -73,10 +76,6 @@ class SolverConfig:
     theta: float | None = None
     picard_tol: float = 1e-8
     max_sweeps: int = 60
-    calibration: float = 1.0
-    alpha: ScaleIndex | None = None  # target index override; None selects it
-    theta_min: float = 1.0
-    theta_max: float = 2.0**24
     estimate_tolerance: bool = False
 
     def __post_init__(self):
@@ -140,21 +139,19 @@ def contraction_bound(theta: float, T: float, d_list, d_gamma: float,
     return bounds
 
 
-def choose_theta(norm_bound: float, d_list, d_gamma: float, T: float,
-                 calibration: float = 1.0, theta_min: float = 1.0,
-                 theta_max: float = 2.0**24):
-    """Smallest theta on a doubling ladder with C R sum_i c_i(theta) <= 1/2."""
+def choose_theta(norm_bound: float, d_list, d_gamma: float, T: float):
+    """Smallest theta on a doubling ladder with R sum_i c_i(theta) <= 1/2."""
     if norm_bound < 0.0:
         raise ValueError("norm bound must be nonnegative")
-    theta = theta_min
+    theta = _THETA_MIN
     while True:
-        total = calibration * norm_bound * sum(contraction_bound(theta, T, d_list, d_gamma))
+        total = norm_bound * sum(contraction_bound(theta, T, d_list, d_gamma))
         if total <= 0.5:
             return theta, total
-        if theta >= theta_max:
+        if theta >= _THETA_MAX:
             raise RuntimeError(
-                f"no contraction below theta_max={theta_max:g}: "
-                f"C R sum c_i = {total:.3g} at theta={theta:g}"
+                f"no contraction on the theta ladder up to {_THETA_MAX:g}: "
+                f"R sum c_i = {total:.3g} there"
             )
         theta *= 2.0
 
@@ -162,10 +159,8 @@ def choose_theta(norm_bound: float, d_list, d_gamma: float, T: float,
 def _theta(cfg: SolverConfig, norm_bound: float, d_list, d_gamma: float):
     """theta and the predicted contraction ratio at it (fixed theta or the ladder)."""
     if cfg.theta is None:
-        return choose_theta(norm_bound, d_list, d_gamma, cfg.horizon, cfg.calibration,
-                            cfg.theta_min, cfg.theta_max)
-    bound = sum(contraction_bound(cfg.theta, cfg.horizon, d_list, d_gamma))
-    return cfg.theta, cfg.calibration * norm_bound * bound
+        return choose_theta(norm_bound, d_list, d_gamma, cfg.horizon)
+    return cfg.theta, norm_bound * sum(contraction_bound(cfg.theta, cfg.horizon, d_list, d_gamma))
 
 
 # -- the sweep engine ------------------------------------------------------------
@@ -292,9 +287,6 @@ class Trajectory:
     def horizon(self) -> float:
         return float(self.times[-1])
 
-    def state_at_node(self, k: int) -> GridFunction:
-        return self.states[k]
-
     def node_near(self, t: float) -> int | None:
         j = int(np.argmin(np.abs(self.times - t)))
         return j if abs(self.times[j] - t) <= 1e-12 * max(1.0, t) else None
@@ -344,22 +336,14 @@ class _AlphaNorm:
         return morrey_norm(g, self.p, self.ell, self.ladder)
 
 
-def _resolve_indices(u0, potentials, gamma, dims, alpha_override=None):
+def _resolve_indices(potentials, gamma, dims):
     classes = [V.potential_class(dims) for V in potentials]
-    if alpha_override is not None:
-        alpha = alpha_override
-        for cls in classes:
-            if not sigma_contains(gamma, alpha, cls):
-                raise ValueError(
-                    f"configured target index {alpha.as_tuple()} is inadmissible "
-                    f"for class {cls.params}")
-    else:
-        alpha = choose_alpha(gamma, classes) if classes else gamma
+    alpha = choose_alpha(gamma, classes) if classes else gamma
     d_gamma = smoothing_distance(alpha, gamma)
     if not 0.0 <= d_gamma < 1.0:
         raise ValueError(f"initial datum too rough for the working index: d={d_gamma}")
     d_list = [cls.kappa for cls in classes]
-    return classes, alpha, d_gamma, d_list
+    return alpha, d_gamma, d_list
 
 
 def _weighted_residual(alpha_norm, theta, times, d_gamma, base, grid, tol):
@@ -383,12 +367,11 @@ def picard_solve(u0: GridFunction, potentials, cfg: SolverConfig, gamma: ScaleIn
     the weighted residual fails to contract within max_sweeps.
     """
     potentials = tuple(potentials)
-    classes, alpha, d_gamma, d_list = _resolve_indices(u0, potentials, gamma, dims,
-                                                       cfg.alpha)
+    alpha, d_gamma, d_list = _resolve_indices(potentials, gamma, dims)
     times = time_grid(cfg)
     base = [apply_semigroup(u0, t, mu, symbol) for t in times]
     if not potentials:
-        return Trajectory(times, tuple(base), gamma, alpha, cfg.theta_min, 0.0, (0.0,),
+        return Trajectory(times, tuple(base), gamma, alpha, _THETA_MIN, 0.0, (0.0,),
                           cfg, potentials, dims, symbol, mu, u0)
 
     norm_bound = max(V.measured_norm(u0.N, u0.n, u0.L) for V in potentials)
@@ -464,7 +447,7 @@ def sequential_solve(u0: GridFunction, order, cfg: SolverConfig, gamma: ScaleInd
         raise ValueError("sequential composition requires a uniform grid (grading = 1)")
 
     V1, V2 = order
-    classes, alpha, d_gamma, d_list = _resolve_indices(u0, order, gamma, dims, cfg.alpha)
+    alpha, d_gamma, d_list = _resolve_indices(order, gamma, dims)
     U1 = _propagator_matrices(V1, cfg, dims, symbol, mu)
     times = time_grid(cfg)
     theta, predicted = _theta(cfg, V2.measured_norm(u0.N, u0.n, u0.L), d_list[1:], d_gamma)
@@ -482,7 +465,7 @@ def sequential_solve(u0: GridFunction, order, cfg: SolverConfig, gamma: ScaleInd
                       cfg, order, dims, symbol, mu, u0)
 
 
-def evaluate(traj: Trajectory, t: float, sub_nodes: int = 24) -> GridFunction:
+def evaluate(traj: Trajectory, t: float) -> GridFunction:
     """Value of the perturbed evolution at an arbitrary positive time.
 
     Node times return the stored state; off-node times re-solve from the
@@ -495,7 +478,7 @@ def evaluate(traj: Trajectory, t: float, sub_nodes: int = 24) -> GridFunction:
     T = traj.horizon
 
     def short_solve(datum: GridFunction, horizon: float, gamma: ScaleIndex) -> GridFunction:
-        nodes = traj.config.nodes if horizon > 0.5 * T else max(16, sub_nodes)
+        nodes = traj.config.nodes if horizon > 0.5 * T else _SHORT_NODES
         cfg = replace(traj.config, horizon=horizon, nodes=nodes,
                       estimate_tolerance=False, theta=traj.theta)
         sub = picard_solve(datum, traj.potentials, cfg, gamma, traj.dims,

@@ -71,14 +71,6 @@ class GridFunction:
         """Sample coordinates along one axis."""
         return -self.L + self.h * np.arange(self.n)
 
-    def coords(self) -> np.ndarray:
-        """Coordinates of every sample, shape (n,)*N + (N,)."""
-        ax = self.axis()
-        if self.N == 1:
-            return ax[:, None]
-        X, Y = np.meshgrid(ax, ax, indexing="ij")
-        return np.stack([X, Y], axis=-1)
-
     def radii(self) -> np.ndarray:
         """Torus distance of every sample from the origin."""
         ax = np.minimum(np.abs(self.axis()), 2.0 * self.L - np.abs(self.axis()))
@@ -87,16 +79,6 @@ class GridFunction:
         return np.sqrt(ax[:, None] ** 2 + ax[None, :] ** 2)
 
     # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def from_callable(cls, f, N: int, n: int, L: float) -> "GridFunction":
-        g = cls(N, n, L, np.zeros((n,) * N))
-        vals = np.asarray(f(g.coords()[..., 0]) if N == 1 else f(*np.moveaxis(g.coords(), -1, 0)))
-        return cls(N, n, L, vals.astype(float))
-
-    @classmethod
-    def from_values(cls, other: "GridFunction", values: np.ndarray) -> "GridFunction":
-        return cls(other.N, other.n, other.L, values)
 
     @classmethod
     def dirac(cls, N: int, n: int, L: float) -> "GridFunction":

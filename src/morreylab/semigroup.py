@@ -243,10 +243,6 @@ class SubordinatorDensity:
         weights.setflags(write=False)
         return cls(nodes, weights)
 
-    @property
-    def s_max(self) -> float:
-        return float(self.nodes.max())
-
 
 def subordination_apply(u0: GridFunction, t: float, symbol: SymbolSpec,
                         density: SubordinatorDensity | None = None) -> GridFunction:
@@ -259,14 +255,10 @@ def subordination_apply(u0: GridFunction, t: float, symbol: SymbolSpec,
     if density is None:
         density = SubordinatorDensity.build()
     a = symbol.power(1.0)
-    u_hat = np.fft.fftn(u0.values)
     mult = np.zeros_like(a, dtype=float if np.isrealobj(a) else complex)
     for s, w in zip(density.nodes, density.weights):
         mult = mult + w * np.exp(-s * t * t * a)
-    out = np.fft.ifftn(mult * u_hat)
-    if np.isrealobj(u0.values) and np.isrealobj(mult):
-        out = out.real
-    return GridFunction(u0.N, u0.n, u0.L, out)
+    return _apply_multiplier(u0, mult)
 
 
 def pseudoresolvent(u0: GridFunction, lam: complex, mu: float, symbol: SymbolSpec,

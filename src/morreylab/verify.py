@@ -23,7 +23,6 @@ from .indices import (
     ScaleIndex,
     from_index,
     in_triangle,
-    to_index,
     star_region_contains,
     sub_triangle_contains,
 )
@@ -133,36 +132,26 @@ def smoothing_certificate(states, times, u0: GridFunction, src: MorreyParams,
 
 
 def evolve_norms(u0: GridFunction, potentials, dims: ProblemDims, symbol: SymbolSpec,
-                 mu: float, step: float, n_steps: int, norm_p: float = math.inf,
-                 norm_ell: float | None = None, cfg: SolverConfig | None = None):
-    """March the perturbed evolution in fixed steps, recording norms.
+                 mu: float, step: float, n_steps: int):
+    """March the perturbed evolution in fixed steps, recording sup norms.
 
-    Each step is one short Picard solve from the previous state (the
-    semigroup property), which keeps long horizons cheap and returns the
-    norm history used for growth-rate fits.
+    Each step is one short Picard solve (16 uniform nodes) from the
+    previous state (the semigroup property), which keeps long horizons
+    cheap and returns the norm history used for growth-rate fits.
     """
-    gamma = to_index(MorreyParams(norm_p, norm_ell or float(dims.N)), dims) \
-        if norm_p != math.inf else ScaleIndex(0.0, 0.0)
-    if cfg is None:
-        cfg = SolverConfig(horizon=step, nodes=16, grading=1.0, picard_tol=1e-10)
-    else:
-        cfg = replace(cfg, horizon=step)
+    gamma = ScaleIndex(0.0, 0.0)
+    cfg = SolverConfig(horizon=step, nodes=16, grading=1.0, picard_tol=1e-10)
     state = u0
     times, log_norms = [], []
     log_scale = 0.0
-    ladder = None if norm_p == math.inf else RadiusLadder.for_grid(u0)
     for i in range(1, n_steps + 1):
         traj = picard_solve(state, potentials, cfg, gamma, dims, symbol, mu)
         state = traj.states[-1]
-        if norm_p == math.inf:
-            size = float(np.max(np.abs(state.values)))
-        else:
-            size = morrey_norm(state, norm_p, norm_ell or float(dims.N), ladder)
+        sup = float(np.max(np.abs(state.values)))
         times.append(i * step)
-        log_norms.append(log_scale + math.log(size))
+        log_norms.append(log_scale + math.log(sup))
         # keep the iterate O(1) so exponential growth cannot swamp the
         # solver's residual scale
-        sup = float(np.max(np.abs(state.values)))
         state = state * (1.0 / sup)
         log_scale += math.log(sup)
     return np.array(times), np.exp(np.array(log_norms))

@@ -57,6 +57,33 @@ def test_config_type_errors():
         validate_config({**TINY, "dims": {"mu": 1.5}})
 
 
+def test_config_rejects_solver_block(tmp_path):
+    """The solver block is not part of the schema: each check pins its own
+    solver settings, so the block could only be echoed, never read."""
+    bad = {**TINY, "solver": {"horizon": 9.0, "nodes": 16, "max_sweeps": 1}}
+    with pytest.raises(ConfigError, match=r"config\.solver"):
+        validate_config(bad)
+    assert main(["run", "--config", write_cfg(tmp_path, bad)]) == 2
+
+
+def test_config_rejects_duplicate_record(tmp_path, capsys):
+    """Two entries producing one record name are a config error, raised
+    before any check runs; selfsimilar_collapse entries differ by m."""
+    dup = {**TINY, "checks": [{"name": "tangent"}, {"name": "tangent", "tol": 0.5}]}
+    with pytest.raises(ConfigError, match=r"config\.checks\[1\]"):
+        validate_config(dup)
+    assert main(["run", "--config", write_cfg(tmp_path, dup)]) == 2
+    err = capsys.readouterr().err
+    assert "checks[1]" in err and "[PASS]" not in err
+    same_m = {**TINY, "checks": [{"name": "selfsimilar_collapse"},
+                                 {"name": "selfsimilar_collapse", "m": 1, "tol": 1e-2}]}
+    with pytest.raises(ConfigError, match=r"config\.checks\[1\]"):
+        validate_config(same_m)
+    both_m = {**TINY, "checks": [{"name": "selfsimilar_collapse"},
+                                 {"name": "selfsimilar_collapse", "m": 2}]}
+    assert len(validate_config(both_m).checks) == 2
+
+
 def test_config_file_errors(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{ not json")
@@ -168,6 +195,41 @@ def test_cli_raising_check_is_a_fail_record(tmp_path, monkeypatch, capsys, exc):
     assert "[FAIL] boom" in capsys.readouterr().err
 
 
+def test_cli_raising_selfsimilar_entries_are_distinct_fail_records(tmp_path, monkeypatch):
+    """Both selfsimilar_collapse entries raising give two FAIL records,
+    named by their order m, in a report that is still written."""
+    from morreylab.checks import CHECKS
+
+    def boom(ctx, **params):
+        raise RuntimeError("kernel under-resolved")
+
+    monkeypatch.setitem(CHECKS, "selfsimilar_collapse", boom)
+    cfg = {**TINY, "checks": [{"name": "selfsimilar_collapse"},
+                              {"name": "selfsimilar_collapse", "m": 2, "tol": 1e-2}]}
+    out = tmp_path / "out"
+    code = main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+    assert code == 1
+    report = json.loads((out / "report.json").read_text())
+    assert [(c["name"], c["passed"]) for c in report["checks"]] == [
+        ("selfsimilar_collapse_m1", False), ("selfsimilar_collapse_m2", False)]
+    assert set(report["timings"]) == {"selfsimilar_collapse_m1", "selfsimilar_collapse_m2"}
+
+
+def test_run_checks_times_each_check(monkeypatch):
+    """run_checks measures each check's duration; checks do not time themselves."""
+    import time
+
+    from morreylab.checks import CHECKS, default_context, run_checks
+
+    def slow(ctx):
+        time.sleep(0.05)
+        return CheckRecord("slow", True, {})
+
+    monkeypatch.setitem(CHECKS, "slow", slow)
+    (rec,) = run_checks(default_context(), [("slow", {})])
+    assert rec.passed and rec.duration >= 0.05
+
+
 def test_cli_regions_group(tmp_path):
     code = main(["regions", "--config", write_cfg(tmp_path), "--out",
                  str(tmp_path / "o")])
@@ -238,7 +300,7 @@ def test_golden_fixture_csv(tmp_path):
     from morreylab.config import validate_config
 
     cfg = validate_config(TINY)
-    ctx = CheckContext(dims=cfg.dims, n=cfg.n, L=cfg.L, seed=cfg.seed, solver=cfg.solver)
+    ctx = CheckContext(dims=cfg.dims, n=cfg.n, L=cfg.L, seed=cfg.seed)
     records = run_checks(ctx, list(cfg.checks))
     report = build_report(records, cfg.echo(), cfg.seed)
     fresh = tmp_path / "fresh.csv"

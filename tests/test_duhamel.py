@@ -138,6 +138,11 @@ def test_choose_theta():
     assert tot <= 0.5
 
 
+def test_choose_theta_gives_up_at_ladder_top():
+    with pytest.raises(RuntimeError, match="theta ladder up to 1.67772e\\+07"):
+        choose_theta(1e12, [0.25], 0.1, 0.5)
+
+
 # -- fixed points ---------------------------------------------------------------------
 
 
