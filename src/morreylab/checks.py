@@ -219,10 +219,7 @@ def check_smoothing_morrey(ctx: CheckContext, tol: float = 0.10) -> CheckRecord:
     fits = {}
     ok = True
     for dst in pairs:
-        if dst.p == math.inf:
-            norms = [float(np.max(np.abs(g.values))) for g in states]
-        else:
-            norms = [morrey_norm(g, dst.p, dst.ell, ladder) for g in states]
+        norms = [morrey_norm(g, dst.p, dst.ell, ladder) for g in states]
         predicted = verify.predicted_rate(src, dst, ctx.dims)
         fit = verify.fit_decay(ts, norms, predicted, tol)
         fits[f"(q={dst.p:g},s={dst.ell:g})"] = {
@@ -283,16 +280,24 @@ def _power_traj(ctx: CheckContext, n: int = 512, amplitude: float = 1.0,
     return ctx.memo[key]
 
 
+def _const_traj(ctx: CheckContext, c: float = 1.0, n: int = 256, nodes: int = 256,
+                horizon: float = 0.25, picard_tol: float = 1e-8):
+    key = ("const_traj", c, n, nodes, horizon, picard_tol)
+    if key not in ctx.memo:
+        dims, sym, bump = _solver_context(ctx, n)
+        V = constant_potential(c, N=dims.N)
+        gamma = to_index(MorreyParams(2.0, 1.0), dims)
+        cfg = SolverConfig(horizon=horizon, nodes=nodes, grading=1.0, picard_tol=picard_tol)
+        ctx.memo[key] = picard_solve(bump, [V], cfg, gamma, dims, sym, dims.mu)
+    return ctx.memo[key]
+
+
 def check_constant_potential(ctx: CheckContext, c: float = 1.0, n: int = 256,
                              nodes: int = 256, horizon: float = 0.25,
                              picard_tol: float = 1e-8) -> CheckRecord:
     """Fixed point with a constant potential against e^{c t} times the base flow."""
     dims, sym, bump = _solver_context(ctx, n)
-    V = constant_potential(c, N=dims.N)
-    gamma = to_index(MorreyParams(2.0, 1.0), dims)
-    cfg = SolverConfig(horizon=horizon, nodes=nodes, grading=1.0, picard_tol=picard_tol)
-    traj = picard_solve(bump, [V], cfg, gamma, dims, sym, dims.mu)
-    ctx.memo[("const_traj", n, c, nodes, horizon)] = traj
+    traj = _const_traj(ctx, c, n, nodes, horizon, picard_tol)
     worst = 0.0
     for t, state in zip(traj.times, traj.states):
         exact = math.exp(c * t) * apply_semigroup(bump, t, dims.mu, sym)
@@ -306,13 +311,7 @@ def check_contraction(ctx: CheckContext, max_sweeps: int = 25, slack: float = 0.
     """Per-sweep residual ratios against the predicted contraction factor."""
     details = {}
     ok = True
-    const_key = ("const_traj", 256, 1.0, 256, 0.25)
-    if const_key not in ctx.memo:
-        check_constant_potential(ctx)
-    fixtures = {
-        "power_law": _power_traj(ctx),
-        "constant": ctx.memo[const_key],
-    }
+    fixtures = {"power_law": _power_traj(ctx), "constant": _const_traj(ctx)}
     for name, traj in fixtures.items():
         hist = traj.residual_history
         ratios = [hist[i + 1] / hist[i] for i in range(len(hist) - 1) if hist[i] > 0]

@@ -68,31 +68,40 @@ def _load(args) -> ExperimentConfig:
 
 
 def _group_entries(cfg: ExperimentConfig, group: str, selected):
-    names = CHECK_GROUPS[group]
-    if selected:
-        names = [n for n in names if n in selected]
-    configured = dict(cfg.checks)
-    return [(n, configured.get(n, {})) for n in names]
+    """Every configured entry of each check in the group, in config order;
+    a check the config does not list runs with its defaults."""
+    entries = []
+    for name in CHECK_GROUPS[group]:
+        if not selected or name in selected:
+            entries += [e for e in cfg.checks if e[0] == name] or [(name, {})]
+    return entries
+
+
+def _answer(line: str, dims) -> str:
+    """'p ell p0 ell0 [p1 ell1]' -> 'IN|OUT reason'; raises ValueError on a bad line."""
+    parts = [math.inf if tok.lower() in ("inf", "infinity") else float(tok)
+             for tok in line.split()]
+    if len(parts) not in (4, 6):
+        raise ValueError(f"expected 'p ell p0 ell0 [p1 ell1]', got {len(parts)} fields")
+    mp = MorreyParams(parts[0], parts[1])
+    classes = [PotentialClass.from_exponents(p0, ell0, dims)
+               for p0, ell0 in zip(parts[2::2], parts[3::2])]
+    return region_report(mp, classes, dims).line()
 
 
 def _regions_protocol(args, cfg: ExperimentConfig) -> int:
-    """Line protocol: 'p ell p0 ell0 [p1 ell1]' -> 'IN|OUT reason'."""
+    """Line protocol: one answer line per query line; a line that cannot be
+    answered gets 'ERR message' and the stream goes on."""
     stream = open(args.queries) if args.queries != "-" else sys.stdin
     try:
         for line in stream:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = [math.inf if tok.lower() in ("inf", "infinity") else float(tok)
-                     for tok in line.split()]
-            if len(parts) not in (4, 6):
-                print(f"ERR expected 'p ell p0 ell0 [p1 ell1]', got {len(parts)} fields")
-                continue
-            mp = MorreyParams(parts[0], parts[1])
-            classes = [PotentialClass.from_exponents(parts[2], parts[3], cfg.dims)]
-            if len(parts) == 6:
-                classes.append(PotentialClass.from_exponents(parts[4], parts[5], cfg.dims))
-            print(region_report(mp, classes, cfg.dims).line())
+            try:
+                print(_answer(line, cfg.dims))
+            except ValueError as exc:
+                print(f"ERR {exc}")
     finally:
         if stream is not sys.stdin:
             stream.close()
@@ -120,7 +129,7 @@ def main(argv=None) -> int:
     regions = sub.choices["regions"]
     regions.add_argument("--queries", help="query file for the line protocol ('-' for stdin)")
 
-    rep = sub.add_parser("report", help="export a stored report as CSV", parents=[common])
+    rep = sub.add_parser("report", help="export a stored report as CSV")
     rep.add_argument("report_path")
     rep.add_argument("--csv", required=True)
 

@@ -19,6 +19,7 @@ property).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -322,18 +323,12 @@ class Trajectory:
             json.dump(manifest, fh, indent=1, sort_keys=True)
 
 
-class _AlphaNorm:
-    """Norm of the working space X^alpha, shared across sweep residuals."""
-
-    def __init__(self, alpha: ScaleIndex, dims: ProblemDims, grid: GridFunction):
-        mp = from_index(alpha, dims)
-        self.p, self.ell = mp.p, mp.ell
-        self.ladder = None if mp.p == math.inf else RadiusLadder.for_grid(grid)
-
-    def __call__(self, g: GridFunction) -> float:
-        if self.p == math.inf:
-            return float(np.max(np.abs(g.values)))
-        return morrey_norm(g, self.p, self.ell, self.ladder)
+def _alpha_norm(alpha: ScaleIndex, dims: ProblemDims, grid: GridFunction):
+    """Norm of the working space X^alpha, its ladder built once for every
+    sweep residual of a solve."""
+    mp = from_index(alpha, dims)
+    return functools.partial(morrey_norm, p=mp.p, ell=mp.ell,
+                             ladder=RadiusLadder.for_grid(grid))
 
 
 def _resolve_indices(potentials, gamma, dims):
@@ -376,7 +371,7 @@ def picard_solve(u0: GridFunction, potentials, cfg: SolverConfig, gamma: ScaleIn
 
     norm_bound = max(V.measured_norm(u0.N, u0.n, u0.L) for V in potentials)
     theta, predicted = _theta(cfg, norm_bound, d_list, d_gamma)
-    alpha_norm = _AlphaNorm(alpha, dims, u0)
+    alpha_norm = _alpha_norm(alpha, dims, u0)
     base = [b.values for b in base]
     residual, stop = _weighted_residual(alpha_norm, theta, times, d_gamma, base, u0,
                                         cfg.picard_tol)
@@ -455,7 +450,7 @@ def sequential_solve(u0: GridFunction, order, cfg: SolverConfig, gamma: ScaleInd
     base = [U1 @ u0.values]
     for _ in range(cfg.nodes - 1):
         base.append(U1 @ base[-1])
-    residual, stop = _weighted_residual(_AlphaNorm(alpha, dims, u0), theta, times,
+    residual, stop = _weighted_residual(_alpha_norm(alpha, dims, u0), theta, times,
                                         d_gamma, base, u0, cfg.picard_tol)
     values, history = _sweep(u0.values, base, [V2.on_grid(u0.N, u0.n, u0.L).values], d_list[1:],
                              d_gamma, times, _power_sum(U1), residual, stop, cfg.max_sweeps)

@@ -23,7 +23,7 @@ rounding noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from scipy.optimize import brentq
 
@@ -46,6 +46,7 @@ __all__ = [
     "regularity_set_contains",
     "sigma_contains",
     "choose_alpha",
+    "star_theta",
     "bootstrap_chain",
     "theta_p",
     "omega_bound",
@@ -53,6 +54,7 @@ __all__ = [
     "star_region_contains",
     "boundary_h",
     "exterior_tangent",
+    "out_reason",
     "region_report",
 ]
 
@@ -323,7 +325,7 @@ def choose_alpha(gamma: ScaleIndex, classes) -> ScaleIndex:
     if gamma.is_origin:
         alpha = ORIGIN
     else:
-        theta = min(1.0 - cls.gamma0.gamma1 for cls in classes)
+        theta = star_theta(classes)
         if _le(gamma.gamma1, theta):
             alpha = gamma
         else:
@@ -422,17 +424,22 @@ def cd2_region_contains(mp: MorreyParams, classes, dims: ProblemDims) -> bool:
     return _le(lhs, rhs)
 
 
+def star_theta(classes) -> float:
+    """theta = 1 - max_i(gamma^i_1): the largest working-index gamma1 that
+    keeps alpha + gamma^i inside the triangle for every class."""
+    return 1.0 - max(c.gamma0.gamma1 for c in classes)
+
+
 def boundary_h(gamma1: float, classes, dims: ProblemDims) -> float:
     """Curved boundary of the star region for gamma1 > theta:
 
         h(g1) = m2 + m2 * theta / (g1 - theta),
 
-    with theta = 1 - max_i(gamma^i_1) and m2 = min_i(gamma^i_2).
+    with theta = star_theta(classes) and m2 = min_i(gamma^i_2).
     Returns inf at g1 = theta.
     """
-    g0s = [c.gamma0 for c in classes]
-    theta = 1.0 - max(g.gamma1 for g in g0s)
-    m2 = min(g.gamma2 for g in g0s)
+    theta = star_theta(classes)
+    m2 = min(c.gamma0.gamma2 for c in classes)
     if gamma1 <= theta + TOL:
         return math.inf
     return m2 + m2 * theta / (gamma1 - theta)
@@ -442,7 +449,7 @@ def star_region_contains(gamma: ScaleIndex, classes, dims: ProblemDims) -> bool:
     """Indices with a joint working index for both classes: gamma1 <= theta
     or gamma2 <= h(gamma1)."""
     classes = [c.require_admissible() for c in classes]
-    theta = 1.0 - max(c.gamma0.gamma1 for c in classes)
+    theta = star_theta(classes)
     if _le(gamma.gamma1, theta):
         return True
     return _le(gamma.gamma2, boundary_h(gamma.gamma1, classes, dims))
@@ -484,47 +491,46 @@ def exterior_tangent(f, fp, fpp, a: float, b: float, c: float, d: float, side: s
     return float(x_star)
 
 
-@dataclass
+def out_reason(gamma: ScaleIndex, classes, dims: ProblemDims) -> str | None:
+    """Why initial data at gamma admit no joint working index, or None if
+    they do: the closed-form region verdict, tested in the order
+    admissibility, sub-triangle, star region.
+
+    No working index is constructed: inside the sub-triangles, the star
+    region is exactly where choose_alpha's candidate
+    alpha = (theta, slope * theta) satisfies sigma, because the binding
+    inequality gamma2 - slope * theta <= min gamma^i_2 is the star bound
+    gamma2 <= h(gamma1) scaled by (gamma1 - theta) / gamma1 <= 1.  For
+    one class the sub-triangle already implies that bound.
+    """
+    classes = list(classes)
+    kappas = [f"kappa({c.params.p:g},{c.params.ell:g})={c.kappa:.4g}>=1"
+              for c in classes if not c.admissible]
+    if kappas:
+        return "; ".join(kappas)
+    if not all(sub_triangle_contains(gamma, c) for c in classes):
+        return "slope exceeds potential-class slope (ell > ell0)"
+    if len(classes) >= 2 and not star_region_contains(gamma, classes, dims):
+        return "outside the two-potential star region"
+    return None
+
+
+@dataclass(frozen=True)
 class RegionReport:
     """Self-describing answer to a region query, for the text protocol."""
 
     gamma: ScaleIndex
-    in_sub_triangle: bool
-    in_existence: bool
-    in_regularity: bool
-    in_sigma: bool
-    alpha: ScaleIndex | None
-    chain: list = field(default_factory=list)
-    reasons: list = field(default_factory=list)
+    reason: str | None = None  # why the query is OUT; None when IN
 
     @property
     def verdict(self) -> bool:
-        return self.in_sigma
+        return self.reason is None
 
     def line(self) -> str:
-        tag = "IN" if self.verdict else "OUT"
-        return f"{tag} {'; '.join(self.reasons) if self.reasons else 'admissible'}"
+        return "IN admissible" if self.verdict else f"OUT {self.reason}"
 
 
 def region_report(mp: MorreyParams, classes, dims: ProblemDims) -> RegionReport:
-    """Full verdict for a query space against one or two potential classes."""
+    """Verdict for a query space against one or two potential classes."""
     gamma = to_index(mp, dims)
-    reasons = []
-    classes = list(classes)
-    for cls in classes:
-        if not cls.admissible:
-            reasons.append(f"kappa({cls.params.p:g},{cls.params.ell:g})={cls.kappa:.4g}>=1")
-    if reasons:
-        return RegionReport(gamma, False, False, False, False, None, reasons=reasons)
-    sub_ok = all(sub_triangle_contains(gamma, cls) for cls in classes)
-    if not sub_ok:
-        reasons.append("slope exceeds potential-class slope (ell > ell0)")
-        return RegionReport(gamma, False, False, False, False, None, reasons=reasons)
-    if len(classes) == 2 and not star_region_contains(gamma, classes, dims):
-        reasons.append("outside the two-potential star region")
-        return RegionReport(gamma, True, False, False, False, None, reasons=reasons)
-    alpha = choose_alpha(gamma, classes)
-    in_e = all(existence_set_contains(gamma, alpha) for _ in classes) if classes else True
-    in_r = all(regularity_set_contains(gamma, alpha, cls) for cls in classes)
-    in_s = all(sigma_contains(gamma, alpha, cls) for cls in classes)
-    return RegionReport(gamma, True, in_e, in_r, in_s, alpha, reasons=reasons)
+    return RegionReport(gamma, out_reason(gamma, classes, dims))

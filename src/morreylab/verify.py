@@ -21,10 +21,11 @@ from .indices import (
     MorreyParams,
     ProblemDims,
     ScaleIndex,
+    boundary_h,
     from_index,
     in_triangle,
-    star_region_contains,
-    sub_triangle_contains,
+    out_reason,
+    star_theta,
 )
 from .norms import RadiusLadder, morrey_norm
 from .duhamel import SolverConfig, Trajectory, picard_solve, multiply
@@ -99,12 +100,6 @@ def predicted_rate(src: MorreyParams, dst: MorreyParams, dims: ProblemDims) -> f
     return -(lp - sq) / dims.order
 
 
-def _norm_in(mp: MorreyParams, g: GridFunction, ladder=None) -> float:
-    if mp.p == math.inf:
-        return float(np.max(np.abs(g.values)))
-    return morrey_norm(g, mp.p, mp.ell, ladder)
-
-
 def smoothing_certificate(states, times, u0: GridFunction, src: MorreyParams,
                           dst: MorreyParams, dims: ProblemDims, a: float = 0.0,
                           tolerance: float = 0.10) -> FitResult:
@@ -122,9 +117,8 @@ def smoothing_certificate(states, times, u0: GridFunction, src: MorreyParams,
             raise ValueError(f"hypothesis violated: s/q = {sq} > ell/p = {lp}")
     d = -predicted_rate(src, dst, dims)
     t = np.asarray(times, dtype=float)
-    ladder = None
-    norms = np.array([_norm_in(dst, g, ladder) for g in states])
-    denom = _norm_in(src, u0)
+    norms = np.array([morrey_norm(g, dst.p, dst.ell) for g in states])
+    denom = morrey_norm(u0, src.p, src.ell)
     weighted = t**d * np.exp(-a * t) * norms / denom
     fit = fit_decay(t, norms, predicted_rate(src, dst, dims), tolerance)
     return replace(fit, extra={"sup_constant": float(weighted.max()),
@@ -195,11 +189,11 @@ def continuous_dependence_check(base_traj: Trajectory, perturbed, norm_gaps,
     """
     src = from_index(base_traj.gamma, dims)
     d = -predicted_rate(src, dst, dims)
-    ladder = RadiusLadder.for_grid(base_traj.u0) if dst.p != math.inf else None
+    ladder = RadiusLadder.for_grid(base_traj.u0)
     sups = []
     for traj in perturbed:
         diffs = [
-            _norm_in(dst, a - b, ladder)
+            morrey_norm(a - b, dst.p, dst.ell, ladder)
             for a, b in zip(traj.states, base_traj.states)
         ]
         w = np.asarray(base_traj.times) ** d * np.asarray(diffs)
@@ -277,18 +271,6 @@ def region_oracle(gamma: ScaleIndex, classes, dims: ProblemDims, density: int = 
     return bool(np.any(ok))
 
 
-def _closed_form_region(gamma: ScaleIndex, classes, dims: ProblemDims) -> bool:
-    if not in_triangle(gamma, dims):
-        return False
-    if not all(cls.admissible for cls in classes):
-        return False
-    if not all(sub_triangle_contains(gamma, cls) for cls in classes):
-        return False
-    if len(classes) >= 2:
-        return star_region_contains(gamma, classes, dims)
-    return True
-
-
 def _boundary_distance(gamma: ScaleIndex, classes, dims: ProblemDims) -> float:
     """Rough distance (index units) from gamma to the nearest region boundary."""
     dists = [abs(1.0 - gamma.gamma1), gamma.gamma2, abs(dims.slope_cap - gamma.gamma2)]
@@ -297,20 +279,18 @@ def _boundary_distance(gamma: ScaleIndex, classes, dims: ProblemDims) -> float:
         if not g0.is_origin:
             dists.append(abs(gamma.gamma2 - g0.slope * gamma.gamma1))
     if len(classes) >= 2:
-        theta = 1.0 - max(c.gamma0.gamma1 for c in classes)
-        dists.append(abs(gamma.gamma1 - theta))
-        if gamma.gamma1 > theta + TOL:
-            m2 = min(c.gamma0.gamma2 for c in classes)
-            h = m2 + m2 * theta / (gamma.gamma1 - theta)
-            dists.append(abs(gamma.gamma2 - h))
+        dists.append(abs(gamma.gamma1 - star_theta(classes)))
+        # h is inf up to theta, where the curved boundary does not apply
+        dists.append(abs(gamma.gamma2 - boundary_h(gamma.gamma1, classes, dims)))
     return float(min(dists))
 
 
 def compare_region_predicates(queries, dims: ProblemDims, density: int = 200):
-    """Run closed-form vs oracle on (gamma, classes) queries; log disagreements."""
+    """Run the closed-form verdict (indices.out_reason, as the region protocol
+    answers) vs the oracle on (gamma, classes) queries; log disagreements."""
     disagreements = []
     for gamma, classes in queries:
-        cf = _closed_form_region(gamma, classes, dims)
+        cf = out_reason(gamma, classes, dims) is None
         orc = region_oracle(gamma, classes, dims, density)
         if cf != orc:
             disagreements.append(OracleDisagreement(

@@ -1,5 +1,7 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
 from morreylab.checks import CheckRecord
@@ -254,6 +256,27 @@ def test_cli_regions_protocol(tmp_path, capsys):
     assert out[3].startswith("IN")
 
 
+def test_cli_regions_protocol_survives_bad_lines(monkeypatch, capsys):
+    """A line that cannot be answered gets ERR and the stream goes on."""
+    import io
+
+    lines = ["2 0.5 2 1", "foo 0.5 2 1", "2 0.5 2 1", "2 1.5 2 1", "0.5 0.5 2 1",
+             "nan 0.5 2 1", "2 0.5 2 inf 1", "2 0.5 2", "2 0.9 1.5 0.6"]
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
+    assert main(["regions", "--queries", "-"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "IN admissible",
+        "ERR could not convert string to float: 'foo'",
+        "IN admissible",
+        "ERR ell=1.5 exceeds dimension N=1",
+        "ERR p must be >= 1, got 0.5",
+        "ERR p must be >= 1, got nan",
+        "ERR expected 'p ell p0 ell0 [p1 ell1]', got 5 fields",
+        "ERR expected 'p ell p0 ell0 [p1 ell1]', got 3 fields",
+        "OUT slope exceeds potential-class slope (ell > ell0)",
+    ]
+
+
 def test_cli_report_export(tmp_path):
     out = tmp_path / "out"
     main(["run", "--config", write_cfg(tmp_path), "--out", str(out)])
@@ -261,6 +284,16 @@ def test_cli_report_export(tmp_path):
     code = main(["report", str(out / "report.json"), "--csv", str(csv_path)])
     assert code == 0
     assert csv_path.exists()
+
+
+def test_cli_report_rejects_run_flags(tmp_path, capsys):
+    """`report` takes only the report path and --csv."""
+    for flag in (["--jobs", "7"], ["--seed", "3"], ["--check", "tangent"],
+                 ["--config", "c.json"], ["--out", str(tmp_path)]):
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "r.json", "--csv", str(tmp_path / "x.csv"), *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_determinism(tmp_path):
@@ -285,6 +318,18 @@ def test_cli_kernel_group(tmp_path):
     assert mass_rec["details"]["worst"] <= 1e-8
 
 
+def test_cli_kernel_group_keeps_every_entry(tmp_path, capsys):
+    """The default config lists selfsimilar_collapse at m=1 and m=2; the
+    kernel group runs both, as `run` does."""
+    out = tmp_path / "kout"
+    assert main(["kernel", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    names = [c["name"] for c in report["checks"]]
+    assert names == ["kernel_mass", "kernel_positivity", "kernel_gaussian", "kernel_poisson",
+                     "kernel_2d", "selfsimilar_collapse_m1", "selfsimilar_collapse_m2",
+                     "subordination"]
+
+
 def test_empty_report_csv(tmp_path):
     rep = build_report([], {}, 0)
     path = tmp_path / "empty.csv"
@@ -307,3 +352,51 @@ def test_golden_fixture_csv(tmp_path):
     write_csv(report, fresh)
     golden = Path(__file__).parent / "data" / "golden_tiny.csv"
     assert fresh.read_bytes() == golden.read_bytes()
+
+
+# -- region protocol golden output ---------------------------------------------------
+
+PROTOCOL_DIMS = ({"N": 1, "m": 1, "mu": 1.0}, {"N": 2, "m": 1, "mu": 0.5})
+
+
+def _protocol_stream(seed, dims, count):
+    """Seeded query lines over the index triangle: one or two classes with
+    p0 in [1, 6] and ell0 in [0.05, N], some p or p0 set to inf (the
+    bounded cases); at mu = 1/2 some classes have kappa >= 1, and the
+    fourth line has two."""
+    rng = np.random.default_rng(seed)
+    N, order = dims["N"], 2.0 * dims["m"] * dims["mu"]
+    cap = N / order
+    lines = ["# p ell p0 ell0 [p1 ell1]", "", "1 2 3", f"1 1 1 {N} 1 {N}"]
+    while len(lines) < count:
+        g1, g2 = rng.uniform(0.0, 1.0), rng.uniform(0.0, cap)
+        if g2 > cap * g1 or g1 < 1e-3 or g2 < 1e-3:
+            continue
+        fields = [1.0 / g1, min(order * g2 / g1, float(N))]
+        for _ in range(1 if rng.uniform() < 0.5 else 2):
+            fields += [rng.uniform(1.0, 6.0), rng.uniform(0.05, N)]
+        if rng.uniform() < 0.03:
+            fields[0] = math.inf
+        if rng.uniform() < 0.03:
+            fields[2] = math.inf
+        lines.append(" ".join(repr(float(v)) for v in fields))
+    return lines
+
+
+def test_cli_regions_protocol_golden(tmp_path, capsys):
+    """The protocol's answers on a seeded stream, byte for byte."""
+    from pathlib import Path
+
+    out = []
+    for seed, dims in enumerate(PROTOCOL_DIMS, start=11):
+        queries = tmp_path / f"q{seed}.txt"
+        queries.write_text("\n".join(_protocol_stream(seed, dims, 1000)) + "\n")
+        cfg = write_cfg(tmp_path, {"version": 1, "dims": dims})
+        assert main(["regions", "--config", cfg, "--queries", str(queries)]) == 0
+        out.append(capsys.readouterr().out)
+    fresh = "".join(out).encode()
+    golden = (Path(__file__).parent / "data" / "protocol_golden.txt").read_bytes()
+    if fresh != golden:
+        pairs = zip(fresh.splitlines(), golden.splitlines())
+        first = next((i for i, (a, b) in enumerate(pairs, 1) if a != b), None)
+        pytest.fail(f"protocol output differs from the golden file (first at line {first})")

@@ -169,7 +169,7 @@ def test_constant_potential_exponential(sym, bump):
 def test_linearity(sym, bump):
     """Node-wise linearity within 10 x picard_tol, measured in the solver's
     own contraction norm (the stopping metric)."""
-    from morreylab.duhamel import _AlphaNorm
+    from morreylab.duhamel import _alpha_norm
 
     cfg = SolverConfig(horizon=0.25, nodes=48, picard_tol=1e-9)
     V = power_law_potential(1.0, 0.5, 1.5)
@@ -179,7 +179,7 @@ def test_linearity(sym, bump):
     combo = picard_solve(a * bump + b * other, [V], cfg, gamma, DIMS, sym, 1.0)
     one = picard_solve(bump, [V], cfg, gamma, DIMS, sym, 1.0)
     two = picard_solve(other, [V], cfg, gamma, DIMS, sym, 1.0)
-    norm = _AlphaNorm(combo.alpha, DIMS, bump)
+    norm = _alpha_norm(combo.alpha, DIMS, bump)
     d = gamma.gamma2 - combo.alpha.gamma2
     w = np.exp(-combo.theta * combo.times) * combo.times**d
     worst = max(
@@ -209,13 +209,13 @@ def test_consistency_across_gamma(sym, bump):
 def test_apriori_weighted_bound(sym, bump):
     """sup_k e^{-theta t} t^d ||u||_alpha <= 2 C ||u0||_gamma with C fitted
     from the base flow."""
-    from morreylab.duhamel import _AlphaNorm
+    from morreylab.duhamel import _alpha_norm
 
     cfg = SolverConfig(horizon=0.25, nodes=48, picard_tol=1e-9)
     V = power_law_potential(1.0, 0.5, 1.5)
     gamma = gamma_of(2.0, 0.7)
     traj = picard_solve(bump, [V], cfg, gamma, DIMS, sym, 1.0)
-    norm = _AlphaNorm(traj.alpha, DIMS, bump)
+    norm = _alpha_norm(traj.alpha, DIMS, bump)
     from morreylab.norms import morrey_norm
 
     d = gamma.gamma2 - traj.alpha.gamma2

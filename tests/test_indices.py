@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from morreylab.indices import (
     from_index,
     in_triangle,
     omega_bound,
+    out_reason,
     region_report,
     regularity,
     regularity_set_contains,
@@ -329,6 +331,31 @@ def test_tangent_residual_and_side(rng):
 
 
 # -- report plumbing -----------------------------------------------------------
+
+
+def test_out_reason_matches_choose_alpha(dims1):
+    """The closed-form verdict is IN exactly when choose_alpha finds a
+    working index that meets sigma for every class."""
+    rng = np.random.default_rng(2024)
+    cap = dims1.slope_cap
+    counts = {1: [0, 0], 2: [0, 0]}
+    while min(min(c) for c in counts.values()) < 100:
+        g1, g2 = rng.uniform(0.0, 1.0), rng.uniform(0.0, cap)
+        if g2 > cap * g1 or g1 < 1e-3 or g2 < 1e-3:
+            continue
+        gamma = ScaleIndex(g1, g2)
+        classes = [cls(rng.uniform(1.0, 6.0), rng.uniform(0.05, 1.0), dims1)
+                   for _ in range(1 if rng.uniform() < 0.5 else 2)]
+        try:
+            alpha = choose_alpha(gamma, classes)
+            reference = all(sigma_contains(gamma, alpha, c) for c in classes)
+        except ValueError:
+            reference = False
+        verdict = out_reason(gamma, classes, dims1) is None
+        assert verdict == reference, (gamma, [c.params for c in classes])
+        counts[len(classes)][verdict] += 1
+    # both verdicts occur for one and for two classes
+    assert all(min(c) >= 100 for c in counts.values())
 
 
 def test_region_report_lines(dims1):
