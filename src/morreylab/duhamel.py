@@ -8,9 +8,12 @@ is computed on a graded time grid t_k = T (k/K)^g with the singular
 product-integration rule from `quadrature`, contracting in the weighted
 norm  sup_t e^{-theta t} t^{d(alpha, gamma)} ||phi(t)||_alpha.  theta is
 chosen from the closed-form contraction bound unless fixed by the
-caller.  Every solve runs one sweep engine with one node rule; only the
-history sum differs.  The joint solve sums Fourier multipliers in hat
-space.  Two-potential evolutions can also be built sequentially, one
+caller.  Every solve runs one sweep engine with one node rule on
+stacked (K, ...) arrays, one state per node; only the history sum
+differs, and one stacked Morrey scan norms all K updates of a sweep.
+The joint solve sums Fourier multipliers in hat space, one matrix
+product per frequency, with real transforms for real data.
+Two-potential evolutions can also be built sequentially, one
 perturbation at a time: the first-stage propagator over one time step is
 the engine's fixed point with the identity matrix as datum, and the
 second stage reaches every lag with powers of it (the semigroup
@@ -34,7 +37,7 @@ from .indices import (
     from_index,
     smoothing_distance,
 )
-from .norms import RadiusLadder, morrey_norm
+from .norms import RadiusLadder, _scan, morrey_norm
 from .potentials import PotentialSpec
 from .quadrature import product_weights
 from .semigroup import SymbolSpec, apply_semigroup
@@ -52,9 +55,14 @@ __all__ = [
 ]
 
 # first-stage sub-steps on [0, t_1], and the most memory its working set
-# (base, old and new iterates, hats: complex n x n each) may take
+# may take: four stacks of _SUB_NODES + 1 real n x n matrices, base and
+# iterate throughout and two more within a sweep (weighted data and their
+# half-spectrum hats, the hats and their product with G, or the new
+# iterate and its update)
 _SUB_NODES = 32
 _FIRST_STAGE_MAX_BYTES = 3 * 2**30
+# the most memory the history operator of one solve may take
+_HISTORY_MAX_BYTES = 2**30
 # the doubling ladder of choose_theta, and the nodes of evaluate's short re-solves
 _THETA_MIN = 1.0
 _THETA_MAX = 2.0**24
@@ -167,17 +175,13 @@ def _theta(cfg: SolverConfig, norm_bound: float, d_list, d_gamma: float):
 # -- the sweep engine ------------------------------------------------------------
 
 
-def _sweep(u0, base, tables, d_list, d_gamma: float, times, history, residual,
-           stop: float, max_sweeps: int):
-    """Picard sweeps u_k = base_k + sum_i sum_j W_i[k, j] P(t_k - s_j)[V_i u_j].
+def _weights(d_list, d_gamma: float, times):
+    """Product weights W[i, k, j] of node k over the convolution nodes s_j,
+    and those nodes.
 
     Data bounded at s = 0 (d_gamma = 0) get a node there carrying V_i u0,
     which restores second order at the initial layer; P is a semigroup,
-    so the weights use top="identity".  `history(tables, nodes, W, conv)`
-    realizes the sums over j for every node k from the states at the
-    convolution nodes; `residual(k, change)` measures one node's update.
-    Returns the states and the per-sweep residuals, and raises on blow-up
-    and when max_sweeps run out.
+    so the weights use top="identity".
     """
     with_zero = d_gamma == 0.0
     conv = np.concatenate([[0.0], times]) if with_zero else times
@@ -186,18 +190,47 @@ def _sweep(u0, base, tables, d_list, d_gamma: float, times, history, residual,
         for k, t in enumerate(times):
             W[i, k, : k + 1 + with_zero] = product_weights(
                 conv[: k + 1 + with_zero], t, a, d_gamma, top="identity")
-    current = list(base)
+    return W, conv
+
+
+def _diagonals(K: int, J: int):
+    """Lag diagonals j = k + off - lag (off = J - K) of a K x J weight
+    table: (lag, first node k0, first convolution node j0, length)."""
+    off = J - K
+    for lag in range(J):
+        k0 = max(lag - off, 0)
+        yield lag, k0, k0 + off - lag, K - k0
+
+
+def _sweep(u0, base, tables, d_list, d_gamma: float, times, summer, residual,
+           stop: float, max_sweeps: int):
+    """Picard sweeps u_k = base_k + sum_i sum_j W_i[k, j] P(t_k - s_j)[V_i u_j]
+    on stacked arrays, one state per node along axis 0.
+
+    `summer(tables, W, conv)` builds, once per solve, the history
+    `history(nodes)`: it maps the stacked states at the convolution nodes
+    (u0 first when s = 0 is one) to the stacked sums over j.  The iterate
+    is kept in that stack and updated in place.  `residual(change)` maps
+    the stacked update of a sweep to one weighted norm per node.  Returns
+    the states and the per-sweep residuals, and raises on blow-up and when
+    max_sweeps run out.
+    """
+    W, conv = _weights(d_list, d_gamma, times)
+    history = summer(tables, W, conv)
+    nodes = np.empty((conv.size,) + base.shape[1:], dtype=np.result_type(u0, base, *tables))
+    nodes[: conv.size - times.size] = u0
+    current = nodes[conv.size - times.size:]
+    current[...] = base
     residuals = []
     for sweep in range(max_sweeps):
-        nodes = ([u0] if with_zero else []) + current
-        new, worst = [], 0.0
-        for k, corr in enumerate(history(tables, nodes, W, conv)):
-            u = base[k] + (corr.real if np.isrealobj(base[k]) else corr)
-            if not np.all(np.isfinite(u)):
-                raise RuntimeError(f"blow-up at t = {times[k]:.6g} during sweep {sweep}")
-            worst = max(worst, residual(k, u - current[k]))
-            new.append(u)
-        current = new
+        new = history(nodes)
+        new += base
+        if not np.isfinite(new).all():
+            k = int(np.argmin(np.isfinite(new).reshape(len(new), -1).all(axis=1)))
+            raise RuntimeError(f"blow-up at t = {times[k]:.6g} during sweep {sweep}")
+        worst = float(np.max(residual(new - current)))
+        current[...] = new
+        del new  # not alive during the next history sum
         residuals.append(worst)
         if worst <= stop:
             return current, residuals
@@ -205,56 +238,87 @@ def _sweep(u0, base, tables, d_list, d_gamma: float, times, history, residual,
                        f"after {max_sweeps} sweeps")
 
 
-def _fourier_sum(a_mu: np.ndarray, times, axes=None):
+def _fourier_sum(a_mu: np.ndarray, real: bool):
     """History sums in hat space with the multipliers e^{-tau a^mu}.
 
-    Each datum is transformed as it is formed; `axes` are the
-    transformed axes (the first stage carries a batch on the trailing
-    one).  Multipliers are kept per distinct lag for one solve.
+    The leading a_mu.ndim axes of a state are transformed and any later
+    ones are a batch (the first stage's columns); `real` data, potentials
+    and symbol take the real transforms.  At frequency f the sum over
+    potentials i and nodes j is one product with the matrix
+    G_i[f, k, j] = W_i[k, j] e^{-(t_k - s_j) a^mu(f)}, built once per solve
+    (bytes checked first) one lag diagonal j = k + off - lag at a time
+    (Lubich, Numer. Math. 52, 1988); where the lags along a diagonal
+    agree, as on a uniform grid, one row of multipliers serves it.
     """
-    mults: dict = {}
+    N, shape = a_mu.ndim, a_mu.shape
+    axes = tuple(range(1, N + 1))
+    if real:
+        a_mu = a_mu[..., : shape[-1] // 2 + 1]
+        forward = functools.partial(np.fft.rfftn, axes=axes)
+        inverse = functools.partial(np.fft.irfftn, s=shape, axes=axes)
+    else:
+        forward = functools.partial(np.fft.fftn, axes=axes)
+        inverse = functools.partial(np.fft.ifftn, axes=axes)
+    spec = a_mu.shape
+    a_mu = a_mu.ravel()
 
-    def multiplier(tau):
-        key = round(float(tau), 15)
-        if key not in mults:
-            mults[key] = np.exp(-tau * a_mu)
-        return mults[key]
+    def summer(tables, W, conv):
+        I, K, J = W.shape
+        need = I * a_mu.size * K * J * a_mu.itemsize
+        if need > _HISTORY_MAX_BYTES:
+            raise ValueError(f"history operator for {K} nodes needs {need} bytes, "
+                             f"above the {_HISTORY_MAX_BYTES}-byte limit")
+        times = conv[J - K:]
+        G = np.zeros((I, a_mu.size, K, J), dtype=a_mu.dtype)
+        for _, k0, j0, size in _diagonals(K, J):
+            tau = times[k0:] - conv[j0:j0 + size]
+            if np.ptp(tau) <= 1e-12 * tau.max():
+                tau = tau[:1]
+            k, j = np.arange(k0, K), np.arange(j0, j0 + size)
+            G[:, :, k, j] = W[:, None, k, j] * np.exp(-np.multiply.outer(a_mu, tau))
 
-    def history(tables, nodes, W, conv):
-        hats = [[np.fft.fftn(tab * u, axes=axes) for u in nodes] for tab in tables]
-        for k, t in enumerate(times):
-            acc = np.zeros_like(hats[0][0])
-            for W_i, hats_i in zip(W, hats):
-                for j in np.flatnonzero(W_i[k]):
-                    acc += (W_i[k, j] * multiplier(t - conv[j])) * hats_i[j]
-            yield np.fft.ifftn(acc, axes=axes)
+        def history(nodes):
+            batch = nodes.shape[1 + N:]
+            acc = 0.0
+            for G_i, tab in zip(G, tables):
+                X = forward(tab * nodes).reshape(J, a_mu.size, -1).transpose(1, 0, 2)
+                # a real G acts on the real and imaginary parts alike
+                term = (G_i @ X.view(float)).view(complex) if np.isrealobj(G) else G_i @ X
+                del X  # at most two stacks of this size alive at once
+                acc += term
+                del term
+            return inverse(acc.transpose(1, 0, 2).reshape((K,) + spec + batch))
 
-    return history
+        return history
+
+    return summer
 
 
 def _power_sum(U1: np.ndarray):
     """History sums on a uniform grid, where every lag t_k - s_j is a whole
     number of steps and P is the matching power of the one-step matrix.
 
-    The stacked data go through U1 once per lag; only the columns a
-    later node still needs are carried forward.
+    The stacked data go through U1 once per lag diagonal; only the
+    columns a later node still needs are carried forward.
     """
 
-    def history(tables, nodes, W, conv):
+    def summer(tables, W, conv):
         K, J = W.shape[1:]
-        off = J - K
-        out = np.zeros((U1.shape[0], K), dtype=complex)
-        for W_i, tab in zip(W, tables):
-            Y = np.stack([tab * u for u in nodes], axis=-1)
-            for lag in range(J):
-                if lag:
-                    Y = U1 @ Y[:, : J - lag]
-                w = np.diagonal(W_i, off - lag)
-                j0 = max(off - lag, 0)
-                out[:, K - w.size:] += Y[:, j0 : j0 + w.size] * w
-        return list(out.T)
 
-    return history
+        def history(nodes):
+            Y = [(tab * nodes).T for tab in tables]
+            out = np.zeros((K, U1.shape[0]), dtype=np.result_type(U1, *Y))
+            for lag, k0, j0, size in _diagonals(K, J):
+                if lag:
+                    Y = [U1 @ y[:, : J - lag] for y in Y]
+                w = np.diagonal(W, j0 - k0, axis1=1, axis2=2)
+                for w_i, y in zip(w, Y):
+                    out[k0:] += (y[:, j0:j0 + size] * w_i).T
+            return out
+
+        return history
+
+    return summer
 
 
 # -- trajectories -------------------------------------------------------------
@@ -324,8 +388,8 @@ class Trajectory:
 
 
 def _alpha_norm(alpha: ScaleIndex, dims: ProblemDims, grid: GridFunction):
-    """Norm of the working space X^alpha, its ladder built once for every
-    sweep residual of a solve."""
+    """Norm of one state in the working space X^alpha (the half-node error
+    estimate), its ladder built once."""
     mp = from_index(alpha, dims)
     return functools.partial(morrey_norm, p=mp.p, ell=mp.ell,
                              ladder=RadiusLadder.for_grid(grid))
@@ -341,16 +405,19 @@ def _resolve_indices(potentials, gamma, dims):
     return alpha, d_gamma, d_list
 
 
-def _weighted_residual(alpha_norm, theta, times, d_gamma, base, grid, tol):
-    """Per-node residual in the contraction norm, and the level that stops
-    the sweeps: tol relative to the size of the base sweep in that norm,
-    so large data do not stall on roundoff."""
+def _weighted_residual(alpha, dims, theta, times, d_gamma, base, grid, tol):
+    """Per-node residuals in the contraction norm, all K of a sweep from one
+    stacked Morrey scan, and the level that stops the sweeps: tol relative
+    to the size of the base sweep in that norm, so large data do not stall
+    on roundoff."""
+    mp = from_index(alpha, dims)
+    ladder = RadiusLadder.for_grid(grid)
     t_weight = np.exp(-theta * times) * times**d_gamma
 
-    def residual(k, change):
-        return t_weight[k] * alpha_norm(GridFunction(grid.N, grid.n, grid.L, change))
+    def residual(change):
+        return t_weight * _scan(grid, change, mp.p, mp.ell, ladder)
 
-    return residual, tol * max(1.0, max(residual(k, b) for k, b in enumerate(base)))
+    return residual, tol * max(1.0, float(np.max(residual(base))))
 
 
 def picard_solve(u0: GridFunction, potentials, cfg: SolverConfig, gamma: ScaleIndex,
@@ -371,18 +438,19 @@ def picard_solve(u0: GridFunction, potentials, cfg: SolverConfig, gamma: ScaleIn
 
     norm_bound = max(V.measured_norm(u0.N, u0.n, u0.L) for V in potentials)
     theta, predicted = _theta(cfg, norm_bound, d_list, d_gamma)
-    alpha_norm = _alpha_norm(alpha, dims, u0)
-    base = [b.values for b in base]
-    residual, stop = _weighted_residual(alpha_norm, theta, times, d_gamma, base, u0,
+    base = np.stack([b.values for b in base])
+    residual, stop = _weighted_residual(alpha, dims, theta, times, d_gamma, base, u0,
                                         cfg.picard_tol)
     tables = [V.on_grid(u0.N, u0.n, u0.L).values for V in potentials]
+    a_mu = symbol.power(mu)
+    real = all(np.isrealobj(x) for x in [u0.values, a_mu, *tables])
     values, history = _sweep(u0.values, base, tables, d_list, d_gamma, times,
-                             _fourier_sum(symbol.power(mu), times), residual, stop,
-                             cfg.max_sweeps)
+                             _fourier_sum(a_mu, real), residual, stop, cfg.max_sweeps)
     states = tuple(GridFunction(u0.N, u0.n, u0.L, v) for v in values)
     traj = Trajectory(times, states, gamma, alpha, theta, predicted,
                       tuple(history), cfg, potentials, dims, symbol, mu, u0)
     if cfg.estimate_tolerance and cfg.nodes % 2 == 0:
+        alpha_norm = _alpha_norm(alpha, dims, u0)
         coarse_cfg = replace(cfg, nodes=cfg.nodes // 2, estimate_tolerance=False)
         coarse = picard_solve(u0, potentials, coarse_cfg, gamma, dims, symbol, mu)
         err = max(
@@ -398,30 +466,38 @@ def picard_solve(u0: GridFunction, potentials, cfg: SolverConfig, gamma: ScaleIn
 
 def _propagator_matrices(V: PotentialSpec, cfg: SolverConfig, dims: ProblemDims,
                          symbol: SymbolSpec, mu: float) -> np.ndarray:
-    """S_V(t_1) as an n x n matrix, 1D grids only.
+    """S_V(t_1) as a real n x n matrix, 1D grids only.
 
     The sweep engine runs on _SUB_NODES uniform sub-steps of [0, t_1]
-    with the identity as datum, each column a unit spike.  The spikes are
-    bounded on the grid, so the node rule puts a node at s = 0.
+    with the identity as datum, each column a unit spike, so the columns
+    are a batch that the transforms along axis 0 leave alone.  The spikes
+    are bounded on the grid, so the node rule puts a node at s = 0.  The
+    symbol and the potential must be real; everything then stays real.
     """
     if symbol.N != 1:
         raise ValueError("matrix propagators are only built for 1D grids")
     n = symbol.n
-    need = 4 * (_SUB_NODES + 1) * n * n * 16
+    need = 4 * (_SUB_NODES + 1) * n * n * 8
     if need > _FIRST_STAGE_MAX_BYTES:
         raise ValueError(f"first-stage propagator at n={n} needs {need} bytes, "
                          f"above the {_FIRST_STAGE_MAX_BYTES}-byte limit")
+    a_mu = symbol.power(mu)
+    table = V.on_grid(1, n, symbol.L).values
+    for name, x in (("symbol", a_mu), ("potential", table)):
+        if np.iscomplexobj(x) and np.any(x.imag):
+            raise ValueError(f"the first-stage propagator needs a real {name} table")
+    a_mu, table = a_mu.real, table.real
     sub = time_grid(replace(cfg, horizon=float(time_grid(cfg)[0]), nodes=_SUB_NODES))
-    a_mu = symbol.power(mu)[:, None]
-    eye = np.eye(n, dtype=complex)
-    eye_hat = np.fft.fft(eye, axis=0)
-    base = [np.fft.ifft(np.exp(-s * a_mu) * eye_hat, axis=0) for s in sub]
-    table = V.on_grid(1, n, symbol.L).values[:, None]
-    mats, _ = _sweep(eye, base, [table], [V.potential_class(dims).kappa], 0.0, sub,
-                     _fourier_sum(a_mu, sub, axes=(0,)),
-                     lambda k, change: float(np.max(np.abs(change))),
+    eye = np.eye(n)
+    eye_hat = np.fft.rfft(eye, axis=0)
+    base = np.empty((sub.size, n, n))
+    for k, s in enumerate(sub):
+        base[k] = np.fft.irfft(np.exp(-s * a_mu[: n // 2 + 1, None]) * eye_hat, n, axis=0)
+    mats, _ = _sweep(eye, base, [table[:, None]], [V.potential_class(dims).kappa], 0.0, sub,
+                     _fourier_sum(a_mu, real=True),
+                     lambda change: np.maximum(change.max(axis=(1, 2)), -change.min(axis=(1, 2))),
                      cfg.picard_tol, cfg.max_sweeps)
-    return mats[-1]
+    return mats[-1].copy()
 
 
 def sequential_solve(u0: GridFunction, order, cfg: SolverConfig, gamma: ScaleIndex,
@@ -447,15 +523,15 @@ def sequential_solve(u0: GridFunction, order, cfg: SolverConfig, gamma: ScaleInd
     times = time_grid(cfg)
     theta, predicted = _theta(cfg, V2.measured_norm(u0.N, u0.n, u0.L), d_list[1:], d_gamma)
 
-    base = [U1 @ u0.values]
-    for _ in range(cfg.nodes - 1):
-        base.append(U1 @ base[-1])
-    residual, stop = _weighted_residual(_alpha_norm(alpha, dims, u0), theta, times,
-                                        d_gamma, base, u0, cfg.picard_tol)
+    base = np.empty((cfg.nodes, u0.n), dtype=np.result_type(U1, u0.values))
+    base[0] = U1 @ u0.values
+    for k in range(1, cfg.nodes):
+        base[k] = U1 @ base[k - 1]
+    residual, stop = _weighted_residual(alpha, dims, theta, times, d_gamma, base, u0,
+                                        cfg.picard_tol)
     values, history = _sweep(u0.values, base, [V2.on_grid(u0.N, u0.n, u0.L).values], d_list[1:],
                              d_gamma, times, _power_sum(U1), residual, stop, cfg.max_sweeps)
-    states = tuple(GridFunction(u0.N, u0.n, u0.L, v.real if np.isrealobj(u0.values) else v)
-                   for v in values)
+    states = tuple(GridFunction(u0.N, u0.n, u0.L, v) for v in values)
     return Trajectory(times, states, gamma, alpha, theta, predicted, tuple(history),
                       cfg, order, dims, symbol, mu, u0)
 

@@ -250,10 +250,12 @@ def sub_triangle_contains(gamma: ScaleIndex, cls: PotentialClass) -> bool:
 
     A class at the origin (a bounded potential) imposes no restriction.
     """
+    return in_triangle(gamma, cls.dims) and _within_class_slope(gamma, cls)
+
+
+def _within_class_slope(gamma: ScaleIndex, cls: PotentialClass) -> bool:
     g0 = cls.gamma0
-    if g0.is_origin:
-        return in_triangle(gamma, cls.dims)
-    return in_triangle(gamma, cls.dims) and _le(gamma.slope, g0.slope)
+    return g0.is_origin or _le(gamma.slope, g0.slope)
 
 
 def existence_set_contains(gamma: ScaleIndex, alpha: ScaleIndex) -> bool:
@@ -430,7 +432,7 @@ def star_theta(classes) -> float:
     return 1.0 - max(c.gamma0.gamma1 for c in classes)
 
 
-def boundary_h(gamma1: float, classes, dims: ProblemDims) -> float:
+def boundary_h(gamma1: float, classes) -> float:
     """Curved boundary of the star region for gamma1 > theta:
 
         h(g1) = m2 + m2 * theta / (g1 - theta),
@@ -445,14 +447,14 @@ def boundary_h(gamma1: float, classes, dims: ProblemDims) -> float:
     return m2 + m2 * theta / (gamma1 - theta)
 
 
-def star_region_contains(gamma: ScaleIndex, classes, dims: ProblemDims) -> bool:
+def star_region_contains(gamma: ScaleIndex, classes) -> bool:
     """Indices with a joint working index for both classes: gamma1 <= theta
     or gamma2 <= h(gamma1)."""
     classes = [c.require_admissible() for c in classes]
     theta = star_theta(classes)
     if _le(gamma.gamma1, theta):
         return True
-    return _le(gamma.gamma2, boundary_h(gamma.gamma1, classes, dims))
+    return _le(gamma.gamma2, boundary_h(gamma.gamma1, classes))
 
 
 def exterior_tangent(f, fp, fpp, a: float, b: float, c: float, d: float, side: str) -> float:
@@ -494,7 +496,7 @@ def exterior_tangent(f, fp, fpp, a: float, b: float, c: float, d: float, side: s
 def out_reason(gamma: ScaleIndex, classes, dims: ProblemDims) -> str | None:
     """Why initial data at gamma admit no joint working index, or None if
     they do: the closed-form region verdict, tested in the order
-    admissibility, sub-triangle, star region.
+    admissibility, index triangle, sub-triangle, star region.
 
     No working index is constructed: inside the sub-triangles, the star
     region is exactly where choose_alpha's candidate
@@ -508,9 +510,11 @@ def out_reason(gamma: ScaleIndex, classes, dims: ProblemDims) -> str | None:
               for c in classes if not c.admissible]
     if kappas:
         return "; ".join(kappas)
-    if not all(sub_triangle_contains(gamma, c) for c in classes):
+    if not in_triangle(gamma, dims):
+        return "outside the index triangle"
+    if not all(_within_class_slope(gamma, c) for c in classes):
         return "slope exceeds potential-class slope (ell > ell0)"
-    if len(classes) >= 2 and not star_region_contains(gamma, classes, dims):
+    if len(classes) >= 2 and not star_region_contains(gamma, classes):
         return "outside the two-potential star region"
     return None
 

@@ -5,9 +5,9 @@ radius ladder and strided centers, so every estimator here is a lower
 bound of the true sup.  Ball integrals for all centers at once are
 circular convolutions with a ball indicator, done with FFTs; the torus
 wrap distance is used throughout so semigroup output can be normed
-directly.  One scan takes one forward transform of |phi|^p and
-evaluates the inverse transforms only at the strided centers, for a
-batch of radii at a time.
+directly.  One scan takes one forward transform of |phi|^p, for a
+single state or a stack of them, and evaluates the inverse transforms
+only at the strided centers, for a batch of radii at a time.
 """
 
 from __future__ import annotations
@@ -79,11 +79,12 @@ def _ball_mask(g: GridFunction, radius: float) -> np.ndarray:
     return g.radii() <= radius + 1e-12 * max(1.0, radius)
 
 
-def _aliased(spec: np.ndarray, stride: int) -> np.ndarray:
-    """View an n^N spectrum with each frequency k split as q*m + j
-    (m = n/stride): axes (q1, j1, ..., qN, jN), last j only up to m/2."""
-    m = spec.shape[0] // stride
-    return spec.reshape((stride, m) * spec.ndim)[..., : m // 2 + 1]
+def _aliased(spec: np.ndarray, stride: int, N: int) -> np.ndarray:
+    """View the trailing n^N axes of a spectrum with each frequency k split
+    as q*m + j (m = n/stride): axes (..., q1, j1, ..., qN, jN), last j only
+    up to m/2."""
+    m = spec.shape[-1] // stride
+    return spec.reshape(spec.shape[:-N] + (stride, m) * N)[..., : m // 2 + 1]
 
 
 def _ball_spectra(g: GridFunction, radii: tuple, stride: int) -> np.ndarray:
@@ -104,7 +105,7 @@ def _ball_spectra(g: GridFunction, radii: tuple, stride: int) -> np.ndarray:
     spectra = np.empty((len(radii),) + (stride, m) * (g.N - 1) + (stride, m // 2 + 1))
     for row, radius in zip(spectra, radii):
         kernel = np.roll(_ball_mask(g, radius).astype(float), (-(g.n // 2),) * g.N, axis=axes)
-        row[...] = _aliased(np.fft.fftn(kernel).real, stride)
+        row[...] = _aliased(np.fft.fftn(kernel).real, stride, g.N)
     with _CACHE_LOCK:
         _BALL_SPECTRA[key] = spectra
         while sum(a.nbytes for a in _BALL_SPECTRA.values()) > _CACHE_BYTES:
@@ -137,8 +138,10 @@ def lp_ball_norm(phi: GridFunction, x0, R: float, p: float) -> float:
     return float(np.sum(vals**p) * phi.h**phi.N) ** (1.0 / p)
 
 
-def _scan(phi: GridFunction, p: float, ell: float, ladder: RadiusLadder) -> float:
-    """max over ladder radii and strided centers of R^{(ell-N)/p} * ball norm.
+def _scan(g: GridFunction, values: np.ndarray, p: float, ell: float,
+          ladder: RadiusLadder) -> np.ndarray:
+    """max over ladder radii and strided centers of R^{(ell-N)/p} * ball norm,
+    for each state of a stack `values` of shape (..., n, ..., n) on g's grid.
 
     The ball sums are circular convolutions of w = |phi|^p h^N with the
     ball indicators.  Sampled at every stride-th point along each axis
@@ -146,41 +149,44 @@ def _scan(phi: GridFunction, p: float, ell: float, ladder: RadiusLadder) -> floa
     m^N-point inverse transform of its aliased spectrum, the sum of
     W B over the frequencies q*m + j for each j.  So one forward
     transform serves every radius, and each inverse transform has only
-    m^N points.
+    m^N points.  The leading axes of the stack are a batch: one forward
+    transform over the trailing axes and one contraction per chunk of
+    radii serve every state.  p = inf is the plain sup norm (all
+    M^{inf,ell} collapse to L^inf).
     """
-    N, n, stride = phi.N, phi.n, ladder.stride
+    N, n, stride = g.N, g.n, ladder.stride
+    axes = tuple(range(-N, 0))
+    if p == math.inf:
+        return np.abs(values).max(axis=axes)
     if stride < 1 or n % stride:
         raise ValueError(f"center stride {stride} does not divide n={n}")
     m = n // stride
+    batch = values.shape[:-N]
     # norm="forward" puts the whole 1/n^N on the forward transform (a
     # power of two, so exact); the inverse is then a plain sum
-    w_hat = _aliased(np.fft.fftn(np.abs(phi.values) ** p * phi.h**N, norm="forward"), stride)
-    spectra = _ball_spectra(phi, ladder.radii, stride)
+    w_hat = _aliased(np.fft.fftn(np.abs(values) ** p * g.h**N, axes=axes, norm="forward"),
+                     stride, N)
+    spectra = _ball_spectra(g, ladder.radii, stride)
     qj = list(range(1, 2 * N + 1))  # axes (q1, j1, ..., qN, jN); sum over the q's
-    chunk = max(1, _BLOCK_BYTES // (16 * m**N))
-    peaks = np.empty(len(spectra))
+    chunk = max(1, _BLOCK_BYTES // (16 * m**N * math.prod(batch)))
+    peaks = np.empty(batch + (len(spectra),))
     for lo in range(0, len(spectra), chunk):
         block = spectra[lo:lo + chunk]
-        folded = np.einsum(w_hat, qj, block, [0] + qj, [0] + qj[1::2])
-        sums = np.fft.irfftn(folded, s=(m,) * N, axes=tuple(range(1, N + 1)), norm="forward")
-        peaks[lo:lo + chunk] = sums.reshape(len(block), -1).max(axis=1)
+        folded = np.einsum(w_hat, [...] + qj, block, [0] + qj, [..., 0] + qj[1::2])
+        sums = np.fft.irfftn(folded, s=(m,) * N, axes=axes, norm="forward")
+        peaks[..., lo:lo + chunk] = sums.reshape(batch + (len(block), -1)).max(axis=-1)
     radii = np.asarray(ladder.radii)
-    return float(np.max(np.maximum(peaks, 0.0) ** (1.0 / p) * radii ** ((ell - N) / p)))
+    return np.max(np.maximum(peaks, 0.0) ** (1.0 / p) * radii ** ((ell - N) / p), axis=-1)
 
 
 def morrey_norm(phi: GridFunction, p: float, ell: float, ladder: RadiusLadder | None = None) -> float:
-    """Discrete Morrey norm sup_{x0,R} R^{(ell-N)/p} ||phi||_{L^p(B(x0,R))}.
-
-    p = inf short-circuits to the plain sup norm (all M^{inf,ell} collapse
-    to L^inf).
-    """
-    if p == math.inf:
-        return float(np.max(np.abs(phi.values)))
-    if not (0.0 < ell <= phi.N + 1e-12):
+    """Discrete Morrey norm sup_{x0,R} R^{(ell-N)/p} ||phi||_{L^p(B(x0,R))};
+    p = inf is the plain sup norm."""
+    if p != math.inf and not (0.0 < ell <= phi.N + 1e-12):
         raise ValueError(f"ell={ell} outside (0, N]")
     if ladder is None:
         ladder = RadiusLadder.for_grid(phi)
-    return _scan(phi, p, ell, ladder)
+    return float(_scan(phi, phi.values, p, ell, ladder))
 
 
 def uniform_norm(phi: GridFunction, p: float, stride: int = 4) -> float:

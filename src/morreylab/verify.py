@@ -281,7 +281,7 @@ def _boundary_distance(gamma: ScaleIndex, classes, dims: ProblemDims) -> float:
     if len(classes) >= 2:
         dists.append(abs(gamma.gamma1 - star_theta(classes)))
         # h is inf up to theta, where the curved boundary does not apply
-        dists.append(abs(gamma.gamma2 - boundary_h(gamma.gamma1, classes, dims)))
+        dists.append(abs(gamma.gamma2 - boundary_h(gamma.gamma1, classes)))
     return float(min(dists))
 
 

@@ -261,7 +261,7 @@ def test_cli_regions_protocol_survives_bad_lines(monkeypatch, capsys):
     import io
 
     lines = ["2 0.5 2 1", "foo 0.5 2 1", "2 0.5 2 1", "2 1.5 2 1", "0.5 0.5 2 1",
-             "nan 0.5 2 1", "2 0.5 2 inf 1", "2 0.5 2", "2 0.9 1.5 0.6"]
+             "nan 0.5 2 1", "2 0.5 2 inf 1", "2 0.5 2", "2 0.9 1.5 0.6", "2 1e-13 2 1"]
     monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
     assert main(["regions", "--queries", "-"]) == 0
     assert capsys.readouterr().out.splitlines() == [
@@ -274,6 +274,7 @@ def test_cli_regions_protocol_survives_bad_lines(monkeypatch, capsys):
         "ERR expected 'p ell p0 ell0 [p1 ell1]', got 5 fields",
         "ERR expected 'p ell p0 ell0 [p1 ell1]', got 3 fields",
         "OUT slope exceeds potential-class slope (ell > ell0)",
+        "OUT outside the index triangle",
     ]
 
 

@@ -1,13 +1,18 @@
 import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from morreylab.checks import _two_potentials
 from morreylab.duhamel import (
+    _SUB_NODES,
     SolverConfig,
+    _fourier_sum,
     _propagator_matrices,
+    _sweep,
+    _weights,
     contraction_bound,
     choose_theta,
     evaluate,
@@ -19,7 +24,8 @@ from morreylab.duhamel import (
 from morreylab.fixtures import gaussian_bump
 from morreylab.grids import GridFunction
 from morreylab.indices import MorreyParams, ProblemDims, to_index
-from morreylab.potentials import constant_potential, power_law_potential
+from morreylab.norms import RadiusLadder, _scan, morrey_norm
+from morreylab.potentials import constant_potential, power_law_potential, tabulated_potential
 from morreylab.semigroup import apply_semigroup, laplacian_power_symbol
 
 DIMS = ProblemDims(1, 1, 1.0)
@@ -399,3 +405,125 @@ def test_2d_constant_potential_spot_check():
     t = traj.times[-1]
     exact = math.exp(0.5 * t) * apply_semigroup(bump2, t, 1.0, sym2)
     assert np.max(np.abs(traj.states[-1].values - exact.values)) < 1e-6
+
+
+# -- the array-at-a-time engine against per-node references --------------------------
+
+
+def per_node_sum(a_mu, axes=None):
+    """Reference history: one node at a time, one multiplier per distinct lag,
+    each term added in Python (the engine's former loop)."""
+
+    def summer(tables, W, conv):
+        times = conv[conv.size - W.shape[1]:]
+        mults = {}
+
+        def multiplier(tau):
+            key = round(float(tau), 15)
+            if key not in mults:
+                mults[key] = np.exp(-tau * a_mu)
+            return mults[key]
+
+        def history(nodes):
+            hats = [[np.fft.fftn(tab * u, axes=axes) for u in nodes] for tab in tables]
+            out = []
+            for k, t in enumerate(times):
+                acc = np.zeros_like(hats[0][0])
+                for W_i, hats_i in zip(W, hats):
+                    for j in np.flatnonzero(W_i[k]):
+                        acc += (W_i[k, j] * multiplier(t - conv[j])) * hats_i[j]
+                out.append(np.fft.ifftn(acc, axes=axes))
+            return np.stack(out)
+
+        return history
+
+    return summer
+
+
+def rel_gap(a, b):
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("grading,d_list,d_gamma", [
+    (2.0, [0.3, 0.45], 0.1),   # graded, two potentials, no node at s = 0
+    (1.0, [0.3], 0.0),         # uniform, the s = 0 column an endpoint correction
+])
+@pytest.mark.parametrize("real", [True, False])
+def test_history_matches_per_node_reference(sym, bump, grading, d_list, d_gamma, real):
+    times = time_grid(SolverConfig(horizon=0.25, nodes=24, grading=grading))
+    W, conv = _weights(d_list, d_gamma, times)
+    rng = np.random.default_rng(7)
+    shape = (conv.size, N)
+    nodes = rng.standard_normal(shape)
+    tables = [V.on_grid(1, N, L).values for V in _two_potentials()][: len(d_list)]
+    if not real:
+        nodes = nodes + 1j * rng.standard_normal(shape)
+        tables = [tab * (1.0 + 0.5j) for tab in tables]
+    a_mu = sym.power(1.0)
+    new = _fourier_sum(a_mu, real)(tables, W, conv)(nodes)
+    ref = per_node_sum(a_mu)(tables, W, conv)(nodes)
+    assert rel_gap(new, ref.real if real else ref) <= 1e-12
+    if real:
+        assert np.isrealobj(new) and np.max(np.abs(ref.imag)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("N_dim,n,p", [(1, 128, 2.0), (1, 128, math.inf),
+                                       (2, 32, 1.5), (2, 32, math.inf)])
+def test_stacked_scan_matches_per_state_norms(N_dim, n, p):
+    g = gaussian_bump(N_dim, n, 4.0)
+    rng = np.random.default_rng(3)
+    stack = rng.standard_normal((5,) + (n,) * N_dim) * g.values
+    ladder = RadiusLadder.for_grid(g)
+    ell = 0.5 * N_dim
+    stacked = _scan(g, stack, p, ell, ladder)
+    per_state = [morrey_norm(GridFunction(N_dim, n, 4.0, v), p, ell, ladder) for v in stack]
+    assert stacked.shape == (5,)
+    assert np.allclose(stacked, per_state, rtol=1e-12, atol=0.0)
+
+
+def complex_first_stage(V, cfg, symbol):
+    """U1 in complex arithmetic with the per-node history."""
+    n = symbol.n
+    sub = time_grid(SolverConfig(horizon=float(time_grid(cfg)[0]), nodes=_SUB_NODES,
+                                 grading=cfg.grading))
+    a_mu = symbol.power(1.0)[:, None]
+    eye = np.eye(n, dtype=complex)
+    eye_hat = np.fft.fft(eye, axis=0)
+    base = np.stack([np.fft.ifft(np.exp(-s * a_mu) * eye_hat, axis=0) for s in sub])
+    table = V.on_grid(1, n, symbol.L).values[:, None]
+    mats, _ = _sweep(eye, base, [table], [V.potential_class(DIMS).kappa], 0.0, sub,
+                     per_node_sum(a_mu, axes=(0,)),
+                     lambda change: np.abs(change).max(axis=(1, 2)),
+                     cfg.picard_tol, cfg.max_sweeps)
+    return mats[-1]
+
+
+def test_real_first_stage_matches_complex_reference():
+    sym64 = laplacian_power_symbol(1, 64, L, 1)
+    V0, _ = _two_potentials()
+    cfg = SolverConfig(horizon=0.25, nodes=32, grading=1.0, picard_tol=1e-9)
+    U1 = _propagator_matrices(V0, cfg, DIMS, sym64, 1.0)
+    ref = complex_first_stage(V0, cfg, sym64)
+    assert np.isrealobj(U1)
+    assert rel_gap(U1, ref) <= 1e-12
+
+
+def test_first_stage_rejects_complex_tables(sym):
+    cfg = SolverConfig(horizon=0.25, nodes=32, grading=1.0)
+    V0, _ = _two_potentials()
+    skewed = replace(sym, table=sym.table * (1.0 + 0.1j))
+    with pytest.raises(ValueError, match="real symbol"):
+        _propagator_matrices(V0, cfg, DIMS, skewed, 1.0)
+    table = V0.on_grid(1, N, L)
+    complex_V = tabulated_potential(GridFunction(1, N, L, table.values * (1.0 + 0.1j)),
+                                    V0.p0, V0.ell0)
+    with pytest.raises(ValueError, match="real potential"):
+        _propagator_matrices(complex_V, cfg, DIMS, sym, 1.0)
+
+
+def test_history_operator_bytes_guarded_before_allocation():
+    times = time_grid(SolverConfig(horizon=0.25, nodes=256, grading=2.0))
+    W = np.zeros((1, times.size, times.size))
+    # 2^16 frequencies x 256 x 256 nodes x 8 bytes: 32 GiB, far above the limit
+    with pytest.raises(ValueError, match="bytes"):
+        _fourier_sum(np.ones(2**16), real=False)([np.ones(2**16)], W, times)

@@ -174,13 +174,13 @@ def test_choose_alpha_two_classes_star(dims1):
     c0 = cls(2.0, 0.6, dims1)   # gamma0 = (0.5, 0.15)
     c1 = cls(1.5, 0.75, dims1)  # gamma1 = (2/3, 0.25)
     inside = ScaleIndex(0.5, 0.15)
-    assert star_region_contains(inside, [c0, c1], dims1)
+    assert star_region_contains(inside, [c0, c1])
     a = choose_alpha(inside, [c0, c1])
     assert sigma_contains(inside, a, c0) and sigma_contains(inside, a, c1)
     # outside the star region the joint system is genuinely infeasible
     outside = ScaleIndex(0.98, 0.294)
     assert sub_triangle_contains(outside, c0)
-    if not star_region_contains(outside, [c0, c1], dims1):
+    if not star_region_contains(outside, [c0, c1]):
         with pytest.raises(ValueError):
             choose_alpha(outside, [c0, c1])
 
@@ -270,15 +270,15 @@ def test_star_region(dims1):
     c0 = cls(2.0, 0.6, dims1)
     c1 = cls(1.5, 0.75, dims1)
     theta = 1.0 - max(c0.gamma0.gamma1, c1.gamma0.gamma1)
-    assert star_region_contains(ScaleIndex(theta - 0.01, 0.1), [c0, c1], dims1)
-    assert boundary_h(theta, [c0, c1], dims1) == math.inf
+    assert star_region_contains(ScaleIndex(theta - 0.01, 0.1), [c0, c1])
+    assert boundary_h(theta, [c0, c1]) == math.inf
     m2 = min(c0.gamma0.gamma2, c1.gamma0.gamma2)
     g01 = max(c0.gamma0.gamma1, c1.gamma0.gamma1)
-    assert boundary_h(1.0, [c0, c1], dims1) == pytest.approx(m2 / g01)
+    assert boundary_h(1.0, [c0, c1]) == pytest.approx(m2 / g01)
     g1 = 0.8
-    h = boundary_h(g1, [c0, c1], dims1)
+    h = boundary_h(g1, [c0, c1])
     assert not star_region_contains(ScaleIndex(g1, min(h + 0.05, g1 * dims1.slope_cap)),
-                                    [c0, c1], dims1)
+                                    [c0, c1])
 
 
 def test_star_matches_cd2_coordinates(dims1, rng):
@@ -290,9 +290,9 @@ def test_star_matches_cd2_coordinates(dims1, rng):
         ell = rng.uniform(0.01, c0.params.ell)
         mp = MorreyParams(p, ell)
         g = to_index(mp, dims1)
-        if abs(g.gamma2 - boundary_h(g.gamma1, [c0, c1], dims1)) < 1e-9:
+        if abs(g.gamma2 - boundary_h(g.gamma1, [c0, c1])) < 1e-9:
             continue  # exactly on the curve either way
-        assert star_region_contains(g, [c0, c1], dims1) == \
+        assert star_region_contains(g, [c0, c1]) == \
             cd2_region_contains(mp, [c0, c1], dims1)
 
 
