@@ -92,6 +92,9 @@ class SolverConfig:
             raise ValueError("horizon must be positive")
         if self.nodes < 16:
             raise ValueError("need at least 16 time nodes")
+        if self.estimate_tolerance and (self.nodes % 2 or self.nodes < 32):
+            raise ValueError(f"estimate_tolerance compares with a half-node solve, which "
+                             f"needs an even node count of at least 32, got {self.nodes}")
         if self.grading < 1.0:
             raise ValueError("grading must be >= 1")
         if self.picard_tol <= 0.0:
@@ -177,12 +180,19 @@ def _theta(cfg: SolverConfig, norm_bound: float, d_list, d_gamma: float):
 
 def _weights(d_list, d_gamma: float, times):
     """Product weights W[i, k, j] of node k over the convolution nodes s_j,
-    and those nodes.
+    and those nodes, both read-only and shared by every solve on the same
+    exponents and time grid (the fixed steps of evolve_norms repeat one).
 
     Data bounded at s = 0 (d_gamma = 0) get a node there carrying V_i u0,
     which restores second order at the initial layer; P is a semigroup,
     so the weights use top="identity".
     """
+    return _weight_table(tuple(d_list), d_gamma, times.tobytes())
+
+
+@functools.lru_cache(maxsize=4)
+def _weight_table(d_list, d_gamma: float, times_bytes: bytes):
+    times = np.frombuffer(times_bytes)
     with_zero = d_gamma == 0.0
     conv = np.concatenate([[0.0], times]) if with_zero else times
     W = np.zeros((len(d_list), times.size, conv.size))
@@ -190,6 +200,7 @@ def _weights(d_list, d_gamma: float, times):
         for k, t in enumerate(times):
             W[i, k, : k + 1 + with_zero] = product_weights(
                 conv[: k + 1 + with_zero], t, a, d_gamma, top="identity")
+    W.flags.writeable = conv.flags.writeable = False
     return W, conv
 
 
@@ -449,7 +460,7 @@ def picard_solve(u0: GridFunction, potentials, cfg: SolverConfig, gamma: ScaleIn
     states = tuple(GridFunction(u0.N, u0.n, u0.L, v) for v in values)
     traj = Trajectory(times, states, gamma, alpha, theta, predicted,
                       tuple(history), cfg, potentials, dims, symbol, mu, u0)
-    if cfg.estimate_tolerance and cfg.nodes % 2 == 0:
+    if cfg.estimate_tolerance:
         alpha_norm = _alpha_norm(alpha, dims, u0)
         coarse_cfg = replace(cfg, nodes=cfg.nodes // 2, estimate_tolerance=False)
         coarse = picard_solve(u0, potentials, coarse_cfg, gamma, dims, symbol, mu)

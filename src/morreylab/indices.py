@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from scipy.optimize import brentq
 
@@ -199,8 +200,10 @@ class PotentialClass:
     def from_exponents(cls, p0: float, ell0: float, dims: ProblemDims) -> "PotentialClass":
         return cls(MorreyParams(p0, ell0), dims)
 
-    @property
+    @cached_property
     def gamma0(self) -> ScaleIndex:
+        """The class's index, computed on first read and kept; fields alone
+        decide equality and hashing."""
         return to_index(self.params, self.dims)
 
     @property

@@ -10,6 +10,7 @@ inequality systems.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -216,7 +217,14 @@ class OracleDisagreement:
     boundary_distance: float
 
 
+def _slope(a1, a2):
+    """Slopes a2/a1 of candidate points, the origin assigned slope 0."""
+    return np.where((a1 <= 0.0) & (a2 <= 0.0), 0.0, np.divide(a2, np.maximum(a1, 1e-300)))
+
+
+@functools.lru_cache(maxsize=4)
 def _alpha_grid(dims: ProblemDims, density: int):
+    """The triangle's candidate grid (a1, a2, slope), sorted by a2 and read-only."""
     g1 = np.linspace(0.0, 1.0, density + 1)
     g2 = np.linspace(0.0, dims.slope_cap, density + 1)
     A1, A2 = np.meshgrid(g1, g2, indexing="ij")
@@ -224,7 +232,27 @@ def _alpha_grid(dims: ProblemDims, density: int):
     origin = (a1 == 0.0) & (a2 == 0.0)
     interior = (a1 > 0.0) & (a2 > 0.0) & (a2 <= a1 * dims.slope_cap + TOL)
     keep = origin | interior
-    return a1[keep], a2[keep]
+    order = np.argsort(a2[keep])
+    a1, a2 = a1[keep][order], a2[keep][order]
+    grid = (a1, a2, _slope(a1, a2))
+    for x in grid:
+        x.flags.writeable = False
+    return grid
+
+
+def _witness(a1, a2, a_slope, gamma: ScaleIndex, classes, dims: ProblemDims) -> bool:
+    """Whether any candidate alpha = (a1, a2) satisfies the raw system."""
+    g2, slope_g = gamma.gamma2, gamma.slope
+    ok = (a2 <= g2 + TOL) & (g2 < a2 + 1.0 - TOL) & (a_slope <= slope_g + TOL)
+    for cls in classes:
+        c1, c2 = cls.gamma0.gamma1, cls.gamma0.gamma2
+        b1, b2 = a1 + c1, a2 + c2
+        in_j = (b1 <= 1.0 + TOL) & (b2 <= dims.slope_cap + TOL)
+        b_slope = _slope(b1, b2)
+        in_j &= b_slope <= dims.slope_cap + TOL
+        reach = (g2 <= a2 + c2 + TOL) & (slope_g <= b_slope + TOL)
+        ok &= in_j & reach
+    return bool(np.any(ok))
 
 
 def region_oracle(gamma: ScaleIndex, classes, dims: ProblemDims, density: int = 200) -> bool:
@@ -243,6 +271,12 @@ def region_oracle(gamma: ScaleIndex, classes, dims: ProblemDims, density: int = 
     and the mediant slope of beta only moves toward the class slope), so
     a witness exists iff one exists on the ray, and the degenerate
     witness sets produced by bounded potentials are met exactly.
+
+    The grid is built once per (dims, density), sorted by alpha2, and each
+    query tests only its prefix alpha2 <= gamma2 + TOL.  Every candidate
+    past that prefix fails the existence condition alpha2 <= gamma2
+    exactly as written above, so the cut is exact, not a pruning
+    heuristic: the verdict is that of the full grid and the full ray.
     """
     if density < 50:
         raise ValueError("oracle density must be at least 50")
@@ -251,24 +285,15 @@ def region_oracle(gamma: ScaleIndex, classes, dims: ProblemDims, density: int = 
     for cls in classes:
         if not cls.admissible:
             return False
-    a1, a2 = _alpha_grid(dims, density)
-    g1, g2 = gamma.gamma1, gamma.gamma2
-    if not gamma.is_origin:
-        tau = np.linspace(0.0, 1.0, density + 1)
-        a1 = np.concatenate([a1, tau * g1])
-        a2 = np.concatenate([a2, tau * g2])
-    slope_g = gamma.slope
-    a_slope = np.where((a1 <= 0.0) & (a2 <= 0.0), 0.0, np.divide(a2, np.maximum(a1, 1e-300)))
-    ok = (a2 <= g2 + TOL) & (g2 < a2 + 1.0 - TOL) & (a_slope <= slope_g + TOL)
-    for cls in classes:
-        c1, c2 = cls.gamma0.gamma1, cls.gamma0.gamma2
-        b1, b2 = a1 + c1, a2 + c2
-        in_j = (b1 <= 1.0 + TOL) & (b2 <= dims.slope_cap + TOL)
-        b_slope = np.where((b1 <= 0.0) & (b2 <= 0.0), 0.0, np.divide(b2, np.maximum(b1, 1e-300)))
-        in_j &= b_slope <= dims.slope_cap + TOL
-        reach = (g2 <= a2 + c2 + TOL) & (slope_g <= b_slope + TOL)
-        ok &= in_j & reach
-    return bool(np.any(ok))
+    a1, a2, a_slope = _alpha_grid(dims, density)
+    band = int(np.searchsorted(a2, gamma.gamma2 + TOL, side="right"))
+    if _witness(a1[:band], a2[:band], a_slope[:band], gamma, classes, dims):
+        return True
+    if gamma.is_origin:
+        return False
+    tau = np.linspace(0.0, 1.0, density + 1)
+    r1, r2 = tau * gamma.gamma1, tau * gamma.gamma2
+    return _witness(r1, r2, _slope(r1, r2), gamma, classes, dims)
 
 
 def _boundary_distance(gamma: ScaleIndex, classes, dims: ProblemDims) -> float:

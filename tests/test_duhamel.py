@@ -26,6 +26,7 @@ from morreylab.grids import GridFunction
 from morreylab.indices import MorreyParams, ProblemDims, to_index
 from morreylab.norms import RadiusLadder, _scan, morrey_norm
 from morreylab.potentials import constant_potential, power_law_potential, tabulated_potential
+from morreylab.quadrature import product_weights
 from morreylab.semigroup import apply_semigroup, laplacian_power_symbol
 
 DIMS = ProblemDims(1, 1, 1.0)
@@ -260,6 +261,44 @@ def test_self_convergence_within_estimate(sym, bump):
     )
     assert traj.tolerance_estimate is not None
     assert gap <= 5.0 * traj.tolerance_estimate
+
+
+@pytest.mark.parametrize("nodes", [16, 30, 33, 63])
+def test_estimate_needs_even_node_count_of_32(nodes):
+    """The half-node estimate is refused where its coarse solve would fall
+    below 16 nodes or would not share nodes with the fine one (odd)."""
+    with pytest.raises(ValueError, match="half-node solve"):
+        SolverConfig(horizon=0.25, nodes=nodes, estimate_tolerance=True)
+    SolverConfig(horizon=0.25, nodes=nodes)
+
+
+def test_estimate_accepts_even_node_counts_from_32():
+    for nodes in (32, 34, 64):
+        assert SolverConfig(horizon=0.25, nodes=nodes, estimate_tolerance=True).nodes == nodes
+
+
+def test_weights_built_once_per_grid(monkeypatch):
+    """Equal exponents and time grids share one read-only weight table."""
+    from morreylab import duhamel
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return product_weights(*args, **kwargs)
+
+    monkeypatch.setattr(duhamel, "product_weights", counting)
+    cfg = SolverConfig(horizon=0.0371, nodes=16, grading=1.0)
+    W, conv = _weights([0.25], 0.0, time_grid(cfg))
+    assert len(calls) == 16
+    again = _weights((0.25,), 0.0, time_grid(cfg).copy())
+    assert len(calls) == 16 and again[0] is W and again[1] is conv
+    with pytest.raises(ValueError):
+        W[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        conv[0] = 1.0
+    _weights([0.25], 0.0, time_grid(replace(cfg, horizon=0.0372)))
+    assert len(calls) == 32
 
 
 def test_blowup_reported(sym, bump):

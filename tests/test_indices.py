@@ -37,6 +37,29 @@ def cls(p0, ell0, dims):
     return PotentialClass.from_exponents(p0, ell0, dims)
 
 
+def test_potential_class_index_computed_once(monkeypatch, dims1):
+    """gamma0, kappa and admissible share one to_index call per class, and
+    the cached index leaves equality and hashing to the fields."""
+    from morreylab import indices
+
+    calls = []
+
+    def counting(mp, dims):
+        calls.append(mp)
+        return to_index(mp, dims)
+
+    monkeypatch.setattr(indices, "to_index", counting)
+    a, b = cls(2.0, 0.5, dims1), cls(2.0, 0.5, dims1)
+    for _ in range(3):
+        assert a.gamma0 == ScaleIndex(0.5, 0.125)
+        assert a.kappa == 0.125 and a.admissible
+    assert len(calls) == 1
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    b.require_admissible()
+    assert len(calls) == 2
+    assert a == b and hash(a) == hash(b) and len({a, b, cls(2.0, 0.6, dims1)}) == 2
+
+
 # -- coordinate maps -----------------------------------------------------------
 
 

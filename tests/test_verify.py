@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from morreylab import verify
+from morreylab import checks, verify
 from morreylab.fixtures import gaussian_bump
 from morreylab.grids import GridFunction
 from morreylab.indices import (
@@ -11,6 +11,8 @@ from morreylab.indices import (
     PotentialClass,
     ProblemDims,
     ScaleIndex,
+    TOL,
+    in_triangle,
     to_index,
 )
 from morreylab.semigroup import apply_semigroup, laplacian_power_symbol
@@ -142,6 +144,120 @@ def test_oracle_handles_bounded_class():
     for mp in (MorreyParams(2.0, 0.5), MorreyParams(1.0, 1.0), MorreyParams(7.0, 0.33)):
         g = to_index(mp, DIMS)
         assert verify.region_oracle(g, [c_inf], DIMS, 100)
+
+
+def reference_oracle(gamma, classes, dims, density=200):
+    """The oracle's former per-query body: the full triangle grid and the ray
+    rebuilt on every call, one candidate set, no band cut."""
+    if not in_triangle(gamma, dims):
+        return False
+    for c in classes:
+        if not c.admissible:
+            return False
+    g1, g2 = np.linspace(0.0, 1.0, density + 1), np.linspace(0.0, dims.slope_cap, density + 1)
+    A1, A2 = np.meshgrid(g1, g2, indexing="ij")
+    a1, a2 = A1.ravel(), A2.ravel()
+    origin = (a1 == 0.0) & (a2 == 0.0)
+    interior = (a1 > 0.0) & (a2 > 0.0) & (a2 <= a1 * dims.slope_cap + TOL)
+    a1, a2 = a1[origin | interior], a2[origin | interior]
+    g1, g2 = gamma.gamma1, gamma.gamma2
+    if not gamma.is_origin:
+        tau = np.linspace(0.0, 1.0, density + 1)
+        a1 = np.concatenate([a1, tau * g1])
+        a2 = np.concatenate([a2, tau * g2])
+    slope_g = gamma.slope
+    a_slope = np.where((a1 <= 0.0) & (a2 <= 0.0), 0.0, np.divide(a2, np.maximum(a1, 1e-300)))
+    ok = (a2 <= g2 + TOL) & (g2 < a2 + 1.0 - TOL) & (a_slope <= slope_g + TOL)
+    for c in classes:
+        c1, c2 = c.gamma0.gamma1, c.gamma0.gamma2
+        b1, b2 = a1 + c1, a2 + c2
+        in_j = (b1 <= 1.0 + TOL) & (b2 <= dims.slope_cap + TOL)
+        b_slope = np.where((b1 <= 0.0) & (b2 <= 0.0), 0.0, np.divide(b2, np.maximum(b1, 1e-300)))
+        in_j &= b_slope <= dims.slope_cap + TOL
+        reach = (g2 <= a2 + c2 + TOL) & (slope_g <= b_slope + TOL)
+        ok &= in_j & reach
+    return bool(np.any(ok))
+
+
+ORACLE_DIMS = [ProblemDims(1, 1, 1.0), ProblemDims(2, 1, 0.5), ProblemDims(3, 2, 0.75)]
+
+
+def band_edge_queries(dims, density, rng, count):
+    """Queries whose gamma2 + TOL equals a grid row value exactly."""
+    rows = np.linspace(0.0, dims.slope_cap, density + 1)
+    queries = []
+    while len(queries) < count:
+        v = rows[rng.integers(1, density + 1)]
+        g2 = v - TOL
+        while g2 + TOL != v:
+            g2 = np.nextafter(g2, v if g2 + TOL < v else -np.inf)
+        gamma = ScaleIndex(rng.uniform(g2 / dims.slope_cap, 1.0), float(g2))
+        classes = [PotentialClass.from_exponents(rng.uniform(1.0, 6.0),
+                                                 rng.uniform(0.01, dims.N), dims)
+                   for _ in range(1 if rng.uniform() < 0.5 else 2)]
+        if in_triangle(gamma, dims) and all(c.admissible for c in classes):
+            queries.append((gamma, classes))
+    return queries
+
+
+def scanned_bands(monkeypatch, queries, dims, density):
+    """Verdicts of the oracle, and the grid prefix length each query scanned."""
+    bands = []
+    witness = verify._witness
+
+    def spy(a1, a2, a_slope, *rest):
+        if a2.base is not None:  # a view of the cached grid, not the ray
+            bands.append(a2.size)
+        return witness(a1, a2, a_slope, *rest)
+
+    monkeypatch.setattr(verify, "_witness", spy)
+    return [verify.region_oracle(g, c, dims, density) for g, c in queries], bands
+
+
+@pytest.mark.parametrize("density", [50, 200])
+@pytest.mark.parametrize("dims", ORACLE_DIMS, ids=lambda d: f"N{d.N}m{d.m}mu{d.mu:g}")
+def test_region_oracle_matches_reference(monkeypatch, dims, density):
+    """The cached, a2-sorted grid scanned up to gamma2 + TOL gives the former
+    full scan's verdict on every query, and the scanned prefix is exactly
+    the candidates with a2 <= gamma2 + TOL."""
+    ctx = checks.CheckContext(dims=dims, n=64, L=8.0, seed=density + dims.N)
+    queries = checks._random_queries(ctx, 150)
+    assert {len(c) for _, c in queries} == {1, 2}
+    rng = np.random.default_rng(density)
+    queries += band_edge_queries(dims, density, rng, 100)
+    bounded = PotentialClass.from_exponents(math.inf, 0.5, dims)
+    # kappa = N / (2 m mu): inadmissible except at N = 1, m = 1, mu = 1
+    steep = PotentialClass.from_exponents(1.0, float(dims.N), dims)
+    assert bounded.gamma0.is_origin and steep.admissible == (dims.slope_cap < 1.0)
+    fine = queries[0][1][0]
+    queries += [
+        (ScaleIndex(0.0, 0.0), [fine]),
+        (ScaleIndex(0.0, 0.0), [bounded, fine]),
+        (ScaleIndex(0.5, dims.slope_cap), [fine]),  # above the triangle
+        (ScaleIndex(1.5, 0.1), [fine]),             # right of the triangle
+        (queries[0][0], [bounded]),
+        (queries[1][0], [fine, bounded]),
+        (queries[2][0], [steep]),
+        (queries[3][0], [fine, steep]),
+    ]
+    verdicts, bands = scanned_bands(monkeypatch, queries, dims, density)
+    assert verdicts == [reference_oracle(g, c, dims, density) for g, c in queries]
+    assert any(verdicts) and not all(verdicts)
+    a2 = verify._alpha_grid(dims, density)[1]
+    expected = [int(np.count_nonzero(a2 <= g.gamma2 + TOL)) for g, c in queries
+                if in_triangle(g, dims) and all(x.admissible for x in c)]
+    assert bands == expected
+
+
+def test_region_oracle_grid_is_cached_and_read_only():
+    dims = ORACLE_DIMS[1]
+    grid = verify._alpha_grid(dims, 60)
+    assert verify._alpha_grid(ProblemDims(2, 1, 0.5), 60) is grid
+    a1, a2, a_slope = grid
+    assert np.all(np.diff(a2) >= 0.0)
+    for x in grid:
+        with pytest.raises(ValueError):
+            x[0] = 1.0
 
 
 # -- trace and pseudoresolvent -------------------------------------------------------------
