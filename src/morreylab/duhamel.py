@@ -442,7 +442,7 @@ def picard_solve(u0: GridFunction, potentials, cfg: SolverConfig, gamma: ScaleIn
     potentials = tuple(potentials)
     alpha, d_gamma, d_list = _resolve_indices(potentials, gamma, dims)
     times = time_grid(cfg)
-    base = [apply_semigroup(u0, t, mu, symbol) for t in times]
+    base = apply_semigroup(u0, times, mu, symbol)
     if not potentials:
         return Trajectory(times, tuple(base), gamma, alpha, _THETA_MIN, 0.0, (0.0,),
                           cfg, potentials, dims, symbol, mu, u0)
@@ -500,10 +500,8 @@ def _propagator_matrices(V: PotentialSpec, cfg: SolverConfig, dims: ProblemDims,
     a_mu, table = a_mu.real, table.real
     sub = time_grid(replace(cfg, horizon=float(time_grid(cfg)[0]), nodes=_SUB_NODES))
     eye = np.eye(n)
-    eye_hat = np.fft.rfft(eye, axis=0)
-    base = np.empty((sub.size, n, n))
-    for k, s in enumerate(sub):
-        base[k] = np.fft.irfft(np.exp(-s * a_mu[: n // 2 + 1, None]) * eye_hat, n, axis=0)
+    decay = np.exp(-np.multiply.outer(sub, a_mu[: n // 2 + 1]))
+    base = np.fft.irfft(decay[:, :, None] * np.fft.rfft(eye, axis=0), n, axis=1)
     mats, _ = _sweep(eye, base, [table[:, None]], [V.potential_class(dims).kappa], 0.0, sub,
                      _fourier_sum(a_mu, real=True),
                      lambda change: np.maximum(change.max(axis=(1, 2)), -change.min(axis=(1, 2))),

@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-from scipy.optimize import brentq
-
 __all__ = [
     "TOL",
     "ProblemDims",
@@ -460,6 +458,33 @@ def star_region_contains(gamma: ScaleIndex, classes) -> bool:
     return _le(gamma.gamma2, boundary_h(gamma.gamma1, classes))
 
 
+def _bracketed_newton(g, gp, lo: float, hi: float, maxiter: int = 200) -> float:
+    """Root of g on [lo, hi], where g changes sign: Newton steps, with a
+    bisection whenever a step would leave the shrinking bracket."""
+    g_lo, g_hi = g(lo), g(hi)
+    if g_lo == 0.0 or g_hi == 0.0:
+        return lo if g_lo == 0.0 else hi
+    if (g_lo < 0.0) == (g_hi < 0.0):
+        raise ValueError("root is not bracketed")
+    x = 0.5 * (lo + hi)
+    for _ in range(maxiter):
+        gx = g(x)
+        if gx == 0.0:
+            return x
+        if (gx < 0.0) == (g_lo < 0.0):
+            lo = x
+        else:
+            hi = x
+        slope = gp(x)
+        x_new = x - gx / slope if slope != 0.0 else math.nan
+        if not lo < x_new < hi:
+            x_new = 0.5 * (lo + hi)
+        if abs(x_new - x) <= 1e-15 + 8.9e-16 * abs(x_new):
+            return x_new
+        x = x_new
+    raise ArithmeticError(f"no convergence in {maxiter} iterations")
+
+
 def exterior_tangent(f, fp, fpp, a: float, b: float, c: float, d: float, side: str) -> float:
     """Abscissa x* where the tangent to a strictly convex f passes through (c, d).
 
@@ -489,7 +514,7 @@ def exterior_tangent(f, fp, fpp, a: float, b: float, c: float, d: float, side: s
         if t(b) > d + TOL:
             raise ValueError("no tangent to the right: t(b) > d")
         lo, hi = c + 1e-14 * max(1.0, abs(c)), b
-    x_star = brentq(lambda x: t(x) - d, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
+    x_star = _bracketed_newton(lambda x: t(x) - d, lambda x: fpp(x) * (c - x), lo, hi)
     resid = abs(t(x_star) - d)
     if resid > 1e-12 * (1.0 + abs(d)):
         raise ArithmeticError(f"tangent solve residual {resid:.3e} above tolerance")

@@ -2,14 +2,20 @@
 
 On the periodic box the constant-coefficient operator is diagonal in
 Fourier space, so e^{-t A^mu} u0 is computed by multiplying the DFT of
-u0 with e^{-t a(xi)^mu}.  Kernels are the image of a unit-mass discrete
-Dirac, the mu = 1/2 evolution can be cross-checked by averaging the
-full-power semigroup against the one-sided stable density, and the
-Laplace transform of the evolution gives the numerical pseudoresolvent.
+u0 with e^{-t a(xi)^mu}.  One Fourier convention holds here and in
+`duhamel`: real data under a real symbol take the real transforms, with
+every multiplier built on the half spectrum a[..., : n//2 + 1] (a real
+table must be even under xi -> -xi, which `_validate_symbol` enforces);
+anything complex takes the full complex transforms.  Kernels are the
+image of a unit-mass discrete Dirac, the mu = 1/2 evolution can be
+cross-checked by averaging the full-power semigroup against the
+one-sided stable density, and the Laplace transform of the evolution
+gives the numerical pseudoresolvent.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -84,6 +90,10 @@ def _validate_symbol(N, n, L, m, table, is_preset) -> SymbolSpec:
         raise ValueError("preset symbol must vanish at zero frequency")
     if np.isrealobj(table) or np.max(np.abs(np.imag(table))) == 0.0:
         table = np.real(table).copy()
+        # the real transforms keep only the half spectrum and rely on a(-xi) = a(xi)
+        axes = tuple(range(N))
+        if not np.array_equal(table, np.roll(np.flip(table, axes), 1, axes)):
+            raise ValueError("a real symbol table must be even under xi -> -xi")
     table.setflags(write=False)
     return SymbolSpec(N, n, L, m, table, is_preset, c_ell)
 
@@ -120,25 +130,50 @@ def symbol_from_coefficients(N: int, n: int, L: float, m: int, coeffs: dict) -> 
     return _validate_symbol(N, n, L, m, table, False)
 
 
-def _apply_multiplier(u: GridFunction, mult: np.ndarray) -> GridFunction:
-    vals = u.values
-    out = np.fft.ifftn(mult * np.fft.fftn(vals))
-    if np.isrealobj(vals) and np.isrealobj(mult):
-        out = out.real
-    return GridFunction(u.N, u.n, u.L, out)
+def _apply_multiplier(values: np.ndarray, a: np.ndarray, multiplier, params) -> list[np.ndarray]:
+    """The grid values under multiplier(a, p) for each p in params, all
+    from one forward transform.
+
+    Real values with a real table take rfftn/irfftn, and `multiplier` sees
+    only the half spectrum a[..., : n//2 + 1]; anything complex takes the
+    full transforms.  Multipliers and inverses run one p at a time.
+    """
+    axes = tuple(range(values.ndim))
+    if np.isrealobj(values) and np.isrealobj(a):
+        a = a[..., : values.shape[-1] // 2 + 1]
+        spec = np.fft.rfftn(values, axes=axes)
+        inverse = functools.partial(np.fft.irfftn, s=values.shape, axes=axes)
+    else:
+        spec = np.fft.fftn(values, axes=axes)
+        inverse = functools.partial(np.fft.ifftn, axes=axes)
+    return [inverse(multiplier(a, p) * spec) for p in params]
 
 
-def apply_semigroup(u0: GridFunction, t: float, mu: float, symbol: SymbolSpec) -> GridFunction:
-    """e^{-t a(xi)^mu} acting on u0; t = 0 returns u0 unchanged."""
+def apply_semigroup(u0: GridFunction, t: float | np.ndarray, mu: float,
+                    symbol: SymbolSpec) -> GridFunction | list[GridFunction]:
+    """e^{-t a(xi)^mu} acting on u0; t = 0 returns u0 unchanged.
+
+    A 1-D array of times gives a list with one state per time, each equal
+    to its scalar call, from one power of the symbol and one forward
+    transform of u0.
+    """
     if not (0.0 < mu <= 1.0):
         raise ValueError("mu must lie in (0, 1]")
-    if t < 0.0:
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    if times.ndim != 1:
+        raise ValueError("times must be a scalar or a 1-D array")
+    if np.any(times < 0.0):
         raise ValueError("negative time")
     if not symbol.compatible_with(u0):
         raise ValueError("grid/symbol mismatch")
-    if t == 0.0:
-        return u0
-    return _apply_multiplier(u0, np.exp(-t * symbol.power(mu)))
+    out = [u0] * times.size
+    moved = np.flatnonzero(times)
+    if moved.size:
+        states = _apply_multiplier(u0.values, symbol.power(mu), lambda a, s: np.exp(-s * a),
+                                   times[moved])
+        for k, values in zip(moved, states):
+            out[k] = GridFunction(u0.N, u0.n, u0.L, values)
+    return out if np.ndim(t) else out[0]
 
 
 @dataclass(frozen=True)
@@ -254,11 +289,12 @@ def subordination_apply(u0: GridFunction, t: float, symbol: SymbolSpec,
         raise ValueError("subordination needs t > 0")
     if density is None:
         density = SubordinatorDensity.build()
-    a = symbol.power(1.0)
-    mult = np.zeros_like(a, dtype=float if np.isrealobj(a) else complex)
-    for s, w in zip(density.nodes, density.weights):
-        mult = mult + w * np.exp(-s * t * t * a)
-    return _apply_multiplier(u0, mult)
+
+    def multiplier(a, t):
+        return sum(w * np.exp(-s * t * t * a) for s, w in zip(density.nodes, density.weights))
+
+    [values] = _apply_multiplier(u0.values, symbol.power(1.0), multiplier, [t])
+    return GridFunction(u0.N, u0.n, u0.L, values)
 
 
 def pseudoresolvent(u0: GridFunction, lam: complex, mu: float, symbol: SymbolSpec,
@@ -286,15 +322,19 @@ def pseudoresolvent(u0: GridFunction, lam: complex, mu: float, symbol: SymbolSpe
     w[0] = w[-1] = 0.5 * dtau
     weights = w * ts  # trapezoid in log-time: dt = t dtau
 
-    mult = np.zeros_like(a_mu, dtype=complex)
-    for t, wt in zip(ts, weights):
-        mult += wt * np.exp((lam - a_mu) * t)
-    # linear panel on [0, t_min]
-    mult += 0.5 * t_min * (1.0 + np.exp((lam - a_mu) * t_min))
-    out = np.fft.ifftn(mult * np.fft.fftn(u0.values))
-    if np.isrealobj(u0.values) and abs(lam.imag) == 0.0:
-        out = out.real
-    return GridFunction(u0.N, u0.n, u0.L, out)
+    # a real lambda keeps the multiplier real, for the half-spectrum path
+    if lam.imag == 0.0:
+        lam = lam.real
+    else:
+        a_mu = a_mu.astype(complex)
+
+    def multiplier(a, lam):
+        mult = sum(wt * np.exp((lam - a) * t) for t, wt in zip(ts, weights))
+        # linear panel on [0, t_min]
+        return mult + 0.5 * t_min * (1.0 + np.exp((lam - a) * t_min))
+
+    [values] = _apply_multiplier(u0.values, a_mu, multiplier, [lam])
+    return GridFunction(u0.N, u0.n, u0.L, values)
 
 
 def positivity_defect(u: GridFunction) -> float:

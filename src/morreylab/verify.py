@@ -337,9 +337,8 @@ def trace_check(u0: GridFunction, p: float, window: float, mu: float,
     hN = u0.h**u0.N
     ref = float(np.sum(np.abs(u0.values[sel]) ** p) * hN) ** (1.0 / p)
     dists = []
-    for k in k_range:
-        t = 2.0**-k
-        diff = apply_semigroup(u0, t, mu, symbol) - u0
+    for state in apply_semigroup(u0, np.array([2.0**-k for k in k_range]), mu, symbol):
+        diff = state - u0
         dists.append(float(np.sum(np.abs(diff.values[sel]) ** p) * hN) ** (1.0 / p))
     decreasing = all(b <= a * (1.0 + 1e-9) for a, b in zip(dists, dists[1:]))
     return decreasing and dists[-1] < threshold * ref, dists

@@ -336,6 +336,13 @@ def test_tangent_examples():
         exterior_tangent(f, fp, fpp, -2, 2, 0, -9.0, "right")  # slope condition fails
 
 
+def test_tangent_exact_on_the_parabola():
+    """Newton lands on x* = +-1 exactly, so the registry's tangent error is 0."""
+    f, fp, fpp = square()
+    assert exterior_tangent(f, fp, fpp, -2.0, 2.0, 0.0, -1.0, "right") == 1.0
+    assert exterior_tangent(f, fp, fpp, -2.0, 2.0, 0.0, -1.0, "left") == -1.0
+
+
 def test_tangent_residual_and_side(rng):
     f = lambda x: math.exp(x)
     fp = lambda x: math.exp(x)

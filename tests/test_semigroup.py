@@ -1,13 +1,20 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import morreylab
 from morreylab.checks import wrapped_poisson
 from morreylab.fixtures import gaussian_bump
 from morreylab.grids import GridFunction
 from morreylab.semigroup import (
     SubordinatorDensity,
+    _apply_multiplier,
+    _validate_symbol,
     apply_semigroup,
     kernel,
     laplacian_power_symbol,
@@ -52,6 +59,25 @@ def test_symbol_ellipticity_rejected():
         symbol_from_coefficients(1, 64, 4.0, 1, {(2,): 1.0})  # +Laplacian: not elliptic
 
 
+def test_presets_are_even():
+    """The half-spectrum transforms need a(-xi) = a(xi) exactly; the
+    presets pass the check that _validate_symbol makes."""
+    for N, n in ((1, 64), (1, 255), (1, 256), (2, 64), (2, 255)):
+        for m in (1, 2):
+            table = laplacian_power_symbol(N, n, 4.0, m).table
+            reflected = table[np.ix_(*[(-np.arange(n)) % n] * N)]
+            assert np.array_equal(table, reflected)
+
+
+def test_odd_real_symbol_rejected():
+    xi = 2.0 * np.pi * np.fft.fftfreq(64, d=8.0 / 64)
+    odd = xi**2 * (1.0 + 0.1 * np.sign(xi))  # elliptic, but a(-xi) != a(xi)
+    with pytest.raises(ValueError, match="even"):
+        _validate_symbol(1, 64, 4.0, 1, odd, False)
+    even = _validate_symbol(1, 64, 4.0, 1, xi**2 * 1.5, False)
+    assert even.c_ell == pytest.approx(1.5)
+
+
 # -- semigroup basics -------------------------------------------------------------
 
 
@@ -79,6 +105,62 @@ def test_translation_commutes(sym1):
     shifted_then = apply_semigroup(bump.shifted(37), 0.1, 0.75, sym1)
     then_shifted = apply_semigroup(bump, 0.1, 0.75, sym1).shifted(37)
     assert np.max(np.abs(shifted_then.values - then_shifted.values)) < 1e-13
+
+
+def test_times_array_matches_scalar_calls(sym1):
+    bump = gaussian_bump(**N1)
+    ts = np.array([0.3, 0.0, 1e-3, 0.05])
+    for mu in (0.5, 1.0):
+        states = apply_semigroup(bump, ts, mu, sym1)
+        assert len(states) == ts.size and states[1] is bump
+        for t, state in zip(ts, states):
+            assert np.array_equal(state.values, apply_semigroup(bump, t, mu, sym1).values)
+    sym = laplacian_power_symbol(2, 64, 4.0, 1)
+    bump2 = gaussian_bump(2, 64, 4.0)
+    for t, state in zip(ts, apply_semigroup(bump2, ts, 0.75, sym)):
+        assert np.array_equal(state.values, apply_semigroup(bump2, t, 0.75, sym).values)
+    with pytest.raises(ValueError):
+        apply_semigroup(bump, np.array([0.1, -0.1]), 1.0, sym1)
+
+
+def _complex_reference(u, mult):
+    return np.fft.ifftn(mult * np.fft.fftn(u.values))
+
+
+@pytest.mark.parametrize("N,n", [(1, 256), (2, 64)])
+def test_real_path_matches_complex_reference(N, n):
+    sym = laplacian_power_symbol(N, n, 4.0, 1)
+    u = GridFunction(N, n, 4.0, np.random.default_rng(n).standard_normal((n,) * N))
+    for t, mu in ((0.01, 1.0), (0.2, 0.5)):
+        got = apply_semigroup(u, t, mu, sym).values
+        want = _complex_reference(u, np.exp(-t * sym.power(mu))).real
+        assert np.isrealobj(got)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("N,n", [(1, 255), (2, 63)])
+def test_half_spectrum_slice_at_any_n(N, n):
+    """The grids are powers of two; the transform site also takes odd n."""
+    a = laplacian_power_symbol(N, n, 4.0, 1).table
+    values = np.random.default_rng(n).standard_normal((n,) * N)
+    [got] = _apply_multiplier(values, a, lambda half, t: np.exp(-t * half), [0.05])
+    want = np.fft.ifftn(np.exp(-0.05 * a) * np.fft.fftn(values)).real
+    assert np.isrealobj(got)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_complex_datum_or_symbol_stays_complex(sym1):
+    bump = gaussian_bump(**N1)
+    twisted = GridFunction(1, 4096, 8.0, bump.values * np.exp(1j * bump.axis()))
+    got = apply_semigroup(twisted, 0.1, 1.0, sym1).values
+    want = _complex_reference(twisted, np.exp(-0.1 * sym1.table))
+    assert np.iscomplexobj(got)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    rotated = symbol_from_coefficients(1, 4096, 8.0, 1, {(2,): -(1.0 + 0.5j)})
+    got = apply_semigroup(bump, 0.1, 1.0, rotated).values
+    want = _complex_reference(bump, np.exp(-0.1 * rotated.table))
+    assert np.iscomplexobj(got) and np.max(np.abs(got.imag)) > 1e-3
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_constant_is_preserved(sym1):
@@ -198,6 +280,16 @@ def test_subordination_matches_multiplier(sym1):
     assert rel_l1 <= 1e-3
 
 
+def test_subordination_half_spectrum_matches_full(sym1):
+    bump = gaussian_bump(**N1)
+    dens = SubordinatorDensity.build()
+    t = 0.5
+    mult = sum(w * np.exp(-s * t * t * sym1.table) for s, w in zip(dens.nodes, dens.weights))
+    want = _complex_reference(bump, mult).real
+    got = subordination_apply(bump, t, sym1, dens).values
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 # -- pseudoresolvent -----------------------------------------------------------------
 
 
@@ -209,6 +301,12 @@ def test_pseudoresolvent_spectral_identity(sym1):
         want = np.fft.fftn(bump.values) / (sym1.power(mu) - lam)
         sig = np.abs(want) >= 1e-10 * np.abs(want).max()
         assert np.max(np.abs(got[sig] - want[sig]) / np.abs(want[sig])) <= 1e-6
+
+
+def test_pseudoresolvent_real_only_for_real_lambda(sym1):
+    bump = gaussian_bump(**N1)
+    assert np.isrealobj(pseudoresolvent(bump, -2.0, 1.0, sym1).values)
+    assert np.iscomplexobj(pseudoresolvent(bump, -2.0 + 0.5j, 1.0, sym1).values)
 
 
 def test_pseudoresolvent_zero_and_bound(sym1):
@@ -240,3 +338,15 @@ def test_trace_to_initial_data(sym1):
         prev = err
     ref = float(np.sum(np.abs(bump.values[sel])) * bump.h)
     assert prev < 1e-3 * ref
+
+
+# -- start-up --------------------------------------------------------------------------
+
+
+def test_cli_import_skips_scipy_optimize():
+    src = str(Path(morreylab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, morreylab.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
