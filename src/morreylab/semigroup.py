@@ -4,8 +4,8 @@ On the periodic box the constant-coefficient operator is diagonal in
 Fourier space, so e^{-t A^mu} u0 is computed by multiplying the DFT of
 u0 with e^{-t a(xi)^mu}.  One Fourier convention holds here and in
 `duhamel`: real data under a real symbol take the real transforms, with
-every multiplier built on the half spectrum a[..., : n//2 + 1] (a real
-table must be even under xi -> -xi, which `_validate_symbol` enforces);
+every multiplier built on the half spectrum a[..., : n//2 + 1] (which
+needs a real table even under xi -> -xi, as `_validate_symbol` makes it);
 anything complex takes the full complex transforms.  Kernels are the
 image of a unit-mass discrete Dirac, the mu = 1/2 evolution can be
 cross-checked by averaging the full-power semigroup against the
@@ -76,6 +76,8 @@ class SymbolSpec:
 
 
 def _validate_symbol(N, n, L, m, table, is_preset) -> SymbolSpec:
+    if np.isrealobj(table) or np.max(np.abs(np.imag(table))) == 0.0:
+        table = _even_part(np.real(table))
     xi = _freq_axis(n, L)
     if N == 1:
         mod2 = xi**2
@@ -88,14 +90,28 @@ def _validate_symbol(N, n, L, m, table, is_preset) -> SymbolSpec:
         raise ValueError(f"symbol is not uniformly elliptic on the grid (c_ell={c_ell:.3e})")
     if is_preset and abs(complex(table[(0,) * N])) > 1e-14:
         raise ValueError("preset symbol must vanish at zero frequency")
-    if np.isrealobj(table) or np.max(np.abs(np.imag(table))) == 0.0:
-        table = np.real(table).copy()
-        # the real transforms keep only the half spectrum and rely on a(-xi) = a(xi)
-        axes = tuple(range(N))
-        if not np.array_equal(table, np.roll(np.flip(table, axes), 1, axes)):
-            raise ValueError("a real symbol table must be even under xi -> -xi")
     table.setflags(write=False)
     return SymbolSpec(N, n, L, m, table, is_preset, c_ell)
+
+
+def _even_part(table: np.ndarray) -> np.ndarray:
+    """A real table made exactly even under xi -> -xi, the index reflection
+    k -> -k mod n on every axis, which the half-spectrum transforms assume.
+
+    For even n the Nyquist index n/2 is its own reflection, but it carries
+    the one frequency -pi n / (2L), so a mixed term such as xi_1 xi_2 is not
+    even along the Nyquist lines; there the table takes the mean of the two
+    aliases.  Anywhere else the table must already be even.
+    """
+    axes = tuple(range(table.ndim))
+    reflected = np.roll(np.flip(table, axes), 1, axes)
+    uneven = table != reflected
+    if table.shape[0] % 2 == 0:
+        for ax in axes:
+            uneven[(slice(None),) * ax + (table.shape[0] // 2,)] = False
+    if np.any(uneven):
+        raise ValueError("a real symbol table must be even under xi -> -xi")
+    return 0.5 * (table + reflected)
 
 
 def laplacian_power_symbol(N: int, n: int, L: float, m: int = 1) -> SymbolSpec:
@@ -130,13 +146,13 @@ def symbol_from_coefficients(N: int, n: int, L: float, m: int, coeffs: dict) -> 
     return _validate_symbol(N, n, L, m, table, False)
 
 
-def _apply_multiplier(values: np.ndarray, a: np.ndarray, multiplier, params) -> list[np.ndarray]:
-    """The grid values under multiplier(a, p) for each p in params, all
-    from one forward transform.
+def _apply_multiplier(values: np.ndarray, a: np.ndarray, multipliers) -> list[np.ndarray]:
+    """The grid values under each multiplier that multipliers(a) yields,
+    all from one forward transform.
 
-    Real values with a real table take rfftn/irfftn, and `multiplier` sees
-    only the half spectrum a[..., : n//2 + 1]; anything complex takes the
-    full transforms.  Multipliers and inverses run one p at a time.
+    Real values with a real table take rfftn/irfftn, and `multipliers`
+    sees only the half spectrum a[..., : n//2 + 1]; anything complex takes
+    the full transforms.  Multipliers and inverses run one at a time.
     """
     axes = tuple(range(values.ndim))
     if np.isrealobj(values) and np.isrealobj(a):
@@ -146,7 +162,7 @@ def _apply_multiplier(values: np.ndarray, a: np.ndarray, multiplier, params) -> 
     else:
         spec = np.fft.fftn(values, axes=axes)
         inverse = functools.partial(np.fft.ifftn, axes=axes)
-    return [inverse(multiplier(a, p) * spec) for p in params]
+    return [inverse(mult * spec) for mult in multipliers(a)]
 
 
 def apply_semigroup(u0: GridFunction, t: float | np.ndarray, mu: float,
@@ -169,8 +185,8 @@ def apply_semigroup(u0: GridFunction, t: float | np.ndarray, mu: float,
     out = [u0] * times.size
     moved = np.flatnonzero(times)
     if moved.size:
-        states = _apply_multiplier(u0.values, symbol.power(mu), lambda a, s: np.exp(-s * a),
-                                   times[moved])
+        states = _apply_multiplier(u0.values, symbol.power(mu),
+                                   lambda a: (np.exp(-s * a) for s in times[moved]))
         for k, values in zip(moved, states):
             out[k] = GridFunction(u0.N, u0.n, u0.L, values)
     return out if np.ndim(t) else out[0]
@@ -290,10 +306,10 @@ def subordination_apply(u0: GridFunction, t: float, symbol: SymbolSpec,
     if density is None:
         density = SubordinatorDensity.build()
 
-    def multiplier(a, t):
-        return sum(w * np.exp(-s * t * t * a) for s, w in zip(density.nodes, density.weights))
+    def multiplier(a):
+        yield sum(w * np.exp(-s * t * t * a) for s, w in zip(density.nodes, density.weights))
 
-    [values] = _apply_multiplier(u0.values, symbol.power(1.0), multiplier, [t])
+    [values] = _apply_multiplier(u0.values, symbol.power(1.0), multiplier)
     return GridFunction(u0.N, u0.n, u0.L, values)
 
 
@@ -328,12 +344,12 @@ def pseudoresolvent(u0: GridFunction, lam: complex, mu: float, symbol: SymbolSpe
     else:
         a_mu = a_mu.astype(complex)
 
-    def multiplier(a, lam):
+    def multiplier(a):
         mult = sum(wt * np.exp((lam - a) * t) for t, wt in zip(ts, weights))
         # linear panel on [0, t_min]
-        return mult + 0.5 * t_min * (1.0 + np.exp((lam - a) * t_min))
+        yield mult + 0.5 * t_min * (1.0 + np.exp((lam - a) * t_min))
 
-    [values] = _apply_multiplier(u0.values, a_mu, multiplier, [lam])
+    [values] = _apply_multiplier(u0.values, a_mu, multiplier)
     return GridFunction(u0.N, u0.n, u0.L, values)
 
 

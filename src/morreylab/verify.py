@@ -358,7 +358,7 @@ def _laplace_of_trajectory(traj: Trajectory, lam: complex) -> GridFunction:
         dt = ts[i + 1] - ts[i]
         vals += 0.5 * dt * (np.exp(lam * ts[i]) * states[i].values
                             + np.exp(lam * ts[i + 1]) * states[i + 1].values)
-    if abs(lam.imag) == 0.0 and np.isrealobj(traj.u0.values):
+    if abs(lam.imag) == 0.0 and all(np.isrealobj(s.values) for s in states):
         vals = vals.real
     return GridFunction(traj.u0.N, traj.u0.n, traj.u0.L, vals)
 

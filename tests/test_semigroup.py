@@ -59,16 +59,6 @@ def test_symbol_ellipticity_rejected():
         symbol_from_coefficients(1, 64, 4.0, 1, {(2,): 1.0})  # +Laplacian: not elliptic
 
 
-def test_presets_are_even():
-    """The half-spectrum transforms need a(-xi) = a(xi) exactly; the
-    presets pass the check that _validate_symbol makes."""
-    for N, n in ((1, 64), (1, 255), (1, 256), (2, 64), (2, 255)):
-        for m in (1, 2):
-            table = laplacian_power_symbol(N, n, 4.0, m).table
-            reflected = table[np.ix_(*[(-np.arange(n)) % n] * N)]
-            assert np.array_equal(table, reflected)
-
-
 def test_odd_real_symbol_rejected():
     xi = 2.0 * np.pi * np.fft.fftfreq(64, d=8.0 / 64)
     odd = xi**2 * (1.0 + 0.1 * np.sign(xi))  # elliptic, but a(-xi) != a(xi)
@@ -143,10 +133,38 @@ def test_half_spectrum_slice_at_any_n(N, n):
     """The grids are powers of two; the transform site also takes odd n."""
     a = laplacian_power_symbol(N, n, 4.0, 1).table
     values = np.random.default_rng(n).standard_normal((n,) * N)
-    [got] = _apply_multiplier(values, a, lambda half, t: np.exp(-t * half), [0.05])
+    [got] = _apply_multiplier(values, a, lambda half: [np.exp(-0.05 * half)])
     want = np.fft.ifftn(np.exp(-0.05 * a) * np.fft.fftn(values)).real
     assert np.isrealobj(got)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_mixed_term_symbol_is_even_off_nyquist_mean_on_it():
+    """A mixed term xi_1 xi_2 is odd along the Nyquist lines, where fftfreq
+    gives one sign; there the table holds the mean of the two aliases, so
+    the real path applies an exactly even symbol that is still a semigroup."""
+    n, coeffs = 64, {(2, 0): -1.0, (0, 2): -1.0, (1, 1): -0.5}
+    sym = symbol_from_coefficients(2, n, 4.0, 1, coeffs)
+    xi = 2.0 * np.pi * np.fft.fftfreq(n, d=8.0 / n)
+    raw = xi[:, None] ** 2 + xi[None, :] ** 2 + 0.5 * xi[:, None] * xi[None, :]
+    nyquist = np.zeros((n, n), dtype=bool)
+    nyquist[n // 2, :] = nyquist[:, n // 2] = True
+    reflected = raw[np.ix_(-np.arange(n) % n, -np.arange(n) % n)]
+    assert np.array_equal(sym.table[~nyquist], raw[~nyquist])
+    assert np.allclose(sym.table[nyquist], 0.5 * (raw + reflected)[nyquist], rtol=1e-15)
+    assert not np.array_equal(raw[nyquist], reflected[nyquist])
+    u = GridFunction(2, n, 4.0, np.random.default_rng(5).standard_normal((n, n)))
+    for t, mu in ((0.01, 1.0), (0.05, 0.5)):
+        got = apply_semigroup(u, t, mu, sym).values
+        want = _complex_reference(u, np.exp(-t * sym.power(mu))).real
+        assert np.isrealobj(got)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        # the raw table's complex path differs from it on the Nyquist modes alone
+        gap = np.fft.fftn(got - _complex_reference(u, np.exp(-t * raw**mu)).real)
+        assert np.max(np.abs(gap[~nyquist])) <= 1e-12 * np.max(np.abs(gap))
+    twice = apply_semigroup(apply_semigroup(u, 0.01, 0.5, sym), 0.01, 0.5, sym).values
+    once = apply_semigroup(u, 0.02, 0.5, sym).values
+    assert np.max(np.abs(twice - once)) <= 1e-13 * np.max(np.abs(once))
 
 
 def test_complex_datum_or_symbol_stays_complex(sym1):

@@ -305,6 +305,24 @@ def test_pseudoresolvent_identity_no_potential():
     assert resid <= 2e-3  # F = G up to the trajectory's Laplace quadrature
 
 
+def test_pseudoresolvent_identity_complex_symbol():
+    """Under a rotated symbol real data evolve into complex states; at a
+    real lambda both sides of the identity keep their imaginary parts."""
+    from morreylab.duhamel import SolverConfig, picard_solve
+    from morreylab.semigroup import pseudoresolvent, symbol_from_coefficients
+
+    sym = symbol_from_coefficients(1, 256, 8.0, 1, {(2,): -(1.0 + 0.5j)})
+    bump = gaussian_bump(1, 256, 8.0)
+    cfg = SolverConfig(horizon=3.2, nodes=128, grading=1.0)
+    traj = picard_solve(bump, [], cfg, to_index(MorreyParams(2.0, 1.0), DIMS),
+                        DIMS, sym, 1.0)
+    F = verify._laplace_of_trajectory(traj, -4.0)
+    G = pseudoresolvent(bump, -4.0, 1.0, sym)
+    assert np.iscomplexobj(F.values) and np.iscomplexobj(G.values)
+    assert np.max(np.abs(G.values.imag)) > 1e-2 * np.max(np.abs(G.values))
+    assert verify.pseudoresolvent_identity(traj, -4.0) <= 2e-3
+
+
 def test_smoothing_certificate_constant_potential():
     """With V = c the weighted constant is finite once a >= c is discounted."""
     from morreylab.duhamel import SolverConfig, picard_solve
