@@ -103,11 +103,20 @@ def _resolved_t(t: float, h: float, m: int, mus) -> float:
     return max(t, 1.25 * need)
 
 
+def _kernel(ctx: CheckContext, t: float, mu: float, sym) -> GridFunction:
+    """kernel(t, mu, sym).grid, built once per context: at the default m = 1
+    the mass and positivity checks ask for the same kernels."""
+    key = ("kernel", t, mu, sym.N, sym.n, sym.L, sym.m)
+    if key not in ctx.memo:
+        ctx.memo[key] = kernel(t, mu, sym).grid
+    return ctx.memo[key]
+
+
 def check_kernel_mass(ctx: CheckContext, t: float = 0.02, mus=(0.5, 0.75, 1.0),
                       tol: float = 1e-8) -> CheckRecord:
     sym = ctx.symbol()
     t = _resolved_t(t, sym.h, sym.m, mus)
-    masses = {mu: kernel(t, mu, sym).grid.mass() for mu in mus}
+    masses = {mu: _kernel(ctx, t, mu, sym).mass() for mu in mus}
     worst = max(abs(v - 1.0) for v in masses.values())
     return _record("kernel_mass", worst <= tol, worst=worst, t=t,
                    masses={str(k): v for k, v in masses.items()}, tol=tol)
@@ -117,7 +126,7 @@ def check_kernel_positivity(ctx: CheckContext, t: float = 0.02, mus=(0.5, 0.75, 
                             tol: float = -1e-9) -> CheckRecord:
     sym = ctx.symbol(m=1)
     t = _resolved_t(t, sym.h, 1, mus)
-    defects = {mu: positivity_defect(kernel(t, mu, sym).grid) for mu in mus}
+    defects = {mu: positivity_defect(_kernel(ctx, t, mu, sym)) for mu in mus}
     worst = min(defects.values())
     return _record("kernel_positivity", worst >= tol, worst=worst, t=t,
                    defects={str(k): v for k, v in defects.items()}, tol=tol)

@@ -23,8 +23,10 @@ __all__ = [
 _HEADER = struct.Struct("<qqd")  # N, n as int64; L as float64 (little endian)
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+def _check_points(n: int) -> None:
+    """The size rule of every grid axis: a power of two, at least 8."""
+    if n < 8 or n & (n - 1):
+        raise ValueError(f"n must be a power of two >= 8, got {n}")
 
 
 def wrap_offsets(delta: np.ndarray, L: float) -> np.ndarray:
@@ -48,8 +50,7 @@ class GridFunction:
     def __post_init__(self):
         if self.N not in (1, 2):
             raise ValueError(f"N must be 1 or 2, got {self.N}")
-        if not _is_power_of_two(self.n) or self.n < 8:
-            raise ValueError(f"n must be a power of two >= 8, got {self.n}")
+        _check_points(self.n)
         if self.L <= 0:
             raise ValueError("box half-width L must be positive")
         vals = np.asarray(self.values)

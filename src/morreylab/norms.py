@@ -2,16 +2,22 @@
 
 The sup over ball centers and radii is discretized by a geometric
 radius ladder and strided centers, so every estimator here is a lower
-bound of the true sup.  Ball integrals for all centers at once are
-circular convolutions with a ball indicator, done with FFTs; the torus
-wrap distance is used throughout so semigroup output can be normed
-directly.  One scan takes one forward transform of |phi|^p, for a
-single state or a stack of them, and evaluates the inverse transforms
-only at the strided centers, for a batch of radii at a time.
+bound of the true sup.  The torus wrap distance is used throughout so
+semigroup output can be normed directly.  One scan serves a single
+state or a stack of them, and forms w = |phi|^p h^N once:
+
+- N = 1: every ball is a cyclic interval of grid points, so its sum at
+  every strided center is the difference of two strided slices of one
+  cumulative sum of the cyclically padded w; no transform is taken.
+- N >= 2: ball sums for all centers are circular convolutions of w with
+  the ball indicators (discs), done with one forward FFT and inverse
+  transforms evaluated only at the strided centers, for a batch of
+  radii at a time.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -33,9 +39,10 @@ __all__ = [
     "holder_product_check",
 ]
 
-# Ball spectra are cached per grid, ladder and stride; the least recently
-# used are evicted to keep the cache under _CACHE_BYTES.  A scan processes
-# its radii in chunks whose folded spectra and sums stay under _BLOCK_BYTES.
+# Ball spectra (N >= 2) are cached per grid, ladder and stride; the least
+# recently used are evicted to keep the cache under _CACHE_BYTES.  A scan
+# processes its radii in chunks whose folded spectra and sums stay under
+# _BLOCK_BYTES.
 _BALL_SPECTRA: dict = {}
 _CACHE_BYTES = 64 << 20
 _BLOCK_BYTES = 4 << 20
@@ -74,9 +81,26 @@ class RadiusLadder:
         return cls(tuple(sorted(radii)), int(stride))
 
 
-def _ball_mask(g: GridFunction, radius: float) -> np.ndarray:
-    """Indicator of the wrap-distance ball of the given radius around the origin."""
-    return g.radii() <= radius + 1e-12 * max(1.0, radius)
+def _ball_mask(r: np.ndarray, radius: float) -> np.ndarray:
+    """Indicator of the wrap-distance ball of the given radius around the
+    origin, from the distances r = g.radii() of the grid points."""
+    return r <= radius + 1e-12 * max(1.0, radius)
+
+
+@functools.lru_cache(maxsize=32)
+def _windows(n: int, L: float, radii: tuple) -> tuple:
+    """The 1D balls of the ladder as windows: (before, after) when the ball
+    around center c holds the points c - before .. c + after (cyclically),
+    None when it holds the whole torus."""
+    r = GridFunction.constant(0.0, 1, n, L).radii()
+    windows = []
+    for radius in radii:
+        inside = np.flatnonzero(_ball_mask(r, radius))
+        # the ball is the interval n/2 - a .. n/2 + b around the origin
+        # sample; the convolution sums w[c - d] over its offsets d
+        windows.append(None if inside.size == n else
+                       (int(inside[-1]) - n // 2, n // 2 - int(inside[0])))
+    return tuple(windows)
 
 
 def _aliased(spec: np.ndarray, stride: int, N: int) -> np.ndarray:
@@ -102,9 +126,10 @@ def _ball_spectra(g: GridFunction, radii: tuple, stride: int) -> np.ndarray:
             return spectra
     axes = tuple(range(g.N))
     m = g.n // stride
+    r = g.radii()
     spectra = np.empty((len(radii),) + (stride, m) * (g.N - 1) + (stride, m // 2 + 1))
     for row, radius in zip(spectra, radii):
-        kernel = np.roll(_ball_mask(g, radius).astype(float), (-(g.n // 2),) * g.N, axis=axes)
+        kernel = np.roll(_ball_mask(r, radius).astype(float), (-(g.n // 2),) * g.N, axis=axes)
         row[...] = _aliased(np.fft.fftn(kernel).real, stride, g.N)
     with _CACHE_LOCK:
         _BALL_SPECTRA[key] = spectra
@@ -131,35 +156,57 @@ def lp_ball_norm(phi: GridFunction, x0, R: float, p: float) -> float:
         raise ValueError("p must be >= 1")
     # the mask is centered at the origin sample (index n/2 per axis)
     shift = tuple(i - phi.n // 2 for i in _center_index(phi, x0))
-    offsets = np.roll(_ball_mask(phi, R), shift, axis=tuple(range(phi.N)))
+    offsets = np.roll(_ball_mask(phi.radii(), R), shift, axis=tuple(range(phi.N)))
     vals = np.abs(phi.values)[offsets]
     if p == math.inf:
         return float(vals.max(initial=0.0))
     return float(np.sum(vals**p) * phi.h**phi.N) ** (1.0 / p)
 
 
-def _scan(g: GridFunction, values: np.ndarray, p: float, ell: float,
-          ladder: RadiusLadder) -> np.ndarray:
-    """max over ladder radii and strided centers of R^{(ell-N)/p} * ball norm,
-    for each state of a stack `values` of shape (..., n, ..., n) on g's grid.
+def _window_peaks(g: GridFunction, values: np.ndarray, p: float,
+                  ladder: RadiusLadder) -> np.ndarray:
+    """1D ball sums: per state and radius, the max over strided centers.
 
-    The ball sums are circular convolutions of w = |phi|^p h^N with the
-    ball indicators.  Sampled at every stride-th point along each axis
-    (m = n/stride per axis), a convolution with spectrum W B is the
-    m^N-point inverse transform of its aliased spectrum, the sum of
-    W B over the frequencies q*m + j for each j.  So one forward
-    transform serves every radius, and each inverse transform has only
-    m^N points.  The leading axes of the stack are a batch: one forward
-    transform over the trailing axes and one contraction per chunk of
-    radii serve every state.  p = inf is the plain sup norm (all
-    M^{inf,ell} collapse to L^inf).
+    w is padded cyclically by the widest window on each side behind a
+    leading zero, so after one cumulative sum S the ball around center c
+    sums to S[c + left + after + 1] - S[c + left - before]: two strided
+    slices per radius.  The roundoff of a ball sum is relative to the
+    running sum, so a small ball in flat data keeps fewer digits than on
+    the FFT path (about 1e-12 relative at n = 2^18).
     """
+    n, stride = g.n, ladder.stride
+    windows = _windows(n, g.L, ladder.radii)
+    left = max((win[0] for win in windows if win is not None), default=0)
+    right = max((win[1] for win in windows if win is not None), default=0)
+    batch = values.shape[:-1]
+    sums = np.zeros(batch + (1 + left + n + right,))
+    w = sums[..., 1 + left:1 + left + n]
+    np.abs(values, out=w)
+    w **= p
+    w *= g.h
+    total = w.sum(axis=-1)
+    sums[..., 1:1 + left] = w[..., n - left:]
+    sums[..., 1 + left + n:] = w[..., :right]
+    np.cumsum(sums, axis=-1, out=sums)
+    peaks = np.empty(batch + (len(windows),))
+    diff = np.empty(batch + (n // stride,))
+    for k, window in enumerate(windows):
+        if window is None:
+            peaks[..., k] = total
+            continue
+        lo = left - window[0]
+        hi = left + window[1] + 1
+        np.subtract(sums[..., hi:hi + n:stride], sums[..., lo:lo + n:stride], out=diff)
+        peaks[..., k] = diff.max(axis=-1)
+    return peaks
+
+
+def _fourier_peaks(g: GridFunction, values: np.ndarray, p: float,
+                   ladder: RadiusLadder) -> np.ndarray:
+    """Ball sums on N >= 2 grids: per state and radius, the max over
+    strided centers, from aliased FFT convolutions (see `_scan`)."""
     N, n, stride = g.N, g.n, ladder.stride
     axes = tuple(range(-N, 0))
-    if p == math.inf:
-        return np.abs(values).max(axis=axes)
-    if stride < 1 or n % stride:
-        raise ValueError(f"center stride {stride} does not divide n={n}")
     m = n // stride
     batch = values.shape[:-N]
     # norm="forward" puts the whole 1/n^N on the forward transform (a
@@ -175,6 +222,35 @@ def _scan(g: GridFunction, values: np.ndarray, p: float, ell: float,
         folded = np.einsum(w_hat, [...] + qj, block, [0] + qj, [..., 0] + qj[1::2])
         sums = np.fft.irfftn(folded, s=(m,) * N, axes=axes, norm="forward")
         peaks[..., lo:lo + chunk] = sums.reshape(batch + (len(block), -1)).max(axis=-1)
+    return peaks
+
+
+def _scan(g: GridFunction, values: np.ndarray, p: float, ell: float,
+          ladder: RadiusLadder) -> np.ndarray:
+    """max over ladder radii and strided centers of R^{(ell-N)/p} * ball norm,
+    for each state of a stack `values` of shape (..., n, ..., n) on g's grid.
+
+    The ball sums are sums of w = |phi|^p h^N over each ball, at every
+    stride-th point along each axis (m = n/stride per axis); the leading
+    axes of the stack are a batch served by the same pass.
+
+    - N = 1 (`_window_peaks`): a ball is a cyclic window of grid points,
+      so each ball sum is a difference of one cumulative sum of w.
+    - N >= 2 (`_fourier_peaks`): a ball sum is a circular convolution of
+      w with the ball indicator.  Sampled at the strided centers, a
+      convolution with spectrum W B is the m^N-point inverse transform of
+      its aliased spectrum, the sum of W B over the frequencies q*m + j
+      for each j.  So one forward transform serves every radius, and each
+      inverse transform has only m^N points.
+
+    p = inf is the plain sup norm (all M^{inf,ell} collapse to L^inf).
+    """
+    N, n, stride = g.N, g.n, ladder.stride
+    if p == math.inf:
+        return np.abs(values).max(axis=tuple(range(-N, 0)))
+    if stride < 1 or n % stride:
+        raise ValueError(f"center stride {stride} does not divide n={n}")
+    peaks = (_window_peaks if N == 1 else _fourier_peaks)(g, values, p, ladder)
     radii = np.asarray(ladder.radii)
     return np.max(np.maximum(peaks, 0.0) ** (1.0 / p) * radii ** ((ell - N) / p), axis=-1)
 

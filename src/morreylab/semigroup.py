@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .grids import GridFunction
+from .grids import GridFunction, _check_points
 
 __all__ = [
     "SymbolSpec",
@@ -76,6 +76,7 @@ class SymbolSpec:
 
 
 def _validate_symbol(N, n, L, m, table, is_preset) -> SymbolSpec:
+    _check_points(n)
     if np.isrealobj(table) or np.max(np.abs(np.imag(table))) == 0.0:
         table = _even_part(np.real(table))
     xi = _freq_axis(n, L)

@@ -162,7 +162,7 @@ def test_ladder_refinement():
     assert abs(a - b) / b < 0.02
 
 
-@pytest.mark.parametrize("N,n", [(1, 256), (2, 64)])
+@pytest.mark.parametrize("N,n", [(1, 256), (2, 64), (1, 4096)])
 @pytest.mark.parametrize("stride", [1, 2, 4])
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
 @pytest.mark.parametrize("complex_values", [False, True])
@@ -171,10 +171,50 @@ def test_scan_matches_strided_reference(rng, N, n, stride, p, complex_values):
     if complex_values:
         vals = vals + 1j * rng.normal(size=(n,) * N)
     phi = GridFunction(N, n, 2.0, vals)
+    # the same datum concentrated at the box edge, where the balls wrap
+    edge = phi * np.exp(-(((phi.L - phi.radii()) / 0.1) ** 2))
     ladder = RadiusLadder.for_grid(phi, stride=stride)
     ell = 0.6 * N
-    assert morrey_norm(phi, p, ell, ladder) == pytest.approx(
-        strided_reference(phi, p, ell, ladder), rel=1e-12)
+    for datum in (phi, edge):
+        assert morrey_norm(datum, p, ell, ladder) == pytest.approx(
+            strided_reference(datum, p, ell, ladder), rel=1e-12)
+
+
+@pytest.mark.parametrize("stride", [1, 4])
+def test_scan_radii_on_grid_points(rng, stride):
+    """Radii that are whole multiples of an inexact h sit on the membership
+    tolerance: the ball of radius k h holds the 2k + 1 points around its
+    center, and k = n/2 (R = L) the whole torus."""
+    n, L = 512, 3.3
+    ks = (2, 3, 5, 17, 100, 255, 256)
+    h = 2.0 * L / n
+    radii = tuple(k * h for k in ks)
+    assert norms._windows(n, L, radii) == tuple((k, k) for k in ks[:-1]) + (None,)
+    phi = GridFunction(1, n, L, rng.normal(size=n))
+    ladder = RadiusLadder(radii, stride)
+    for p in (1.0, 2.5):
+        assert morrey_norm(phi, p, 0.4, ladder) == pytest.approx(
+            strided_reference(phi, p, 0.4, ladder), rel=1e-12)
+    assert morrey_norm(phi, 1.0, 1.0, RadiusLadder((L,), stride)) == pytest.approx(
+        float(np.sum(np.abs(phi.values)) * h), rel=1e-14)
+
+
+def test_window_scan_takes_no_transform(monkeypatch):
+    """A 1D scan builds no ball spectra and calls no numpy.fft function."""
+    phi = power_law(1, 1024, 2.0, beta=0.5)
+    stack = np.stack([phi.values, -2.0 * phi.values])
+    monkeypatch.setattr(norms, "_BALL_SPECTRA", {})
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a 1D scan called numpy.fft")
+
+    for name in np.fft.__all__:
+        monkeypatch.setattr(np.fft, name, forbidden)
+    ladder = RadiusLadder.for_grid(phi)
+    assert morrey_norm(phi, 1.5, 0.5, ladder) > 0.0
+    assert uniform_norm(phi, 2.0) > 0.0
+    assert norms._scan(phi, stack, 1.0, 0.5, ladder).shape == (2,)
+    assert norms._BALL_SPECTRA == {}
 
 
 def test_scan_rejects_stride_not_dividing_n():
@@ -188,9 +228,11 @@ def test_scan_rejects_stride_not_dividing_n():
 
 def test_scan_cache_under_threads(monkeypatch):
     """Threads scanning more grids than the ball-spectra cache holds get the
-    sequential answers, and the cache stays within its byte budget."""
-    grids = [GridFunction(1, n, L, np.cos(np.arange(n) * 0.37) + 1.5)
-             for n in (64, 128, 256) for L in (1.0, 2.0)]
+    sequential answers, and the cache stays within its byte budget.  Only
+    N >= 2 scans use the ball spectra."""
+    profiles = {n: np.cos(np.arange(n) * 0.37) + 1.5 for n in (16, 32, 64)}
+    grids = [GridFunction(2, n, L, np.outer(c, c)) for n, c in profiles.items()
+             for L in (1.0, 2.0)]
     expected = [morrey_norm(g, 1.5, 0.5) for g in grids]
     biggest = max(norms._ball_spectra(g, RadiusLadder.for_grid(g).radii, 4).nbytes for g in grids)
     monkeypatch.setattr(norms, "_CACHE_BYTES", 2 * biggest)

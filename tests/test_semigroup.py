@@ -130,13 +130,23 @@ def test_real_path_matches_complex_reference(N, n):
 
 @pytest.mark.parametrize("N,n", [(1, 255), (2, 63)])
 def test_half_spectrum_slice_at_any_n(N, n):
-    """The grids are powers of two; the transform site also takes odd n."""
-    a = laplacian_power_symbol(N, n, 4.0, 1).table
+    """The grids are powers of two; the transform site also takes odd n,
+    so the table is built by hand."""
+    xi2 = (2.0 * np.pi * np.fft.fftfreq(n, d=8.0 / n)) ** 2
+    a = xi2 if N == 1 else xi2[:, None] + xi2[None, :]
     values = np.random.default_rng(n).standard_normal((n,) * N)
     [got] = _apply_multiplier(values, a, lambda half: [np.exp(-0.05 * half)])
     want = np.fft.ifftn(np.exp(-0.05 * a) * np.fft.fftn(values)).real
     assert np.isrealobj(got)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [255, 4])
+def test_symbol_refuses_grid_sizes_no_grid_takes(n):
+    with pytest.raises(ValueError, match="power of two >= 8"):
+        laplacian_power_symbol(1, n, 4.0, 1)
+    with pytest.raises(ValueError, match="power of two >= 8"):
+        symbol_from_coefficients(1, n, 4.0, 1, {(2,): -1.0})
 
 
 def test_mixed_term_symbol_is_even_off_nyquist_mean_on_it():
