@@ -8,19 +8,15 @@ Layers, bottom up: `grids` (periodic sampled functions), `indices`
 experiment surface).
 """
 
-from .grids import AtomicMeasure, GridFunction
+from .grids import GridFunction
 from .indices import (
     MorreyParams,
     PotentialClass,
     ProblemDims,
     ScaleIndex,
-    bootstrap_chain,
     choose_alpha,
     exterior_tangent,
     from_index,
-    omega_bound,
-    smooths_to,
-    theta_p,
     to_index,
 )
 from .norms import RadiusLadder, lp_ball_norm, morrey_norm, uniform_norm
@@ -31,19 +27,14 @@ from .duhamel import SolverConfig, Trajectory, picard_solve, sequential_solve
 __version__ = "0.1.0"
 
 __all__ = [
-    "AtomicMeasure",
     "GridFunction",
     "MorreyParams",
     "PotentialClass",
     "ProblemDims",
     "ScaleIndex",
-    "bootstrap_chain",
     "choose_alpha",
     "exterior_tangent",
     "from_index",
-    "omega_bound",
-    "smooths_to",
-    "theta_p",
     "to_index",
     "RadiusLadder",
     "lp_ball_norm",

@@ -40,8 +40,7 @@ from .semigroup import (
     subordination_apply,
 )
 
-__all__ = ["CheckContext", "CheckRecord", "CHECKS", "run_checks", "default_context",
-           "record_name"]
+__all__ = ["CheckContext", "CheckRecord", "CHECKS", "run_checks", "record_name"]
 
 _log = logging.getLogger(__name__)
 
@@ -71,10 +70,6 @@ class CheckRecord:
     passed: bool
     details: dict
     duration: float = 0.0
-
-
-def default_context(seed: int = 0) -> CheckContext:
-    return CheckContext(dims=ProblemDims(1, 1, 1.0), n=4096, L=8.0, seed=seed)
 
 
 def record_name(name: str, params: dict) -> str:

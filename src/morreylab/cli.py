@@ -21,16 +21,12 @@ import math
 import os
 import sys
 
-from .checks import CHECK_GROUPS, CHECKS, CheckContext, run_checks
+from .checks import CHECK_GROUPS, CHECKS, run_checks
 from .config import ConfigError, DEFAULT_CONFIG, ExperimentConfig, load_config, validate_config
 from .indices import MorreyParams, PotentialClass, region_report
 from .report import build_report, report_from_json, report_to_json, write_csv
 
 __all__ = ["main"]
-
-
-def _context(cfg: ExperimentConfig) -> CheckContext:
-    return CheckContext(dims=cfg.dims, n=cfg.n, L=cfg.L, seed=cfg.seed)
 
 
 def _emit(report: dict, out_dir: str | None) -> None:
@@ -45,8 +41,7 @@ def _emit(report: dict, out_dir: str | None) -> None:
 
 
 def _run_entries(cfg: ExperimentConfig, entries, jobs: int, out_dir: str | None) -> int:
-    ctx = _context(cfg)
-    records = run_checks(ctx, entries, jobs=jobs)
+    records = run_checks(cfg.context(), entries, jobs=jobs)
     for rec in records:
         status = "PASS" if rec.passed else "FAIL"
         raised = rec.details.get("error_type")
@@ -112,9 +107,7 @@ def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to a JSON experiment config")
     common.add_argument("--out", help="output directory for report artifacts")
-    common.add_argument("--jobs", type=int,
-                        default=int(os.environ.get("MORREYLAB_JOBS", "1")),
-                        help="parallel check workers (env: MORREYLAB_JOBS)")
+    common.add_argument("--jobs", type=int, default=1, help="parallel check workers")
     common.add_argument("--seed", type=int, default=None, help="override the config seed")
     common.add_argument("--check", action="append", default=None,
                         help="restrict to named checks (repeatable)")

@@ -10,7 +10,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .checks import CHECKS, record_name
+from .checks import CHECKS, CheckContext, record_name
+from .grids import _check_points
 from .indices import ProblemDims
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "validate_config", "DEFAULT_CONFIG"]
@@ -67,6 +68,16 @@ def _string(v, path):
     return v
 
 
+def _grid_points(v, path):
+    """Points per grid axis, by the rule every GridFunction enforces."""
+    n = _integer()(v, path)
+    try:
+        _check_points(n)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    return n
+
+
 def _optional_string(v, path):
     if v is None:
         return None
@@ -93,6 +104,10 @@ class ExperimentConfig:
             "output_dir": self.output_dir,
         }
 
+    def context(self) -> CheckContext:
+        """The context every check of this config runs in."""
+        return CheckContext(dims=self.dims, n=self.n, L=self.L, seed=self.seed)
+
 
 DEFAULT_CONFIG = {
     "version": SCHEMA_VERSION,
@@ -115,7 +130,7 @@ def validate_config(raw: dict, path: str = "config") -> ExperimentConfig:
             "mu": (False, _number(1e-9, 1.0)),
         }, p)),
         "grid": (False, lambda v, p: _require_keys(v, {
-            "n": (False, _integer(8)),
+            "n": (False, _grid_points),
             "L": (False, _number(1e-9)),
         }, p)),
         "checks": (False, _check_list),

@@ -367,36 +367,6 @@ class Trajectory:
         j = int(np.argmin(np.abs(self.times - t)))
         return j if abs(self.times[j] - t) <= 1e-12 * max(1.0, t) else None
 
-    def export(self, directory) -> None:
-        """Write node grids as binaries plus a manifest of the solve."""
-        import json
-        import os
-
-        os.makedirs(directory, exist_ok=True)
-        names = []
-        for k, state in enumerate(self.states):
-            name = f"state_{k:04d}.grid"
-            state.save(os.path.join(directory, name))
-            names.append(name)
-        manifest = {
-            "times": [repr(float(t)) for t in self.times],
-            "states": names,
-            "gamma": list(self.gamma.as_tuple()),
-            "alpha": list(self.alpha.as_tuple()),
-            "theta": self.theta,
-            "predicted_ratio": self.predicted_ratio,
-            "residual_history": list(self.residual_history),
-            "tolerance_estimate": self.tolerance_estimate,
-            "config": {
-                "horizon": self.config.horizon,
-                "nodes": self.config.nodes,
-                "grading": self.config.grading,
-                "picard_tol": self.config.picard_tol,
-            },
-        }
-        with open(os.path.join(directory, "manifest.json"), "w") as fh:
-            json.dump(manifest, fh, indent=1, sort_keys=True)
-
 
 def _alpha_norm(alpha: ScaleIndex, dims: ProblemDims, grid: GridFunction):
     """Norm of one state in the working space X^alpha (the half-node error

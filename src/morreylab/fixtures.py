@@ -10,23 +10,13 @@ import numpy as np
 
 from .grids import GridFunction
 
-__all__ = ["gaussian_bump", "half_box_indicator", "power_law"]
+__all__ = ["gaussian_bump", "power_law"]
 
 
 def gaussian_bump(N: int, n: int, L: float, width: float = 1.0) -> GridFunction:
     g = GridFunction.constant(0.0, N, n, L)
     r = g.radii()
     return GridFunction(N, n, L, np.exp(-((r / width) ** 2)))
-
-
-def half_box_indicator(N: int, n: int, L: float) -> GridFunction:
-    g = GridFunction.constant(0.0, N, n, L)
-    ax = g.axis()
-    if N == 1:
-        vals = (ax >= 0.0).astype(float)
-    else:
-        vals = np.broadcast_to((ax >= 0.0).astype(float)[:, None], (n, n)).copy()
-    return GridFunction(N, n, L, vals)
 
 
 def power_law(N: int, n: int, L: float, beta: float = 0.5, amplitude: float = 1.0,

@@ -11,9 +11,9 @@ the spaces; smoothing from gamma to gamma' costs a factor
 t^{-(gamma2 - gamma'2)}.  This module implements the exact membership
 predicates for the admissible-data and reachable-target sets of the
 perturbed evolution, the canonical choice of the working index alpha,
-bootstrap chains, exponential-type formulas, the two-potential
-continuous-dependence region, and the convex tangent construction used
-to route chains around that region's curved boundary.
+the two-potential continuous-dependence region with its star-shaped
+joint-admissibility region, and the convex exterior-tangent
+construction.
 
 All comparisons use an absolute tolerance band of 1e-12 per inequality
 so that queries sitting exactly on a region boundary do not flip with
@@ -39,16 +39,12 @@ __all__ = [
     "in_triangle",
     "regularity",
     "smoothing_distance",
-    "smooths_to",
     "sub_triangle_contains",
     "existence_set_contains",
     "regularity_set_contains",
     "sigma_contains",
     "choose_alpha",
     "star_theta",
-    "bootstrap_chain",
-    "theta_p",
-    "omega_bound",
     "cd2_region_contains",
     "star_region_contains",
     "boundary_h",
@@ -235,17 +231,6 @@ def smoothing_distance(target: ScaleIndex, source: ScaleIndex) -> float:
     return regularity(target) - regularity(source)
 
 
-def smooths_to(gamma: ScaleIndex, target: ScaleIndex) -> bool:
-    """Whether the base evolution smooths X^gamma into X^target.
-
-    Requires target2 <= gamma2 and slope(target) <= slope(gamma); the
-    origin therefore accepts only the origin.
-    """
-    if gamma.is_origin:
-        return target.is_origin
-    return _le(target.gamma2, gamma.gamma2) and _le(target.slope, gamma.slope)
-
-
 def sub_triangle_contains(gamma: ScaleIndex, cls: PotentialClass) -> bool:
     """The sub-triangle of indices with slope at most that of the class.
 
@@ -340,64 +325,6 @@ def choose_alpha(gamma: ScaleIndex, classes) -> ScaleIndex:
                 f"the joint admissibility system for class {cls.params}"
             )
     return alpha
-
-
-def bootstrap_chain(gamma: ScaleIndex, target: ScaleIndex, step: float = 0.5):
-    """Finite descent from gamma to target along the straight segment.
-
-    Nodes drop gamma2 by at most `step` per hop (full steps, remainder
-    last), so each consecutive pair is again a valid smoothing hop with
-    regularity loss below one.  M is minimal for the given step.
-    """
-    if not (0.0 < step < 1.0):
-        raise ValueError("step must lie in (0, 1)")
-    if not smooths_to(gamma, target):
-        raise ValueError(f"{gamma} does not smooth to {target}")
-    if abs(gamma.gamma1 - target.gamma1) <= TOL and abs(gamma.gamma2 - target.gamma2) <= TOL:
-        return [gamma]
-    drop = gamma.gamma2 - target.gamma2
-    if drop <= step + TOL:
-        return [gamma, target]
-    hops = int(math.ceil(drop / step - TOL))
-    heights = [gamma.gamma2 - j * step for j in range(hops)] + [target.gamma2]
-    chain = []
-    for v in heights:
-        tau = (v - target.gamma2) / drop  # 1 at gamma, 0 at target
-        g1 = target.gamma1 + tau * (gamma.gamma1 - target.gamma1)
-        chain.append(ScaleIndex(g1, v))
-    return chain
-
-
-def theta_p(entries) -> float:
-    """Exponential-type increment sum_i (c_i Gamma(1-d_i) norm_i)^{1/(1-d_i)}.
-
-    entries: iterable of (d_i, norm_i, c_i) with each d_i in [0, 1).
-    """
-    total = 0.0
-    for d, norm, c in entries:
-        if not (0.0 <= d < 1.0):
-            raise ValueError(f"regularity gap d={d} must lie in [0, 1)")
-        if norm < 0.0 or c <= 0.0:
-            raise ValueError("norms must be >= 0 and constants > 0")
-        total += (c * math.gamma(1.0 - d) * norm) ** (1.0 / (1.0 - d))
-    return total
-
-
-def omega_bound(cls, norm, c: float = 1.0) -> float:
-    """Exponential growth bound c * norm^{1/(1-kappa)}.
-
-    Accepts a single class/norm or matching sequences, in which case the
-    per-class contributions are summed.
-    """
-    if isinstance(cls, PotentialClass):
-        cls, norm = [cls], [norm]
-    total = 0.0
-    for one, nv in zip(list(cls), list(norm), strict=True):
-        kappa = one.kappa
-        if not _lt(kappa, 1.0):
-            raise ValueError(f"kappa={kappa:.6g} >= 1: no exponential bound available")
-        total += float(nv) ** (1.0 / (1.0 - kappa))
-    return c * total
 
 
 def _sorted_pair(classes):

@@ -1,4 +1,4 @@
-"""Discrete Morrey, uniform-Lebesgue, and measure-norm estimators.
+"""Discrete Morrey and uniform-Lebesgue norm estimators.
 
 The sup over ball centers and radii is discretized by a geometric
 radius ladder and strided centers, so every estimator here is a lower
@@ -25,16 +25,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grids import AtomicMeasure, GridFunction, wrap_offsets
+from .grids import GridFunction, wrap_offsets
 
 __all__ = [
     "RadiusLadder",
     "lp_ball_norm",
     "morrey_norm",
     "uniform_norm",
-    "MeasureNorm",
-    "measure_morrey_norm",
-    "translation_modulus",
     "HolderCheck",
     "holder_product_check",
 ]
@@ -270,57 +267,6 @@ def uniform_norm(phi: GridFunction, p: float, stride: int = 4) -> float:
     if phi.L < 1.0:
         raise ValueError("uniform norm needs a box with L >= 1")
     return morrey_norm(phi, p, float(phi.N), RadiusLadder((1.0,), stride))
-
-
-class MeasureNorm(NamedTuple):
-    value: float
-    diverging: bool
-
-
-def measure_morrey_norm(mu: AtomicMeasure, ell: float, g: GridFunction,
-                        ladder: RadiusLadder | None = None) -> MeasureNorm:
-    """max over the ladder of R^{ell-N} |mu|(B(x0, R)) for an atomic measure.
-
-    Centers run over atom locations and strided grid points.  For
-    ell < N a point mass makes the sup diverge as R_min shrinks; the
-    value at R_min is then reported with the diverging flag set.
-    """
-    if not (0.0 < ell <= mu.N + 1e-12):
-        raise ValueError(f"ell={ell} outside (0, N]")
-    if not mu.atoms:
-        return MeasureNorm(0.0, False)
-    if ladder is None:
-        ladder = RadiusLadder.for_grid(g)
-    locs = mu.locations()
-    w = np.abs(mu.weights())
-    ax = g.axis()[:: ladder.stride]
-    if mu.N == 1:
-        centers = ax[:, None]
-    else:
-        X, Y = np.meshgrid(ax, ax, indexing="ij")
-        centers = np.stack([X.ravel(), Y.ravel()], axis=-1)
-    centers = np.concatenate([centers, locs], axis=0)
-    d = wrap_offsets(centers[:, None, :] - locs[None, :, :], g.L)
-    dist = np.abs(d[..., 0]) if mu.N == 1 else np.sqrt(np.sum(d * d, axis=-1))
-    best, best_r = 0.0, None
-    for R in ladder.radii:
-        masses = (dist <= R + 1e-12) @ w
-        val = float(masses.max()) * R ** (ell - mu.N)
-        if val > best:
-            best, best_r = val, R
-    diverging = best_r is not None and best_r == ladder.radii[0] and ell < mu.N - 1e-12 and best > 0.0
-    return MeasureNorm(best, diverging)
-
-
-def translation_modulus(phi: GridFunction, p: float, ell: float, y,
-                        ladder: RadiusLadder | None = None) -> float:
-    """Morrey norm of tau_y(phi) - phi for a grid shift y (multiple of h)."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    cells = y / phi.h
-    if np.max(np.abs(cells - np.round(cells))) > 1e-9:
-        raise ValueError("translation must be a whole number of grid cells")
-    shifted = phi.shifted(tuple(int(c) for c in np.round(cells)))
-    return morrey_norm(shifted - phi, p, ell, ladder)
 
 
 class HolderCheck(NamedTuple):

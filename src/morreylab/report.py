@@ -17,8 +17,7 @@ import time
 import numpy as np
 import scipy
 
-__all__ = ["build_report", "report_to_json", "report_from_json", "write_csv",
-           "write_decay_table", "report_hash"]
+__all__ = ["build_report", "report_to_json", "report_from_json", "write_csv", "report_hash"]
 
 
 def _fmt(x):
@@ -122,13 +121,3 @@ def write_csv(report: dict, path) -> None:
             for key, value in _flatten(rec["details"]):
                 writer.writerow([rec["name"], "", key, value])
 
-
-def write_decay_table(path, times, norms, predicted_slope: float, anchor: float) -> None:
-    """Gnuplot-ready columns: t, measured norm, predicted power law."""
-    times = np.asarray(times, dtype=float)
-    norms = np.asarray(norms, dtype=float)
-    with open(path, "w") as fh:
-        fh.write("# t norm predicted\n")
-        for t, v in zip(times, norms):
-            pred = anchor * t**predicted_slope
-            fh.write(f"{t:.17g} {v:.17g} {pred:.17g}\n")

@@ -35,7 +35,6 @@ from .semigroup import SymbolSpec, apply_semigroup, pseudoresolvent
 __all__ = [
     "FitResult",
     "fit_decay",
-    "smoothing_certificate",
     "omega_scaling",
     "continuous_dependence_check",
     "OracleDisagreement",
@@ -99,31 +98,6 @@ def predicted_rate(src: MorreyParams, dst: MorreyParams, dims: ProblemDims) -> f
     lp = 0.0 if src.p == math.inf else src.ell / src.p
     sq = 0.0 if dst.p == math.inf else dst.ell / dst.p
     return -(lp - sq) / dims.order
-
-
-def smoothing_certificate(states, times, u0: GridFunction, src: MorreyParams,
-                          dst: MorreyParams, dims: ProblemDims, a: float = 0.0,
-                          tolerance: float = 0.10) -> FitResult:
-    """sup_t t^d e^{-a t} ||u(t)||_dst / ||u0||_src plus the decay fit.
-
-    Refuses target pairs violating the smoothing hypotheses s <= ell and
-    s/q <= ell/p, naming the violated inequality.
-    """
-    if dst.p != math.inf:
-        if not dst.ell <= src.ell + TOL:
-            raise ValueError(f"hypothesis violated: s = {dst.ell} > ell = {src.ell}")
-        sq = dst.ell / dst.p
-        lp = 0.0 if src.p == math.inf else src.ell / src.p
-        if not sq <= lp + TOL:
-            raise ValueError(f"hypothesis violated: s/q = {sq} > ell/p = {lp}")
-    d = -predicted_rate(src, dst, dims)
-    t = np.asarray(times, dtype=float)
-    norms = np.array([morrey_norm(g, dst.p, dst.ell) for g in states])
-    denom = morrey_norm(u0, src.p, src.ell)
-    weighted = t**d * np.exp(-a * t) * norms / denom
-    fit = fit_decay(t, norms, predicted_rate(src, dst, dims), tolerance)
-    return replace(fit, extra={"sup_constant": float(weighted.max()),
-                               "weighted": weighted.tolist()})
 
 
 def evolve_norms(u0: GridFunction, potentials, dims: ProblemDims, symbol: SymbolSpec,

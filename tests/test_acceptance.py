@@ -1,25 +1,22 @@
 """Acceptance gate: one test per contract criterion, at pinned tolerances.
 
-The full check registry runs once (shared across criteria); each test
-prints its own PASS/FAIL line so the gate reads as a checklist.
+The default config runs once, as `morreylab run` runs it (shared across
+criteria); each test prints its own PASS/FAIL line so the gate reads as
+a checklist.
 """
 
 import pytest
 
-from morreylab.checks import CHECKS, default_context, run_checks
+from morreylab.checks import run_checks
 from morreylab.config import DEFAULT_CONFIG, validate_config
 from morreylab.report import build_report, report_hash
 
-ENTRIES = [(name, {}) for name in CHECKS] + [
-    ("selfsimilar_collapse", {"m": 2, "tol": 1e-2}),
-]
+CFG = validate_config(DEFAULT_CONFIG)
 
 
 @pytest.fixture(scope="module")
 def records():
-    ctx = default_context(seed=0)
-    recs = run_checks(ctx, ENTRIES)
-    return {r.name: r for r in recs}
+    return {r.name: r for r in run_checks(CFG.context(), CFG.checks)}
 
 
 def _criterion(num, label, passed, detail=""):
@@ -133,13 +130,11 @@ def test_c11_pseudoresolvent(records):
 
 
 def test_c12_determinism(records):
-    cfg = validate_config(DEFAULT_CONFIG)
     first = build_report(
-        [records[n] for n in sorted(records)], cfg.echo(), 0)
-    ctx = default_context(seed=0)
-    again = run_checks(ctx, ENTRIES)
+        [records[n] for n in sorted(records)], CFG.echo(), 0)
+    again = run_checks(CFG.context(), CFG.checks)
     second = build_report(
-        [{r.name: r for r in again}[n] for n in sorted(records)], cfg.echo(), 0)
+        [{r.name: r for r in again}[n] for n in sorted(records)], CFG.echo(), 0)
     same = report_hash(first) == report_hash(second)
     _criterion(12, "determinism", same,
                f"hash {report_hash(first)[:12]} reproduced")

@@ -130,16 +130,6 @@ def test_csv_export(tmp_path):
     assert any("1.2344999999999999" in ln or "1.2345" in ln for ln in lines)
 
 
-def test_decay_table(tmp_path):
-    from morreylab.report import write_decay_table
-
-    path = tmp_path / "decay.dat"
-    write_decay_table(path, [0.1, 0.2], [1.0, 0.7], -0.5, 1.0)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].startswith("#")
-    assert len(lines[1].split()) == 3
-
-
 # -- CLI surface --------------------------------------------------------------------
 
 
@@ -221,14 +211,14 @@ def test_run_checks_times_each_check(monkeypatch):
     """run_checks measures each check's duration; checks do not time themselves."""
     import time
 
-    from morreylab.checks import CHECKS, default_context, run_checks
+    from morreylab.checks import CHECKS, run_checks
 
     def slow(ctx):
         time.sleep(0.05)
         return CheckRecord("slow", True, {})
 
     monkeypatch.setitem(CHECKS, "slow", slow)
-    (rec,) = run_checks(default_context(), [("slow", {})])
+    (rec,) = run_checks(validate_config(TINY).context(), [("slow", {})])
     assert rec.passed and rec.duration >= 0.05
 
 
@@ -342,12 +332,10 @@ def test_golden_fixture_csv(tmp_path):
     """First-blessed golden roll-up for the tiny deterministic fixture."""
     from pathlib import Path
 
-    from morreylab.checks import CheckContext, run_checks
-    from morreylab.config import validate_config
+    from morreylab.checks import run_checks
 
     cfg = validate_config(TINY)
-    ctx = CheckContext(dims=cfg.dims, n=cfg.n, L=cfg.L, seed=cfg.seed)
-    records = run_checks(ctx, list(cfg.checks))
+    records = run_checks(cfg.context(), list(cfg.checks))
     report = build_report(records, cfg.echo(), cfg.seed)
     fresh = tmp_path / "fresh.csv"
     write_csv(report, fresh)
@@ -401,3 +389,70 @@ def test_cli_regions_protocol_golden(tmp_path, capsys):
         pairs = zip(fresh.splitlines(), golden.splitlines())
         first = next((i for i, (a, b) in enumerate(pairs, 1) if a != b), None)
         pytest.fail(f"protocol output differs from the golden file (first at line {first})")
+
+
+# -- surface hygiene ------------------------------------------------------------------
+
+
+def test_jobs_ignores_environment(tmp_path, monkeypatch):
+    """--jobs has a constant default: no environment variable is read, so
+    a malformed one cannot break argument parsing."""
+    monkeypatch.setenv("MORREYLAB_JOBS", "abc")
+    cfg = {**TINY, "checks": [{"name": "tangent"}]}
+    assert main(["run", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 0
+
+
+def test_config_rejects_grid_size_no_grid_takes(tmp_path, capsys):
+    """grid.n follows the GridFunction size rule (a power of two >= 8), so a
+    size no check could use is a config error, not a FAIL per check."""
+    for n in (100, 4):
+        bad = {**TINY, "grid": {"n": n, "L": 8.0}}
+        with pytest.raises(ConfigError, match=r"config\.grid\.n"):
+            validate_config(bad)
+        assert main(["run", "--config", write_cfg(tmp_path, bad)]) == 2
+        err = capsys.readouterr().err
+        assert "config.grid.n" in err and "[FAIL]" not in err
+
+
+# Public names no src/ code reads, each kept for a stated reason.
+KEEPERS = {
+    "existence_set_contains": "the paper's existence set, one half of sigma_contains",
+    "regularity_set_contains": "the paper's regularity set, the other half of sigma_contains",
+    "singular_convolve": "the Duhamel integral by product weights, on arbitrary payloads",
+    "cd2_region_contains": "the (p, ell) reference the star-region test checks against",
+    "symbol_from_coefficients": "the only route to elliptic symbols beyond the presets",
+    "lp_ball_norm": "the benchmark tracer wraps it by name",
+    "report_hash": "the determinism hash the benchmark compares across runs",
+    "tabulated_potential": "the route to the first stage's real-potential guard",
+}
+
+
+def test_every_public_name_has_a_src_caller():
+    """Every public top-level function or class of src/ (and every public
+    method of such a class) is read somewhere in src/, or is a keeper."""
+    import ast
+    from pathlib import Path
+
+    import morreylab
+
+    used, public = set(), {}
+    for path in sorted(Path(morreylab.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+        defs = (ast.FunctionDef, ast.ClassDef)
+        for node in tree.body:
+            if isinstance(node, defs) and not node.name.startswith("_"):
+                public[node.name] = path.stem
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                        public[sub.name] = f"{path.stem}.{node.name}"
+    unread = {name: where for name, where in public.items() if name not in used}
+    assert {n: w for n, w in unread.items() if n not in KEEPERS} == {}
+    assert set(KEEPERS) == set(unread), "a keeper is gone or now has a src caller"

@@ -422,18 +422,6 @@ def test_evaluate_small_time_matches_base(const_traj, sym, bump):
     assert np.max(np.abs(out.values - base.values)) < 5e-3
 
 
-def test_trajectory_export(tmp_path, const_traj):
-    d = tmp_path / "traj"
-    const_traj.export(d)
-    import json
-
-    manifest = json.loads((d / "manifest.json").read_text())
-    assert len(manifest["states"]) == const_traj.config.nodes
-    assert manifest["theta"] == const_traj.theta
-    first = GridFunction.load(d / manifest["states"][0])
-    assert np.allclose(first.values, const_traj.states[0].values)
-
-
 def test_2d_constant_potential_spot_check():
     sym2 = laplacian_power_symbol(2, 64, 8.0, 1)
     bump2 = gaussian_bump(2, 64, 8.0)

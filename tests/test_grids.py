@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from morreylab.grids import AtomicMeasure, GridFunction
+from morreylab.grids import GridFunction
 
 
 def test_geometry():
@@ -34,12 +34,6 @@ def test_values_frozen():
         g.values[0] = 2.0
 
 
-def test_shift_roundtrip():
-    rng = np.random.default_rng(0)
-    g = GridFunction(1, 32, 1.0, rng.normal(size=32))
-    assert np.array_equal(g.shifted(5).shifted(-5).values, g.values)
-
-
 def test_arithmetic_and_mismatch():
     a = GridFunction.constant(2.0, 1, 16, 1.0)
     b = GridFunction.constant(3.0, 1, 16, 1.0)
@@ -50,40 +44,3 @@ def test_arithmetic_and_mismatch():
     with pytest.raises(ValueError):
         a + c
 
-
-def test_binary_roundtrip(tmp_path):
-    rng = np.random.default_rng(3)
-    for N, n in ((1, 64), (2, 16)):
-        g = GridFunction(N, n, 2.5, rng.normal(size=(n,) * N))
-        path = tmp_path / f"g{N}.grid"
-        g.save(path)
-        back = GridFunction.load(path)
-        assert back.N == g.N and back.n == g.n and back.L == g.L
-        assert np.array_equal(back.values, g.values)
-
-
-def test_binary_header_is_little_endian_64bit(tmp_path):
-    g = GridFunction.constant(0.0, 1, 8, 1.0)
-    blob = g.to_bytes()
-    assert int.from_bytes(blob[0:8], "little") == 1
-    assert int.from_bytes(blob[8:16], "little") == 8
-    assert np.frombuffer(blob[16:24], dtype="<f8")[0] == 1.0
-    assert len(blob) == 24 + 8 * 8
-
-
-def test_csv_export(tmp_path):
-    g = GridFunction.constant(1.5, 1, 8, 1.0)
-    path = tmp_path / "g.csv"
-    g.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x,value"
-    assert len(lines) == 9
-
-
-def test_atomic_measure():
-    mu = AtomicMeasure(1, 2.0, (((0.5,), 1.0), ((-1.0,), -2.0)))
-    assert mu.total_variation() == pytest.approx(3.0)
-    with pytest.raises(ValueError):
-        AtomicMeasure(1, 2.0, (((2.0,), 1.0),))  # on/after the seam
-    empty = AtomicMeasure(2, 1.0, ())
-    assert empty.total_variation() == 0.0

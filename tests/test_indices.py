@@ -11,24 +11,20 @@ from morreylab.indices import (
     ProblemDims,
     ScaleIndex,
     boundary_h,
-    bootstrap_chain,
     cd2_region_contains,
     choose_alpha,
     exterior_tangent,
     existence_set_contains,
     from_index,
     in_triangle,
-    omega_bound,
     out_reason,
     region_report,
     regularity,
     regularity_set_contains,
     sigma_contains,
     smoothing_distance,
-    smooths_to,
     star_region_contains,
     sub_triangle_contains,
-    theta_p,
     to_index,
 )
 
@@ -99,36 +95,6 @@ def test_regularity_and_distance(dims1):
     g = to_index(MorreyParams(1, 1), dims1)
     assert smoothing_distance(ScaleIndex(0, 0), g) == pytest.approx(0.5)
     assert smoothing_distance(g, g) == 0.0
-
-
-# -- smoothing relation --------------------------------------------------------
-
-
-def test_smooths_to_examples():
-    assert smooths_to(ScaleIndex(1, 0.5), ScaleIndex(0.5, 0.25))
-    assert not smooths_to(ScaleIndex(1, 0.5), ScaleIndex(0.5, 0.4))  # slope 0.8 > 0.5
-    g = ScaleIndex(0.7, 0.3)
-    assert smooths_to(g, g)
-    assert smooths_to(ScaleIndex(0, 0), ScaleIndex(0, 0))
-    assert not smooths_to(ScaleIndex(0, 0), ScaleIndex(0.5, 0.25))
-
-
-def test_smooths_to_reflexive_transitive(dims1, rng):
-    cap = dims1.slope_cap
-    pts = []
-    while len(pts) < 60:
-        g1, g2 = rng.uniform(0, 1), rng.uniform(0, cap)
-        if g2 <= cap * g1 and g1 > 0:
-            pts.append(ScaleIndex(g1, g2))
-    count = 0
-    for a in pts:
-        assert smooths_to(a, a)
-        for b in pts:
-            for c in pts:
-                if smooths_to(a, b) and smooths_to(b, c):
-                    assert smooths_to(a, c)
-                    count += 1
-    assert count >= 10_000  # enough triples actually exercised
 
 
 # -- admissibility sets -------------------------------------------------------
@@ -206,68 +172,6 @@ def test_choose_alpha_two_classes_star(dims1):
     if not star_region_contains(outside, [c0, c1]):
         with pytest.raises(ValueError):
             choose_alpha(outside, [c0, c1])
-
-
-# -- bootstrap chains ----------------------------------------------------------
-
-
-def test_bootstrap_chain_examples():
-    g, t = ScaleIndex(1.0, 2.0), ScaleIndex(0.15, 0.3)
-    chain = bootstrap_chain(g, t, step=0.5)
-    assert [round(c.gamma2, 10) for c in chain] == [2.0, 1.5, 1.0, 0.5, 0.3]
-    assert len(chain) == 5
-    assert bootstrap_chain(g, g, 0.5) == [g]
-    short = bootstrap_chain(ScaleIndex(1.0, 0.5), ScaleIndex(0.5, 0.2), 0.5)
-    assert len(short) == 2
-
-
-def test_bootstrap_chain_hops(dims2, rng):
-    cap = dims2.slope_cap
-    for _ in range(200):
-        g = ScaleIndex(rng.uniform(0.05, 1), 0.0)
-        g = ScaleIndex(g.gamma1, rng.uniform(0, cap * g.gamma1))
-        t = ScaleIndex(rng.uniform(0.05, 1), 0.0)
-        t = ScaleIndex(t.gamma1, rng.uniform(0, min(cap * t.gamma1, g.gamma2)))
-        if not (in_triangle(g, dims2) and in_triangle(t, dims2) and smooths_to(g, t)):
-            continue
-        step = rng.uniform(0.2, 0.9)
-        chain = bootstrap_chain(g, t, step)
-        for a, b in zip(chain, chain[1:]):
-            assert a.gamma2 - b.gamma2 <= step + 1e-12
-            assert smooths_to(a, b)
-        drop = g.gamma2 - t.gamma2
-        minimal = 1 if drop == 0 and g == t else max(1, math.ceil(drop / step - 1e-12)) + 1
-        assert len(chain) <= minimal
-
-
-def test_bootstrap_chain_requires_smoothing():
-    with pytest.raises(ValueError):
-        bootstrap_chain(ScaleIndex(1.0, 0.5), ScaleIndex(0.5, 0.4), 0.5)
-
-
-# -- scalar formulas -----------------------------------------------------------
-
-
-def test_theta_p_examples():
-    assert theta_p([(0.0, 3.0, 1.0)]) == pytest.approx(3.0)
-    assert theta_p([(0.3, 0.0, 1.0), (0.7, 0.0, 2.0)]) == 0.0
-    # c Gamma(1-d) norm = 2 with d = 1/2 -> 2^2 = 4
-    assert theta_p([(0.5, 2.0 / math.gamma(0.5), 1.0)]) == pytest.approx(4.0)
-    with pytest.raises(ValueError):
-        theta_p([(1.0, 1.0, 1.0)])
-
-
-def test_omega_bound_examples(dims1):
-    c_half = cls(1.0, 1.0, dims1)  # kappa = 0.5
-    assert omega_bound(c_half, 0.0) == 0.0
-    assert omega_bound(c_half, 2.0, 1.0) == pytest.approx(4.0)
-    c_zero = cls(math.inf, 1.0, dims1)  # kappa = 0
-    assert omega_bound(c_zero, 5.0, 1.0) == pytest.approx(5.0)
-    both = omega_bound([c_half, c_zero], [2.0, 5.0], 1.0)
-    assert both == pytest.approx(9.0)
-    bad = cls(1.0, 1.0, ProblemDims(1, 1, 0.5))  # kappa = 1
-    with pytest.raises(ValueError):
-        omega_bound(bad, 1.0)
 
 
 # -- two-potential regions -----------------------------------------------------

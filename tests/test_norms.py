@@ -8,15 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morreylab import norms
-from morreylab.fixtures import gaussian_bump, half_box_indicator, power_law
-from morreylab.grids import AtomicMeasure, GridFunction
+from morreylab.fixtures import gaussian_bump, power_law
+from morreylab.grids import GridFunction
 from morreylab.norms import (
     RadiusLadder,
     holder_product_check,
     lp_ball_norm,
-    measure_morrey_norm,
     morrey_norm,
-    translation_modulus,
     uniform_norm,
 )
 
@@ -277,52 +275,6 @@ def test_uniform_matches_unit_ball_reference(rng, N, n, stride):
     for p in (1.0, 2.0, 3.0):
         assert uniform_norm(phi, p, stride) == pytest.approx(
             strided_reference(phi, p, float(N), RadiusLadder((1.0,), stride)), rel=1e-12)
-
-
-# -- measure norms ---------------------------------------------------------------
-
-
-def test_measure_norm_examples():
-    g = GridFunction.constant(0.0, 1, 4096, 8.0)
-    one_atom = AtomicMeasure(1, 8.0, (((0.0,), 1.0),))
-    at_n = measure_morrey_norm(one_atom, 1.0, g)
-    assert at_n.value == pytest.approx(1.0) and not at_n.diverging
-    below = measure_morrey_norm(one_atom, 0.5, g)
-    ladder = RadiusLadder.for_grid(g)
-    assert below.value == pytest.approx(ladder.radii[0] ** -0.5)
-    assert below.diverging
-    empty = measure_morrey_norm(AtomicMeasure(1, 8.0, ()), 1.0, g)
-    assert empty.value == 0.0 and not empty.diverging
-
-
-def test_measure_norm_two_atoms():
-    g = GridFunction.constant(0.0, 1, 1024, 8.0)
-    mu = AtomicMeasure(1, 8.0, (((-1.0,), 1.0), ((1.0,), 2.0)))
-    rep = measure_morrey_norm(mu, 1.0, g)
-    assert rep.value == pytest.approx(3.0)  # a large ball captures both
-
-
-# -- translations -----------------------------------------------------------------
-
-
-def test_translation_modulus_examples():
-    hb = half_box_indicator(1, 4096, 1.0)
-    assert translation_modulus(hb, 1.0, 1.0, 0.0) == 0.0
-    h = hb.h
-    for k in (4, 8, 16):
-        # two strips of width k h appear on the torus: mass 2 k h
-        assert translation_modulus(hb, 1.0, 1.0, k * h) == pytest.approx(2 * k * h, abs=h)
-    with pytest.raises(ValueError):
-        translation_modulus(hb, 1.0, 1.0, 0.5 * h)
-
-
-def test_translation_modulus_smooth_is_linear():
-    bump = gaussian_bump(1, 2048, 8.0)
-    h = bump.h
-    vals = [translation_modulus(bump, 2.0, 1.0, k * h) for k in (2, 4, 8)]
-    # halving the shift halves the modulus for smooth data
-    assert vals[1] / vals[0] == pytest.approx(2.0, rel=0.05)
-    assert vals[2] / vals[1] == pytest.approx(2.0, rel=0.05)
 
 
 # -- product inequality -----------------------------------------------------------
