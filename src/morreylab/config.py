@@ -131,7 +131,7 @@ def validate_config(raw: dict, path: str = "config") -> ExperimentConfig:
         }, p)),
         "grid": (False, lambda v, p: _require_keys(v, {
             "n": (False, _grid_points),
-            "L": (False, _number(1e-9)),
+            "L": (False, _number(1.0)),  # the locally uniform norm needs a unit ball
         }, p)),
         "checks": (False, _check_list),
         "output_dir": (False, _optional_string),

@@ -15,9 +15,9 @@ The joint solve sums Fourier multipliers in hat space, one matrix
 product per frequency, with real transforms for real data.
 Two-potential evolutions can also be built sequentially, one
 perturbation at a time: the first-stage propagator over one time step is
-the engine's fixed point with the identity matrix as datum, and the
-second stage reaches every lag with powers of it (the semigroup
-property).
+the exponential of the symmetric discrete generator, from one
+eigendecomposition, and the second stage reaches every lag with powers
+of it (the semigroup property) inside the sweep engine.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammaln
 
 from .grids import GridFunction
 from .indices import (
@@ -54,12 +53,9 @@ __all__ = [
     "time_grid",
 ]
 
-# first-stage sub-steps on [0, t_1], and the most memory its working set
-# may take: four stacks of _SUB_NODES + 1 real n x n matrices, base and
-# iterate throughout and two more within a sweep (weighted data and their
-# half-spectrum hats, the hats and their product with G, or the new
-# iterate and its update)
-_SUB_NODES = 32
+# the most memory the first-stage propagator may take: four real n x n
+# matrices (the generator, its eigenvectors, the scaled eigenvectors and
+# their product)
 _FIRST_STAGE_MAX_BYTES = 3 * 2**30
 # the most memory the history operator of one solve may take
 _HISTORY_MAX_BYTES = 2**30
@@ -127,6 +123,7 @@ def contraction_bound(theta: float, T: float, d_list, d_gamma: float,
     namely min over q in (1, q_max] of
     theta^{-1/q'} T^{1/q - d_i} q'^{-1/q'} B(1 - q d_i, 1 - q d_gamma)^{1/q}.
     """
+    from scipy.special import gammaln  # on use: commands that never solve skip it
     if not 0.0 <= d_gamma < 1.0:
         raise ValueError(f"d(alpha, gamma) = {d_gamma} must lie in [0, 1)")
     bounds = []
@@ -252,9 +249,8 @@ def _sweep(u0, base, tables, d_list, d_gamma: float, times, summer, residual,
 def _fourier_sum(a_mu: np.ndarray, real: bool):
     """History sums in hat space with the multipliers e^{-tau a^mu}.
 
-    The leading a_mu.ndim axes of a state are transformed and any later
-    ones are a batch (the first stage's columns); `real` data, potentials
-    and symbol take the real transforms.  At frequency f the sum over
+    Every axis of a state is transformed; `real` data, potentials and
+    symbol take the real transforms.  At frequency f the sum over
     potentials i and nodes j is one product with the matrix
     G_i[f, k, j] = W_i[k, j] e^{-(t_k - s_j) a^mu(f)}, built once per solve
     (bytes checked first) one lag diagonal j = k + off - lag at a time
@@ -289,16 +285,15 @@ def _fourier_sum(a_mu: np.ndarray, real: bool):
             G[:, :, k, j] = W[:, None, k, j] * np.exp(-np.multiply.outer(a_mu, tau))
 
         def history(nodes):
-            batch = nodes.shape[1 + N:]
             acc = 0.0
             for G_i, tab in zip(G, tables):
-                X = forward(tab * nodes).reshape(J, a_mu.size, -1).transpose(1, 0, 2)
+                X = forward(tab * nodes).reshape(J, a_mu.size, 1).transpose(1, 0, 2)
                 # a real G acts on the real and imaginary parts alike
                 term = (G_i @ X.view(float)).view(complex) if np.isrealobj(G) else G_i @ X
                 del X  # at most two stacks of this size alive at once
                 acc += term
                 del term
-            return inverse(acc.transpose(1, 0, 2).reshape((K,) + spec + batch))
+            return inverse(acc.transpose(1, 0, 2).reshape((K,) + spec))
 
         return history
 
@@ -445,20 +440,22 @@ def picard_solve(u0: GridFunction, potentials, cfg: SolverConfig, gamma: ScaleIn
 # -- sequential (iterated) perturbations --------------------------------------
 
 
-def _propagator_matrices(V: PotentialSpec, cfg: SolverConfig, dims: ProblemDims,
-                         symbol: SymbolSpec, mu: float) -> np.ndarray:
+def _propagator_matrices(V: PotentialSpec, cfg: SolverConfig, symbol: SymbolSpec,
+                         mu: float) -> np.ndarray:
     """S_V(t_1) as a real n x n matrix, 1D grids only.
 
-    The sweep engine runs on _SUB_NODES uniform sub-steps of [0, t_1]
-    with the identity as datum, each column a unit spike, so the columns
-    are a batch that the transforms along axis 0 leave alone.  The spikes
-    are bounded on the grid, so the node rule puts a node at s = 0.  The
-    symbol and the potential must be real; everything then stays real.
+    With a real (even) symbol and a real potential the discrete generator
+    H = diag(V) - F^{-1} diag(a^mu) F is a real symmetric matrix, so
+    S_V(t_1) = e^{t_1 H} = Q e^{t_1 Lambda} Q^T from one symmetric
+    eigendecomposition H = Q Lambda Q^T: exact to roundoff and well
+    conditioned (Moler & Van Loan, SIAM Rev. 45, 2003).  The working set
+    (H, Q, the scaled Q and the product) is checked before any n x n
+    array is built.
     """
     if symbol.N != 1:
         raise ValueError("matrix propagators are only built for 1D grids")
     n = symbol.n
-    need = 4 * (_SUB_NODES + 1) * n * n * 8
+    need = 4 * n * n * 8
     if need > _FIRST_STAGE_MAX_BYTES:
         raise ValueError(f"first-stage propagator at n={n} needs {need} bytes, "
                          f"above the {_FIRST_STAGE_MAX_BYTES}-byte limit")
@@ -467,16 +464,10 @@ def _propagator_matrices(V: PotentialSpec, cfg: SolverConfig, dims: ProblemDims,
     for name, x in (("symbol", a_mu), ("potential", table)):
         if np.iscomplexobj(x) and np.any(x.imag):
             raise ValueError(f"the first-stage propagator needs a real {name} table")
-    a_mu, table = a_mu.real, table.real
-    sub = time_grid(replace(cfg, horizon=float(time_grid(cfg)[0]), nodes=_SUB_NODES))
-    eye = np.eye(n)
-    decay = np.exp(-np.multiply.outer(sub, a_mu[: n // 2 + 1]))
-    base = np.fft.irfft(decay[:, :, None] * np.fft.rfft(eye, axis=0), n, axis=1)
-    mats, _ = _sweep(eye, base, [table[:, None]], [V.potential_class(dims).kappa], 0.0, sub,
-                     _fourier_sum(a_mu, real=True),
-                     lambda change: np.maximum(change.max(axis=(1, 2)), -change.min(axis=(1, 2))),
-                     cfg.picard_tol, cfg.max_sweeps)
-    return mats[-1].copy()
+    H = -np.fft.irfft(a_mu.real[: n // 2 + 1, None] * np.fft.rfft(np.eye(n), axis=0), n, axis=0)
+    H[np.diag_indices(n)] += table.real
+    lam, Q = np.linalg.eigh(0.5 * (H + H.T))
+    return (Q * np.exp(time_grid(cfg)[0] * lam)) @ Q.T
 
 
 def sequential_solve(u0: GridFunction, order, cfg: SolverConfig, gamma: ScaleIndex,
@@ -498,7 +489,7 @@ def sequential_solve(u0: GridFunction, order, cfg: SolverConfig, gamma: ScaleInd
 
     V1, V2 = order
     alpha, d_gamma, d_list = _resolve_indices(order, gamma, dims)
-    U1 = _propagator_matrices(V1, cfg, dims, symbol, mu)
+    U1 = _propagator_matrices(V1, cfg, symbol, mu)
     times = time_grid(cfg)
     theta, predicted = _theta(cfg, V2.measured_norm(u0.N, u0.n, u0.L), d_list[1:], d_gamma)
 

@@ -21,17 +21,18 @@ the applier is never evaluated at zero.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import betainc, gammaln
 
 __all__ = ["product_weights", "singular_convolve", "kernel_moment"]
 
 
 def _log_beta(p: float, q: float) -> float:
+    from scipy.special import gammaln  # on use: commands that build no weights skip it
     return gammaln(p) + gammaln(q) - gammaln(p + q)
 
 
 def kernel_moment(t: float, a: float, b: float, k: int, lo, hi):
     """integral_lo^hi (t-s)^{-a} s^{-b+k} ds via regularized incomplete Beta."""
+    from scipy.special import betainc
     p, q = 1.0 - b + k, 1.0 - a
     lo = np.minimum(np.maximum(np.asarray(lo, dtype=float) / t, 0.0), 1.0)
     hi = np.minimum(np.maximum(np.asarray(hi, dtype=float) / t, 0.0), 1.0)

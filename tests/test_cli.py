@@ -414,6 +414,18 @@ def test_config_rejects_grid_size_no_grid_takes(tmp_path, capsys):
         assert "config.grid.n" in err and "[FAIL]" not in err
 
 
+def test_config_rejects_box_below_unit_ball(tmp_path, capsys):
+    """The locally uniform norm needs a unit ball inside the box, so a
+    half-width grid.L below 1 is a config error, not a FAIL per check."""
+    bad = {**TINY, "grid": {"n": 512, "L": 0.5}}
+    with pytest.raises(ConfigError, match=r"config\.grid\.L"):
+        validate_config(bad)
+    assert main(["run", "--config", write_cfg(tmp_path, bad)]) == 2
+    err = capsys.readouterr().err
+    assert "config.grid.L" in err and "[FAIL]" not in err
+    assert validate_config({**TINY, "grid": {"n": 512, "L": 1.0}}).L == 1.0
+
+
 # Public names no src/ code reads, each kept for a stated reason.
 KEEPERS = {
     "existence_set_contains": "the paper's existence set, one half of sigma_contains",

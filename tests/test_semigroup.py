@@ -372,10 +372,11 @@ def test_trace_to_initial_data(sym1):
 # -- start-up --------------------------------------------------------------------------
 
 
-def test_cli_import_skips_scipy_optimize():
+def test_cli_import_skips_scipy_optimize_and_special():
     src = str(Path(morreylab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, morreylab.cli; print('scipy.optimize' in sys.modules)"
+    code = ("import sys, morreylab.cli; "
+            "print([m in sys.modules for m in ('scipy.optimize', 'scipy.special')])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[False, False]"
