@@ -9,15 +9,16 @@ product-integration rule from `quadrature`, contracting in the weighted
 norm  sup_t e^{-theta t} t^{d(alpha, gamma)} ||phi(t)||_alpha.  theta is
 chosen from the closed-form contraction bound unless fixed by the
 caller.  Every solve runs one sweep engine with one node rule on
-stacked (K, ...) arrays, one state per node; only the history sum
-differs, and one stacked Morrey scan norms all K updates of a sweep.
-The joint solve sums Fourier multipliers in hat space, one matrix
-product per frequency, with real transforms for real data.
-Two-potential evolutions can also be built sequentially, one
-perturbation at a time: the first-stage propagator over one time step is
-the exponential of the symmetric discrete generator, from one
-eigendecomposition, and the second stage reaches every lag with powers
-of it (the semigroup property) inside the sweep engine.
+stacked (K, ...) arrays, one state per node, and one stacked Morrey scan
+norms all K updates of a sweep.  The history sum is taken in a basis
+where the base propagator over tau multiplies coefficient f by
+e^{-tau r(f)}: Fourier modes for the free semigroup (r = a^mu, real
+transforms for real data), or, when perturbations are applied one at a
+time, the eigenbasis H = Q Lambda Q^T of the first one's symmetric
+discrete generator (r = -lambda), which reaches every lag exactly.  On
+a uniform grid with a node at s = 0 the sum is a discrete convolution
+in time, taken by FFT along the node axis; other grids use one matrix
+product per coefficient.
 """
 
 from __future__ import annotations
@@ -53,11 +54,11 @@ __all__ = [
     "time_grid",
 ]
 
-# the most memory the first-stage propagator may take: four real n x n
-# matrices (the generator, its eigenvectors, the scaled eigenvectors and
-# their product)
+# the most memory the first-stage eigendecomposition may take: five real
+# n x n matrices (the generator, its eigenvectors, LAPACK's copy of the
+# generator and its 2 n^2 workspace)
 _FIRST_STAGE_MAX_BYTES = 3 * 2**30
-# the most memory the history operator of one solve may take
+# the most memory the history sum of one solve may take
 _HISTORY_MAX_BYTES = 2**30
 # the doubling ladder of choose_theta, and the nodes of evaluate's short re-solves
 _THETA_MIN = 1.0
@@ -217,9 +218,10 @@ def _sweep(u0, base, tables, d_list, d_gamma: float, times, summer, residual,
 
     `summer(tables, W, conv)` builds, once per solve, the history
     `history(nodes)`: it maps the stacked states at the convolution nodes
-    (u0 first when s = 0 is one) to the stacked sums over j.  The iterate
-    is kept in that stack and updated in place.  `residual(change)` maps
-    the stacked update of a sweep to one weighted norm per node.  Returns
+    (u0 first when s = 0 is one, the same at every call) to the stacked
+    sums over j.  The iterate is kept in that stack and updated in place.
+    `residual(change)` maps the stacked update of a sweep to one weighted
+    norm per node.  Returns
     the states and the per-sweep residuals, and raises on blow-up and when
     max_sweeps run out.
     """
@@ -246,85 +248,96 @@ def _sweep(u0, base, tables, d_list, d_gamma: float, times, summer, residual,
                        f"after {max_sweeps} sweeps")
 
 
-def _fourier_sum(a_mu: np.ndarray, real: bool):
-    """History sums in hat space with the multipliers e^{-tau a^mu}.
+def _spectral_sum(rates: np.ndarray, forward, inverse):
+    """History sums in a basis that diagonalises the base generator.
 
-    Every axis of a state is transformed; `real` data, potentials and
-    symbol take the real transforms.  At frequency f the sum over
-    potentials i and nodes j is one product with the matrix
-    G_i[f, k, j] = W_i[k, j] e^{-(t_k - s_j) a^mu(f)}, built once per solve
-    (bytes checked first) one lag diagonal j = k + off - lag at a time
-    (Lubich, Numer. Math. 52, 1988); where the lags along a diagonal
-    agree, as on a uniform grid, one row of multipliers serves it.
+    `forward` maps (J, ...) stacked states to (J, F) coefficients,
+    `inverse` maps (K, F) back, and the base propagator over tau
+    multiplies coefficient f by e^{-tau rates[f]}.  On a uniform grid
+    with a node at s = 0 the weights depend on the lag alone off the
+    s = 0 column, so the sum is a discrete convolution in time (Lubich,
+    Numer. Math. 52, 1988): lag kernels C_i[l, f] = W_i[l, 1] e^{-l h rates[f]}
+    (column 1: each lag's weight from its first row, before later rows'
+    Beta differences lose digits), transformed once at length 2K, give a
+    sweep from one FFT product along the node axis; the s = 0 column is
+    summed once.  Other grids take one product per coefficient with
+    G_i[f, k, j] = W_i[k, j] e^{-(t_k - s_j) rates[f]}, built one lag
+    diagonal at a time.  Both paths check their bytes first.
     """
-    N, shape = a_mu.ndim, a_mu.shape
-    axes = tuple(range(1, N + 1))
-    if real:
-        a_mu = a_mu[..., : shape[-1] // 2 + 1]
-        forward = functools.partial(np.fft.rfftn, axes=axes)
-        inverse = functools.partial(np.fft.irfftn, s=shape, axes=axes)
-    else:
-        forward = functools.partial(np.fft.fftn, axes=axes)
-        inverse = functools.partial(np.fft.ifftn, axes=axes)
-    spec = a_mu.shape
-    a_mu = a_mu.ravel()
 
     def summer(tables, W, conv):
         I, K, J = W.shape
-        need = I * a_mu.size * K * J * a_mu.itemsize
+        F, times = rates.size, conv[J - K:]
+        uniform = J == K + 1 and np.ptp(np.diff(conv)) <= 1e-12 * conv[-1]
+        # the lag kernels, a sweep's two length-2K stacks, its transformed data
+        # and the s = 0 sum; or the dense operator
+        need = (2 * I + 6) * F * K * 16 if uniform else I * F * K * J * rates.itemsize
         if need > _HISTORY_MAX_BYTES:
-            raise ValueError(f"history operator for {K} nodes needs {need} bytes, "
+            raise ValueError(f"history sum for {K} nodes needs {need} bytes, "
                              f"above the {_HISTORY_MAX_BYTES}-byte limit")
-        times = conv[J - K:]
-        G = np.zeros((I, a_mu.size, K, J), dtype=a_mu.dtype)
+        if uniform:
+            C = np.fft.fft(W[:, :, 1, None] * np.exp(-np.multiply.outer(times - conv[1], rates)),
+                           2 * K, axis=1)
+            start = None
+
+            def history(nodes):
+                nonlocal start
+                if start is None:
+                    decay = np.exp(-np.multiply.outer(times, rates))
+                    start = sum(W_i[:, :1] * decay * forward(tab * nodes[:1])
+                                for W_i, tab in zip(W, tables))
+                acc = None
+                for C_i, tab in zip(C, tables):
+                    Z = np.fft.fft(forward(tab * nodes[1:]), 2 * K, axis=0)
+                    Z *= C_i
+                    acc = Z if acc is None else np.add(acc, Z, out=acc)
+                    del Z
+                out = np.fft.ifft(acc, axis=0, out=acc)[:K]
+                out += start
+                return inverse(out.real if np.isrealobj(start) else out)
+
+            return history
+
+        G = np.zeros((I, F, K, J), dtype=rates.dtype)
         for _, k0, j0, size in _diagonals(K, J):
             tau = times[k0:] - conv[j0:j0 + size]
             if np.ptp(tau) <= 1e-12 * tau.max():
                 tau = tau[:1]
             k, j = np.arange(k0, K), np.arange(j0, j0 + size)
-            G[:, :, k, j] = W[:, None, k, j] * np.exp(-np.multiply.outer(a_mu, tau))
+            G[:, :, k, j] = W[:, None, k, j] * np.exp(-np.multiply.outer(rates, tau))
 
         def history(nodes):
             acc = 0.0
             for G_i, tab in zip(G, tables):
-                X = forward(tab * nodes).reshape(J, a_mu.size, 1).transpose(1, 0, 2)
+                X = forward(tab * nodes).reshape(J, F, 1).transpose(1, 0, 2)
                 # a real G acts on the real and imaginary parts alike
-                term = (G_i @ X.view(float)).view(complex) if np.isrealobj(G) else G_i @ X
+                split = np.isrealobj(G) and np.iscomplexobj(X)
+                term = (G_i @ X.view(float)).view(complex) if split else G_i @ X
                 del X  # at most two stacks of this size alive at once
                 acc += term
                 del term
-            return inverse(acc.transpose(1, 0, 2).reshape((K,) + spec))
+            return inverse(acc.transpose(1, 0, 2).reshape(K, F))
 
         return history
 
     return summer
 
 
-def _power_sum(U1: np.ndarray):
-    """History sums on a uniform grid, where every lag t_k - s_j is a whole
-    number of steps and P is the matching power of the one-step matrix.
-
-    The stacked data go through U1 once per lag diagonal; only the
-    columns a later node still needs are carried forward.
-    """
-
-    def summer(tables, W, conv):
-        K, J = W.shape[1:]
-
-        def history(nodes):
-            Y = [(tab * nodes).T for tab in tables]
-            out = np.zeros((K, U1.shape[0]), dtype=np.result_type(U1, *Y))
-            for lag, k0, j0, size in _diagonals(K, J):
-                if lag:
-                    Y = [U1 @ y[:, : J - lag] for y in Y]
-                w = np.diagonal(W, j0 - k0, axis1=1, axis2=2)
-                for w_i, y in zip(w, Y):
-                    out[k0:] += (y[:, j0:j0 + size] * w_i).T
-            return out
-
-        return history
-
-    return summer
+def _fourier_sum(a_mu: np.ndarray, real: bool):
+    """The free semigroup's history sums: multipliers e^{-tau a^mu} in hat
+    space with every axis of a state transformed; `real` data, potentials
+    and symbol take the real transforms on the half spectrum."""
+    N, shape = a_mu.ndim, a_mu.shape
+    axes = tuple(range(1, N + 1))
+    if real:
+        a_mu = a_mu[..., : shape[-1] // 2 + 1]
+        forward, inverse = np.fft.rfftn, functools.partial(np.fft.irfftn, s=shape)
+    else:
+        forward, inverse = np.fft.fftn, np.fft.ifftn
+    spec = a_mu.shape
+    return _spectral_sum(a_mu.ravel(),
+                         lambda x: forward(x, axes=axes).reshape(len(x), -1),
+                         lambda y: inverse(y.reshape((len(y),) + spec), axes=axes))
 
 
 # -- trajectories -------------------------------------------------------------
@@ -440,22 +453,22 @@ def picard_solve(u0: GridFunction, potentials, cfg: SolverConfig, gamma: ScaleIn
 # -- sequential (iterated) perturbations --------------------------------------
 
 
-def _propagator_matrices(V: PotentialSpec, cfg: SolverConfig, symbol: SymbolSpec,
-                         mu: float) -> np.ndarray:
-    """S_V(t_1) as a real n x n matrix, 1D grids only.
+def _propagator_matrices(V: PotentialSpec, symbol: SymbolSpec, mu: float):
+    """The first stage's eigenbasis (lam, Q), 1D grids only.
 
     With a real (even) symbol and a real potential the discrete generator
-    H = diag(V) - F^{-1} diag(a^mu) F is a real symmetric matrix, so
-    S_V(t_1) = e^{t_1 H} = Q e^{t_1 Lambda} Q^T from one symmetric
-    eigendecomposition H = Q Lambda Q^T: exact to roundoff and well
-    conditioned (Moler & Van Loan, SIAM Rev. 45, 2003).  The working set
-    (H, Q, the scaled Q and the product) is checked before any n x n
-    array is built.
+    H = diag(V) - F^{-1} diag(a^mu) F is a real symmetric matrix, and one
+    symmetric eigendecomposition H = Q diag(lam) Q^T (of its lower
+    triangle) gives the propagator over every lag, S_V(tau) =
+    Q e^{tau lam} Q^T: exact to roundoff and well conditioned (Moler &
+    Van Loan, SIAM Rev. 45, 2003).  The working set (H, Q, and LAPACK's
+    copy of H and its 2 n^2 workspace) is checked before any n x n array
+    is built.
     """
     if symbol.N != 1:
         raise ValueError("matrix propagators are only built for 1D grids")
     n = symbol.n
-    need = 4 * n * n * 8
+    need = 5 * n * n * 8
     if need > _FIRST_STAGE_MAX_BYTES:
         raise ValueError(f"first-stage propagator at n={n} needs {need} bytes, "
                          f"above the {_FIRST_STAGE_MAX_BYTES}-byte limit")
@@ -466,8 +479,7 @@ def _propagator_matrices(V: PotentialSpec, cfg: SolverConfig, symbol: SymbolSpec
             raise ValueError(f"the first-stage propagator needs a real {name} table")
     H = -np.fft.irfft(a_mu.real[: n // 2 + 1, None] * np.fft.rfft(np.eye(n), axis=0), n, axis=0)
     H[np.diag_indices(n)] += table.real
-    lam, Q = np.linalg.eigh(0.5 * (H + H.T))
-    return (Q * np.exp(time_grid(cfg)[0] * lam)) @ Q.T
+    return np.linalg.eigh(H)
 
 
 def sequential_solve(u0: GridFunction, order, cfg: SolverConfig, gamma: ScaleIndex,
@@ -475,32 +487,29 @@ def sequential_solve(u0: GridFunction, order, cfg: SolverConfig, gamma: ScaleInd
     """Apply up to two perturbations one at a time.
 
     The first potential's evolution becomes the base propagator for the
-    second solve.  Needs a uniform time grid (grading 1): every lag
-    t_k - s_j is then a whole number of steps, and the first-stage
-    propagator over one step, raised to that power, realizes it.
+    second solve, on any time grid: in the first stage's eigenbasis
+    e^{tau H} = Q e^{tau Lambda} Q^T serves every lag t_k - s_j, so the
+    base is Q e^{t_k Lambda} Q^T u0 and the sweeps take the same history
+    sums as the joint solve, with rates -lambda.
     """
     order = tuple(order)
     if len(order) == 1:
         return picard_solve(u0, order, cfg, gamma, dims, symbol, mu)
     if len(order) != 2:
         raise ValueError("sequential composition supports at most two perturbations")
-    if cfg.grading != 1.0:
-        raise ValueError("sequential composition requires a uniform grid (grading = 1)")
 
     V1, V2 = order
     alpha, d_gamma, d_list = _resolve_indices(order, gamma, dims)
-    U1 = _propagator_matrices(V1, cfg, symbol, mu)
+    lam, Q = _propagator_matrices(V1, symbol, mu)
     times = time_grid(cfg)
     theta, predicted = _theta(cfg, V2.measured_norm(u0.N, u0.n, u0.L), d_list[1:], d_gamma)
 
-    base = np.empty((cfg.nodes, u0.n), dtype=np.result_type(U1, u0.values))
-    base[0] = U1 @ u0.values
-    for k in range(1, cfg.nodes):
-        base[k] = U1 @ base[k - 1]
+    base = (np.exp(np.multiply.outer(times, lam)) * (u0.values @ Q)) @ Q.T
     residual, stop = _weighted_residual(alpha, dims, theta, times, d_gamma, base, u0,
                                         cfg.picard_tol)
+    summer = _spectral_sum(-lam, lambda x: x @ Q, lambda y: y @ Q.T)
     values, history = _sweep(u0.values, base, [V2.on_grid(u0.N, u0.n, u0.L).values], d_list[1:],
-                             d_gamma, times, _power_sum(U1), residual, stop, cfg.max_sweeps)
+                             d_gamma, times, summer, residual, stop, cfg.max_sweeps)
     states = tuple(GridFunction(u0.N, u0.n, u0.L, v) for v in values)
     return Trajectory(times, states, gamma, alpha, theta, predicted, tuple(history),
                       cfg, order, dims, symbol, mu, u0)

@@ -1,9 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import morreylab
 from morreylab.checks import CheckRecord
 from morreylab.cli import main
 from morreylab.config import ConfigError, load_config, validate_config
@@ -220,6 +226,36 @@ def test_run_checks_times_each_check(monkeypatch):
     monkeypatch.setitem(CHECKS, "slow", slow)
     (rec,) = run_checks(validate_config(TINY).context(), [("slow", {})])
     assert rec.passed and rec.duration >= 0.05
+
+
+def test_run_checks_loads_scipy_special_before_any_timer():
+    """The one-time scipy.special import is not charged to the first check
+    that builds product weights: a perturbation check already finds it
+    loaded when called, and a kernel-only run never loads it."""
+    code = textwrap.dedent("""
+        import sys
+        from morreylab.checks import CHECK_GROUPS, CHECKS, CheckRecord, run_checks
+        from morreylab.config import DEFAULT_CONFIG, validate_config
+
+        seen = []
+
+        def stand_in(ctx):
+            seen.append("scipy.special" in sys.modules)
+            return CheckRecord("constant_potential", True, {})
+
+        CHECKS["constant_potential"] = stand_in
+        ctx = validate_config(DEFAULT_CONFIG).context()
+        records = run_checks(ctx, [(name, {}) for name in CHECK_GROUPS["kernel"]])
+        assert all(rec.passed for rec in records)
+        print("scipy.special" in sys.modules)
+        run_checks(ctx, [("constant_potential", {})])
+        print(seen)
+    """)
+    src = str(Path(morreylab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split("\n")[:2] == ["False", "[True]"]
 
 
 def test_cli_regions_group(tmp_path):

@@ -9,8 +9,11 @@ import pytest
 from morreylab.checks import _two_potentials
 from morreylab.duhamel import (
     SolverConfig,
+    _HISTORY_MAX_BYTES,
+    _diagonals,
     _fourier_sum,
     _propagator_matrices,
+    _spectral_sum,
     _sweep,
     _weights,
     contraction_bound,
@@ -338,14 +341,15 @@ def test_sequential_orders_and_joint_agree(sym, bump):
     assert d_joint < 0.05
 
 
-def test_sequential_gap_to_joint_shrinks_with_nodes(sym, bump):
-    """The sequential composition converges to the joint evolution: no
-    bias survives refinement of the time grid."""
+@pytest.mark.parametrize("grading", [1.0, 2.0])
+def test_sequential_gap_to_joint_shrinks_with_nodes(sym, bump, grading):
+    """The sequential composition converges to the joint evolution on
+    uniform and graded grids alike: no bias survives refinement."""
     V0, V1 = _two_potentials()
     gamma = gamma_of(2.0, 0.3)
     gaps = []
     for nodes in (32, 64):
-        cfg = SolverConfig(horizon=0.25, nodes=nodes, grading=1.0, picard_tol=1e-9)
+        cfg = SolverConfig(horizon=0.25, nodes=nodes, grading=grading, picard_tol=1e-9)
         joint = picard_solve(bump, [V0, V1], cfg, gamma, DIMS, sym, 1.0)
         seq = sequential_solve(bump, [V0, V1], cfg, gamma, DIMS, sym, 1.0)
         gaps.append(max(float(np.max(np.abs(a.values - b.values)))
@@ -364,28 +368,19 @@ def test_sequential_predicted_ratio(sym, bump):
 
 
 def test_first_stage_memory_bounded_before_allocation():
-    """At n = 2^15 the four n x n matrices would take 32 GiB: the guard
+    """At n = 2^15 the five n x n matrices would take 40 GiB: the guard
     refuses before anything of that size is allocated."""
     V0, _ = _two_potentials()
-    cfg = SolverConfig(horizon=0.25, nodes=32, grading=1.0)
     n = 2**15
     big = laplacian_power_symbol(1, n, L, 1)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="bytes"):
-            _propagator_matrices(V0, cfg, big, 1.0)
+            _propagator_matrices(V0, big, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < n * n
-
-
-def test_sequential_needs_uniform_grid(sym, bump):
-    cfg = SolverConfig(horizon=0.25, nodes=32, grading=2.0)
-    V0 = power_law_potential(1.0, 0.3, 2.0)
-    V1 = power_law_potential(1.0, 0.5, 1.5)
-    with pytest.raises(ValueError):
-        sequential_solve(bump, [V0, V1], cfg, gamma_of(2.0, 0.3), DIMS, sym, 1.0)
 
 
 # -- pointwise evaluation ----------------------------------------------------------------
@@ -474,27 +469,147 @@ def rel_gap(a, b):
     return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
 
+def history_gap(sym, W, conv, real):
+    """Relative gap of the engine's history sum to the per-node reference
+    on random states and the test potentials (complex ones when not real)."""
+    rng = np.random.default_rng(7)
+    shape = (conv.size, N)
+    stack = rng.standard_normal(shape)
+    tables = [V.on_grid(1, N, L).values for V in _two_potentials()][: W.shape[0]]
+    if not real:
+        stack = stack + 1j * rng.standard_normal(shape)
+        tables = [tab * (1.0 + 0.5j) for tab in tables]
+    a_mu = sym.power(1.0)
+    new = _fourier_sum(a_mu, real)(tables, W, conv)(stack)
+    ref = per_node_sum(a_mu)(tables, W, conv)(stack)
+    if real:
+        assert np.isrealobj(new) and np.max(np.abs(ref.imag)) <= 1e-12 * np.max(np.abs(ref))
+        ref = ref.real
+    return rel_gap(new, ref)
+
+
 @pytest.mark.parametrize("grading,d_list,d_gamma", [
     (2.0, [0.3, 0.45], 0.1),   # graded, two potentials, no node at s = 0
     (1.0, [0.3], 0.0),         # uniform, the s = 0 column an endpoint correction
+    (1.0, [0.3], 0.1),         # uniform, no node at s = 0: one multiplier row per lag
 ])
 @pytest.mark.parametrize("real", [True, False])
 def test_history_matches_per_node_reference(sym, bump, grading, d_list, d_gamma, real):
     times = time_grid(SolverConfig(horizon=0.25, nodes=24, grading=grading))
     W, conv = _weights(d_list, d_gamma, times)
-    rng = np.random.default_rng(7)
-    shape = (conv.size, N)
-    nodes = rng.standard_normal(shape)
-    tables = [V.on_grid(1, N, L).values for V in _two_potentials()][: len(d_list)]
-    if not real:
-        nodes = nodes + 1j * rng.standard_normal(shape)
-        tables = [tab * (1.0 + 0.5j) for tab in tables]
-    a_mu = sym.power(1.0)
-    new = _fourier_sum(a_mu, real)(tables, W, conv)(nodes)
-    ref = per_node_sum(a_mu)(tables, W, conv)(nodes)
-    assert rel_gap(new, ref.real if real else ref) <= 1e-12
-    if real:
-        assert np.isrealobj(new) and np.max(np.abs(ref.imag)) <= 1e-12 * np.max(np.abs(ref))
+    assert history_gap(sym, W, conv, real) <= 1e-12
+
+
+def lag_exact(W):
+    """A uniform table with a node at s = 0, every entry off that column
+    replaced by its lag's weight in column 1 (the row where the lag first
+    appears).  Against 40-digit quadrature at K = 256 column 1 is exact to
+    3e-15 while the rows of the table scatter by up to 5e-11, which the
+    time convolution does not reproduce."""
+    k, j = np.tril_indices(W.shape[1])
+    exact = W.copy()
+    exact[:, k, j + 1] = W[:, k - j, 1]
+    return exact
+
+
+@pytest.mark.parametrize("nodes,d_list", [
+    (24, [0.0]),          # the trapezoid weights of constant_potential
+    (24, [0.3, 0.45]),    # two potentials
+    (256, [0.3]),         # the node count of the uniform registry solves
+])
+@pytest.mark.parametrize("real", [True, False])
+def test_uniform_history_matches_lag_exact_reference(sym, nodes, d_list, real):
+    """The time convolution on uniform grids with a node at s = 0."""
+    times = time_grid(SolverConfig(horizon=0.25, nodes=nodes, grading=1.0))
+    W, conv = _weights(d_list, 0.0, times)
+    assert history_gap(sym, lag_exact(W), conv, real) <= 1e-12
+
+
+def power_sum(U1):
+    """Reference history on a uniform grid, where every lag t_k - s_j is a
+    whole number of steps: the stacked data go through the one-step
+    matrix U1 once per lag diagonal."""
+
+    def summer(tables, W, conv):
+        K, J = W.shape[1:]
+
+        def history(nodes):
+            Y = [(tab * nodes).T for tab in tables]
+            out = np.zeros((K, U1.shape[0]), dtype=np.result_type(U1, *Y))
+            for lag, k0, j0, size in _diagonals(K, J):
+                if lag:
+                    Y = [U1 @ y[:, : J - lag] for y in Y]
+                w = np.diagonal(W, j0 - k0, axis1=1, axis2=2)
+                for w_i, y in zip(w, Y):
+                    out[k0:] += (y[:, j0:j0 + size] * w_i).T
+            return out
+
+        return history
+
+    return summer
+
+
+def one_step(V, cfg, symbol):
+    """The first-stage propagator over the first time step, Q e^{t_1 lam} Q^T."""
+    lam, Q = _propagator_matrices(V, symbol, 1.0)
+    return (Q * np.exp(time_grid(cfg)[0] * lam)) @ Q.T
+
+
+@pytest.mark.parametrize("d_gamma", [0.0, 0.1])  # time convolution, dense
+def test_eigenbasis_history_matches_power_reference(sym, d_gamma):
+    V0, V1 = _two_potentials()
+    cfg = SolverConfig(horizon=0.25, nodes=32, grading=1.0)
+    W, conv = _weights([V1.potential_class(DIMS).kappa], d_gamma, time_grid(cfg))
+    stack = np.random.default_rng(5).standard_normal((conv.size, N))
+    tables = [V1.on_grid(1, N, L).values]
+    lam, Q = _propagator_matrices(V0, sym, 1.0)
+    new = _spectral_sum(-lam, lambda x: x @ Q, lambda y: y @ Q.T)(tables, W, conv)(stack)
+    ref = power_sum(one_step(V0, cfg, sym))(tables, W, conv)(stack)
+    assert np.isrealobj(new) and rel_gap(new, ref) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [0.0, 0.25, 0.6])
+def test_uniform_weight_table_is_toeplitz_off_the_s0_column(d):
+    """On a uniform grid with a node at s = 0 the weight of node t_k at s_j,
+    j >= 1, depends on the lag alone, so the time convolution reads every
+    row's weights off column 1; the s = 0 column does not."""
+    times = time_grid(SolverConfig(horizon=0.25, nodes=256, grading=1.0))
+    W, _ = _weights([d], 0.0, times)
+    by_lag = W[0, :, 1]
+    k, j = np.tril_indices(times.size)
+    assert rel_gap(W[0, k, j + 1], by_lag[k - j]) <= 1e-10
+    assert rel_gap(W[0, :-1, 0], by_lag[1:]) > 0.1
+
+
+def test_uniform_solve_never_holds_the_dense_operator(sym, bump):
+    """The K = 256 uniform constant-potential solve peaks below the
+    1 x 129 x 256 x 257 real history operator it once built (68 MB)."""
+    cfg = SolverConfig(horizon=0.25, nodes=256, grading=1.0, picard_tol=1e-8)
+    tracemalloc.start()
+    try:
+        picard_solve(bump, [constant_potential(1.0)], cfg, gamma_of(2.0, 1.0), DIMS, sym, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 129 * 256 * 257 * 8
+
+
+def test_uniform_history_at_large_n_in_bounded_memory():
+    """n = 4096, K = 256: the dense operator would need 1.08 GB, above the
+    history limit; the time convolution builds and runs a sweep in 64 MB."""
+    n = 4096
+    a_mu = laplacian_power_symbol(1, n, L, 1).power(1.0)
+    times = time_grid(SolverConfig(horizon=0.25, nodes=256, grading=1.0))
+    W, conv = _weights([0.0], 0.0, times)
+    assert (n // 2 + 1) * 256 * 257 * 8 > _HISTORY_MAX_BYTES
+    stack = np.ones((conv.size, n))
+    tracemalloc.start()
+    try:
+        _fourier_sum(a_mu, real=True)([np.ones(n)], W, conv)(stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
 
 
 @pytest.mark.parametrize("N_dim,n,p", [(1, 128, 2.0), (1, 128, math.inf),
@@ -538,7 +653,7 @@ def test_first_stage_is_the_limit_of_sub_step_solves():
     sym64 = laplacian_power_symbol(1, 64, L, 1)
     V0, _ = _two_potentials()
     cfg = SolverConfig(horizon=0.25, nodes=32, grading=1.0, picard_tol=1e-9)
-    U1 = _propagator_matrices(V0, cfg, sym64, 1.0)
+    U1 = one_step(V0, cfg, sym64)
     assert np.isrealobj(U1)
     gaps = [float(np.max(np.abs(complex_first_stage(V0, cfg, sym64, m) - U1)))
             for m in (16, 32, 64)]
@@ -550,27 +665,35 @@ def test_first_stage_constant_potential_closed_form(sym, bump):
     c = 1.5
     cfg = SolverConfig(horizon=0.25, nodes=32, grading=1.0)
     t1 = float(time_grid(cfg)[0])
-    U1 = _propagator_matrices(constant_potential(c), cfg, sym, 1.0)
+    U1 = one_step(constant_potential(c), cfg, sym)
     exact = math.exp(c * t1) * apply_semigroup(bump, t1, 1.0, sym).values
     assert rel_gap(U1 @ bump.values, exact) <= 1e-12
 
 
 def test_first_stage_rejects_complex_tables(sym):
-    cfg = SolverConfig(horizon=0.25, nodes=32, grading=1.0)
     V0, _ = _two_potentials()
     skewed = replace(sym, table=sym.table * (1.0 + 0.1j))
     with pytest.raises(ValueError, match="real symbol"):
-        _propagator_matrices(V0, cfg, skewed, 1.0)
+        _propagator_matrices(V0, skewed, 1.0)
     table = V0.on_grid(1, N, L)
     complex_V = tabulated_potential(GridFunction(1, N, L, table.values * (1.0 + 0.1j)),
                                     V0.p0, V0.ell0)
     with pytest.raises(ValueError, match="real potential"):
-        _propagator_matrices(complex_V, cfg, sym, 1.0)
+        _propagator_matrices(complex_V, sym, 1.0)
 
 
 def test_history_operator_bytes_guarded_before_allocation():
+    """At 2^20 frequencies and 256 nodes the dense operator would take
+    512 GiB and the time convolution's working set 32 GiB: both paths
+    refuse before allocating anything of that size."""
     times = time_grid(SolverConfig(horizon=0.25, nodes=256, grading=2.0))
-    W = np.zeros((1, times.size, times.size))
-    # 2^16 frequencies x 256 x 256 nodes x 8 bytes: 32 GiB, far above the limit
-    with pytest.raises(ValueError, match="bytes"):
-        _fourier_sum(np.ones(2**16), real=False)([np.ones(2**16)], W, times)
+    for conv in (times, np.linspace(0.0, 0.25, 257)):  # dense, time convolution
+        W = np.zeros((1, times.size, conv.size))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="bytes"):
+                _fourier_sum(np.ones(2**20), real=False)([np.ones(2**20)], W, conv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20 * 256
