@@ -569,8 +569,6 @@ def run_checks(ctx: CheckContext, entries, jobs: int = 1):
         if fn is None:
             raise KeyError(f"unknown check {name!r}")
         tasks.append((name, fn, params))
-    if any(name in CHECK_GROUPS["perturb"] for name, _, _ in tasks):
-        import scipy.special  # noqa: F401  loaded before any check's timer starts
     if jobs <= 1:
         return [_guarded(ctx, *task) for task in tasks]
     from concurrent.futures import ThreadPoolExecutor

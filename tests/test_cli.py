@@ -228,34 +228,22 @@ def test_run_checks_times_each_check(monkeypatch):
     assert rec.passed and rec.duration >= 0.05
 
 
-def test_run_checks_loads_scipy_special_before_any_timer():
-    """The one-time scipy.special import is not charged to the first check
-    that builds product weights: a perturbation check already finds it
-    loaded when called, and a kernel-only run never loads it."""
-    code = textwrap.dedent("""
+def test_default_run_never_loads_scipy_special(tmp_path):
+    """A default `morreylab run` builds its weight tables and contraction
+    bounds without scipy.special: the module is still absent at the end,
+    so no check's timer and no run pays its import."""
+    code = textwrap.dedent(f"""
         import sys
-        from morreylab.checks import CHECK_GROUPS, CHECKS, CheckRecord, run_checks
-        from morreylab.config import DEFAULT_CONFIG, validate_config
-
-        seen = []
-
-        def stand_in(ctx):
-            seen.append("scipy.special" in sys.modules)
-            return CheckRecord("constant_potential", True, {})
-
-        CHECKS["constant_potential"] = stand_in
-        ctx = validate_config(DEFAULT_CONFIG).context()
-        records = run_checks(ctx, [(name, {}) for name in CHECK_GROUPS["kernel"]])
-        assert all(rec.passed for rec in records)
-        print("scipy.special" in sys.modules)
-        run_checks(ctx, [("constant_potential", {})])
-        print(seen)
+        from morreylab.cli import main
+        status = main(["run", "--out", {str(tmp_path)!r}])
+        print(status, "scipy.special" in sys.modules)
     """)
     src = str(Path(morreylab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.split("\n")[:2] == ["False", "[True]"]
+    assert out.stdout.split()[-2:] == ["0", "False"]
+    assert (tmp_path / "report.json").exists()
 
 
 def test_cli_regions_group(tmp_path):
@@ -466,7 +454,6 @@ def test_config_rejects_box_below_unit_ball(tmp_path, capsys):
 KEEPERS = {
     "existence_set_contains": "the paper's existence set, one half of sigma_contains",
     "regularity_set_contains": "the paper's regularity set, the other half of sigma_contains",
-    "singular_convolve": "the Duhamel integral by product weights, on arbitrary payloads",
     "cd2_region_contains": "the (p, ell) reference the star-region test checks against",
     "symbol_from_coefficients": "the only route to elliptic symbols beyond the presets",
     "lp_ball_norm": "the benchmark tracer wraps it by name",

@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import tracemalloc
 from dataclasses import replace
@@ -15,6 +16,7 @@ from morreylab.duhamel import (
     _propagator_matrices,
     _spectral_sum,
     _sweep,
+    _theta,
     _weights,
     contraction_bound,
     choose_theta,
@@ -101,7 +103,12 @@ def test_multiply_operator_norm_proxy(bump):
 
 @functools.lru_cache(maxsize=None)
 def _leggauss(n_z):
-    return np.polynomial.legendre.leggauss(n_z)
+    """Gauss-Legendre nodes and weights: scipy's O(n) Newton iteration
+    builds the same rule as numpy's leggauss, whose eigenvalue solve takes
+    seconds at n = 4000."""
+    from scipy.special import roots_legendre
+
+    return roots_legendre(n_z)
 
 
 def direct_c_i(theta, T, d_i, d_gamma, n_t=60, n_z=4000):
@@ -146,6 +153,21 @@ def test_choose_theta():
     assert th2 >= th1
     t_fixed, tot = choose_theta(5.0, [0.25], 0.1, 0.5)
     assert tot <= 0.5
+
+
+def test_registry_solves_pick_the_same_theta():
+    """Every distinct theta choice of a default `morreylab run` (seed 0), with
+    its predicted ratio, as the scipy.special log-Beta values gave them:
+    the math.lgamma row picks the same theta and agrees to 1e-14."""
+    from pathlib import Path
+
+    rows = json.loads((Path(__file__).parent / "data" / "registry_theta.json").read_text())
+    assert len(rows) == 21
+    for row in rows:
+        cfg = SolverConfig(horizon=row["horizon"], theta=row["fixed"])
+        theta, ratio = _theta(cfg, row["norm_bound"], row["d_list"], row["d_gamma"])
+        assert theta == row["theta"]
+        assert ratio == pytest.approx(row["ratio"], rel=1e-14, abs=0)
 
 
 def test_choose_theta_gives_up_at_ladder_top():
@@ -281,7 +303,8 @@ def test_estimate_accepts_even_node_counts_from_32():
 
 
 def test_weights_built_once_per_grid(monkeypatch):
-    """Equal exponents and time grids share one read-only weight table."""
+    """Equal exponents and time grids share one read-only weight table,
+    built by one whole-table product_weights call per exponent."""
     from morreylab import duhamel
 
     calls = []
@@ -293,15 +316,17 @@ def test_weights_built_once_per_grid(monkeypatch):
     monkeypatch.setattr(duhamel, "product_weights", counting)
     cfg = SolverConfig(horizon=0.0371, nodes=16, grading=1.0)
     W, conv = _weights([0.25], 0.0, time_grid(cfg))
-    assert len(calls) == 16
+    assert calls == [0.25] and W.shape == (1, 16, 17)
     again = _weights((0.25,), 0.0, time_grid(cfg).copy())
-    assert len(calls) == 16 and again[0] is W and again[1] is conv
+    assert len(calls) == 1 and again[0] is W and again[1] is conv
     with pytest.raises(ValueError):
         W[0, 0, 0] = 1.0
     with pytest.raises(ValueError):
         conv[0] = 1.0
     _weights([0.25], 0.0, time_grid(replace(cfg, horizon=0.0372)))
-    assert len(calls) == 32
+    assert len(calls) == 2
+    _weights([0.15, 0.25], 0.0, time_grid(cfg))
+    assert calls[2:] == [0.15, 0.25]
 
 
 def test_blowup_reported(sym, bump):
@@ -503,9 +528,7 @@ def test_history_matches_per_node_reference(sym, bump, grading, d_list, d_gamma,
 def lag_exact(W):
     """A uniform table with a node at s = 0, every entry off that column
     replaced by its lag's weight in column 1 (the row where the lag first
-    appears).  Against 40-digit quadrature at K = 256 column 1 is exact to
-    3e-15 while the rows of the table scatter by up to 5e-11, which the
-    time convolution does not reproduce."""
+    appears), which is what the time convolution reads."""
     k, j = np.tril_indices(W.shape[1])
     exact = W.copy()
     exact[:, k, j + 1] = W[:, k - j, 1]
@@ -572,12 +595,13 @@ def test_eigenbasis_history_matches_power_reference(sym, d_gamma):
 def test_uniform_weight_table_is_toeplitz_off_the_s0_column(d):
     """On a uniform grid with a node at s = 0 the weight of node t_k at s_j,
     j >= 1, depends on the lag alone, so the time convolution reads every
-    row's weights off column 1; the s = 0 column does not."""
+    row's weights off column 1 (to roundoff: 6.5e-16 measured); the s = 0
+    column does not."""
     times = time_grid(SolverConfig(horizon=0.25, nodes=256, grading=1.0))
     W, _ = _weights([d], 0.0, times)
     by_lag = W[0, :, 1]
     k, j = np.tril_indices(times.size)
-    assert rel_gap(W[0, k, j + 1], by_lag[k - j]) <= 1e-10
+    assert rel_gap(W[0, k, j + 1], by_lag[k - j]) <= 1e-15
     assert rel_gap(W[0, :-1, 0], by_lag[1:]) > 0.1
 
 
