@@ -9,6 +9,7 @@ contract values.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import time
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import verify
-from .duhamel import SolverConfig, evaluate, picard_solve, sequential_solve
+from .duhamel import SolverConfig, Trajectory, evaluate, picard_solve, sequential_solve
 from .fixtures import gaussian_bump, power_law
 from .grids import GridFunction
 from .indices import (
@@ -26,6 +27,7 @@ from .indices import (
     ProblemDims,
     ScaleIndex,
     exterior_tangent,
+    from_index,
     to_index,
 )
 from .norms import RadiusLadder, morrey_norm
@@ -271,14 +273,13 @@ def _solver_context(ctx: CheckContext, n: int):
 
 
 def _power_traj(ctx: CheckContext, n: int = 512, amplitude: float = 1.0,
-                nodes: int = 64, horizon: float = 0.25, tol_estimate: bool = False):
-    key = ("power_traj", n, amplitude, nodes, horizon, tol_estimate)
+                nodes: int = 64, horizon: float = 0.25):
+    key = ("power_traj", n, amplitude, nodes, horizon)
     if key not in ctx.memo:
         dims, sym, bump = _solver_context(ctx, n)
         V = power_law_potential(amplitude, _POWER_BETA, _POWER_P0)
         gamma = to_index(MorreyParams(2.0, 0.7), dims)
-        cfg = SolverConfig(horizon=horizon, nodes=nodes, picard_tol=1e-8,
-                           estimate_tolerance=tol_estimate)
+        cfg = SolverConfig(horizon=horizon, nodes=nodes, picard_tol=1e-8)
         ctx.memo[key] = picard_solve(bump, [V], cfg, gamma, dims, sym, dims.mu)
     return ctx.memo[key]
 
@@ -327,17 +328,46 @@ def check_contraction(ctx: CheckContext, max_sweeps: int = 25, slack: float = 0.
     return _record("contraction", ok, fixtures=details)
 
 
+def _half_node_gap(traj: Trajectory, solve, norm) -> float:
+    """Discretisation error estimate of a trajectory: max_j ||u_{2j+1} - v_j||
+    against v, the same problem re-solved by `solve` on K/2 nodes, whose
+    node j is the trajectory's node 2j + 1 (t = T ((2j + 2)/K)^g).
+
+    K must be even, so the two grids share nodes, and at least 32, so the
+    coarse solve keeps the solver's 16 nodes.
+    """
+    K = traj.config.nodes
+    if K % 2 or K < 32:
+        raise ValueError(f"the half-node estimate compares with a half-node solve, which "
+                         f"needs an even node count of at least 32, got {K}")
+    coarse = solve(traj.u0, traj.potentials, replace(traj.config, nodes=K // 2),
+                   traj.gamma, traj.dims, traj.symbol, traj.mu)
+    return max(norm(traj.states[2 * j + 1] - coarse.states[j]) for j in range(K // 2))
+
+
+def _working_norm(traj: Trajectory):
+    """The norm of the trajectory's working space X^alpha, its ladder built once."""
+    mp = from_index(traj.alpha, traj.dims)
+    return functools.partial(morrey_norm, p=mp.p, ell=mp.ell,
+                             ladder=RadiusLadder.for_grid(traj.u0))
+
+
+def _sup_norm(g: GridFunction) -> float:
+    return float(np.max(np.abs(g.values)))
+
+
 def check_semigroup_property(ctx: CheckContext, n: int = 256, tol_factor: float = 10.0) -> CheckRecord:
     """evaluate(t1+t2) against re-propagating evaluate(t2) by t1."""
-    traj = _power_traj(ctx, n=n, nodes=64, horizon=0.25, tol_estimate=True)
+    traj = _power_traj(ctx, n=n, nodes=64, horizon=0.25)
+    err = _half_node_gap(traj, picard_solve, _working_norm(traj))
     t1, t2 = 0.125, 0.125
     u_sum = evaluate(traj, t1 + t2)
     u_comp_base = evaluate(traj, t2)
-    sub_cfg = replace(traj.config, horizon=t1, estimate_tolerance=False)
+    sub_cfg = replace(traj.config, horizon=t1)
     comp = picard_solve(u_comp_base, traj.potentials, sub_cfg, traj.alpha, traj.dims,
                         traj.symbol, traj.mu).states[-1]
-    disc = float(np.max(np.abs(u_sum.values - comp.values)))
-    tol = tol_factor * (traj.tolerance_estimate or traj.config.picard_tol)
+    disc = _sup_norm(u_sum - comp)
+    tol = tol_factor * (err + traj.config.picard_tol)
     return _record("semigroup_property", disc <= tol, discrepancy=disc, tol=tol)
 
 
@@ -353,23 +383,15 @@ def check_iterated(ctx: CheckContext, n: int = 256, nodes: int = 64,
     dims, sym, bump = _solver_context(ctx, n)
     V0, V1 = _two_potentials()
     gamma = to_index(MorreyParams(2.0, 0.3), dims)
-    cfg = SolverConfig(horizon=horizon, nodes=nodes, grading=1.0, picard_tol=1e-9,
-                       estimate_tolerance=True)
+    cfg = SolverConfig(horizon=horizon, nodes=nodes, grading=1.0, picard_tol=1e-9)
     joint = picard_solve(bump, [V0, V1], cfg, gamma, dims, sym, dims.mu)
-    cfg_seq = replace(cfg, estimate_tolerance=False)
-    seq01 = sequential_solve(bump, [V0, V1], cfg_seq, gamma, dims, sym, dims.mu)
-    seq10 = sequential_solve(bump, [V1, V0], cfg_seq, gamma, dims, sym, dims.mu)
-    coarse = sequential_solve(bump, [V0, V1], replace(cfg_seq, nodes=nodes // 2),
-                              gamma, dims, sym, dims.mu)
-    seq_err = max(
-        float(np.max(np.abs(seq01.states[2 * j + 1].values - coarse.states[j].values)))
-        for j in range(nodes // 2)
-    )
-    tol = tol_factor * ((joint.tolerance_estimate or 0.0) + seq_err + cfg.picard_tol)
-    d_orders = float(max(np.max(np.abs(a.values - b.values))
-                         for a, b in zip(seq01.states, seq10.states)))
-    d_joint = float(max(np.max(np.abs(a.values - b.values))
-                        for a, b in zip(seq01.states, joint.states)))
+    joint_err = _half_node_gap(joint, picard_solve, _working_norm(joint))
+    seq01 = sequential_solve(bump, [V0, V1], cfg, gamma, dims, sym, dims.mu)
+    seq10 = sequential_solve(bump, [V1, V0], cfg, gamma, dims, sym, dims.mu)
+    seq_err = _half_node_gap(seq01, sequential_solve, _sup_norm)
+    tol = tol_factor * ((joint_err + cfg.picard_tol) + seq_err + cfg.picard_tol)
+    d_orders = max(_sup_norm(a - b) for a, b in zip(seq01.states, seq10.states))
+    d_joint = max(_sup_norm(a - b) for a, b in zip(seq01.states, joint.states))
     ok = d_orders <= tol and d_joint <= tol
     return _record("iterated", ok, order_discrepancy=d_orders,
                    joint_discrepancy=d_joint, tol=tol)

@@ -7,6 +7,7 @@ its seed.
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass, field
 
@@ -166,7 +167,12 @@ def _check_list(v, path):
         if name not in CHECKS:
             raise ConfigError(f"{p}.name: unknown check {name!r}")
         params = {k: val for k, val in entry.items() if k != "name"}
+        signature = inspect.signature(CHECKS[name])
         for k, val in params.items():
+            try:
+                signature.bind_partial(None, **{k: val})  # None stands for ctx
+            except TypeError:
+                raise ConfigError(f"{p}.{k}: unknown parameter of check {name!r}") from None
             if isinstance(val, list):
                 params[k] = tuple(val)
         record = record_name(name, params)

@@ -37,7 +37,7 @@ from .indices import (
     from_index,
     smoothing_distance,
 )
-from .norms import RadiusLadder, _scan, morrey_norm
+from .norms import RadiusLadder, _scan
 from .potentials import PotentialSpec
 from .quadrature import product_weights
 from .semigroup import SymbolSpec, apply_semigroup
@@ -64,6 +64,8 @@ _HISTORY_MAX_BYTES = 2**30
 _THETA_MIN = 1.0
 _THETA_MAX = 2.0**24
 _SHORT_NODES = 24
+# the sweep budget of every solve
+_MAX_SWEEPS = 60
 
 
 @dataclass(frozen=True)
@@ -71,9 +73,8 @@ class SolverConfig:
     """Knobs of the Picard solver.
 
     horizon T, K graded nodes t_k = T (k/K)^g, weight parameter theta
-    (None selects it from the contraction bound), stopping tolerance on
-    the weighted residual, the sweep budget, and whether to estimate the
-    discretisation error against a half-node solve.
+    (None selects it from the contraction bound) and the stopping
+    tolerance on the weighted residual.
     """
 
     horizon: float
@@ -81,17 +82,12 @@ class SolverConfig:
     grading: float = 2.0
     theta: float | None = None
     picard_tol: float = 1e-8
-    max_sweeps: int = 60
-    estimate_tolerance: bool = False
 
     def __post_init__(self):
         if self.horizon <= 0.0:
             raise ValueError("horizon must be positive")
         if self.nodes < 16:
             raise ValueError("need at least 16 time nodes")
-        if self.estimate_tolerance and (self.nodes % 2 or self.nodes < 32):
-            raise ValueError(f"estimate_tolerance compares with a half-node solve, which "
-                             f"needs an even node count of at least 32, got {self.nodes}")
         if self.grading < 1.0:
             raise ValueError("grading must be >= 1")
         if self.picard_tol <= 0.0:
@@ -210,7 +206,7 @@ def _diagonals(K: int, J: int):
 
 
 def _sweep(u0, base, tables, d_list, d_gamma: float, times, summer, residual,
-           stop: float, max_sweeps: int):
+           stop: float):
     """Picard sweeps u_k = base_k + sum_i sum_j W_i[k, j] P(t_k - s_j)[V_i u_j]
     on stacked arrays, one state per node along axis 0.
 
@@ -219,9 +215,9 @@ def _sweep(u0, base, tables, d_list, d_gamma: float, times, summer, residual,
     (u0 first when s = 0 is one, the same at every call) to the stacked
     sums over j.  The iterate is kept in that stack and updated in place.
     `residual(change)` maps the stacked update of a sweep to one weighted
-    norm per node.  Returns
-    the states and the per-sweep residuals, and raises on blow-up and when
-    max_sweeps run out.
+    norm per node.  Returns the states and the per-sweep residuals, and
+    raises on blow-up (a residual that is not finite, which a state that
+    is not finite gives too) and when _MAX_SWEEPS run out.
     """
     W, conv = _weights(d_list, d_gamma, times)
     history = summer(tables, W, conv)
@@ -230,20 +226,21 @@ def _sweep(u0, base, tables, d_list, d_gamma: float, times, summer, residual,
     current = nodes[conv.size - times.size:]
     current[...] = base
     residuals = []
-    for sweep in range(max_sweeps):
+    for sweep in range(_MAX_SWEEPS):
         new = history(nodes)
         new += base
-        if not np.isfinite(new).all():
-            k = int(np.argmin(np.isfinite(new).reshape(len(new), -1).all(axis=1)))
+        per_node = residual(new - current)
+        if not np.isfinite(per_node).all():
+            k = int(np.argmin(np.isfinite(per_node)))
             raise RuntimeError(f"blow-up at t = {times[k]:.6g} during sweep {sweep}")
-        worst = float(np.max(residual(new - current)))
+        worst = float(np.max(per_node))
         current[...] = new
         del new  # not alive during the next history sum
         residuals.append(worst)
         if worst <= stop:
             return current, residuals
     raise RuntimeError(f"no contraction: residual {residuals[-1]:.3e} above {stop:.3e} "
-                       f"after {max_sweeps} sweeps")
+                       f"after {_MAX_SWEEPS} sweeps")
 
 
 def _spectral_sum(rates: np.ndarray, forward, inverse):
@@ -358,7 +355,6 @@ class Trajectory:
     symbol: SymbolSpec
     mu: float
     u0: GridFunction
-    tolerance_estimate: float | None = None
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -372,14 +368,6 @@ class Trajectory:
     def node_near(self, t: float) -> int | None:
         j = int(np.argmin(np.abs(self.times - t)))
         return j if abs(self.times[j] - t) <= 1e-12 * max(1.0, t) else None
-
-
-def _alpha_norm(alpha: ScaleIndex, dims: ProblemDims, grid: GridFunction):
-    """Norm of one state in the working space X^alpha (the half-node error
-    estimate), its ladder built once."""
-    mp = from_index(alpha, dims)
-    return functools.partial(morrey_norm, p=mp.p, ell=mp.ell,
-                             ladder=RadiusLadder.for_grid(grid))
 
 
 def _resolve_indices(potentials, gamma, dims):
@@ -413,7 +401,7 @@ def picard_solve(u0: GridFunction, potentials, cfg: SolverConfig, gamma: ScaleIn
 
     With no perturbation the first sweep already returns the base
     evolution.  Raises on NaN/overflow (with the blow-up time) and when
-    the weighted residual fails to contract within max_sweeps.
+    the weighted residual fails to contract within _MAX_SWEEPS sweeps.
     """
     potentials = tuple(potentials)
     alpha, d_gamma, d_list = _resolve_indices(potentials, gamma, dims)
@@ -432,20 +420,10 @@ def picard_solve(u0: GridFunction, potentials, cfg: SolverConfig, gamma: ScaleIn
     a_mu = symbol.power(mu)
     real = all(np.isrealobj(x) for x in [u0.values, a_mu, *tables])
     values, history = _sweep(u0.values, base, tables, d_list, d_gamma, times,
-                             _fourier_sum(a_mu, real), residual, stop, cfg.max_sweeps)
+                             _fourier_sum(a_mu, real), residual, stop)
     states = tuple(GridFunction(u0.N, u0.n, u0.L, v) for v in values)
-    traj = Trajectory(times, states, gamma, alpha, theta, predicted,
+    return Trajectory(times, states, gamma, alpha, theta, predicted,
                       tuple(history), cfg, potentials, dims, symbol, mu, u0)
-    if cfg.estimate_tolerance:
-        alpha_norm = _alpha_norm(alpha, dims, u0)
-        coarse_cfg = replace(cfg, nodes=cfg.nodes // 2, estimate_tolerance=False)
-        coarse = picard_solve(u0, potentials, coarse_cfg, gamma, dims, symbol, mu)
-        err = max(
-            alpha_norm(traj.states[2 * j + 1] - coarse.states[j])
-            for j in range(coarse_cfg.nodes)
-        )
-        traj = replace(traj, tolerance_estimate=float(err + cfg.picard_tol))
-    return traj
 
 
 # -- sequential (iterated) perturbations --------------------------------------
@@ -482,7 +460,7 @@ def _propagator_matrices(V: PotentialSpec, symbol: SymbolSpec, mu: float):
 
 def sequential_solve(u0: GridFunction, order, cfg: SolverConfig, gamma: ScaleIndex,
                      dims: ProblemDims, symbol: SymbolSpec, mu: float) -> Trajectory:
-    """Apply up to two perturbations one at a time.
+    """Apply two perturbations one at a time.
 
     The first potential's evolution becomes the base propagator for the
     second solve, on any time grid: in the first stage's eigenbasis
@@ -491,10 +469,9 @@ def sequential_solve(u0: GridFunction, order, cfg: SolverConfig, gamma: ScaleInd
     sums as the joint solve, with rates -lambda.
     """
     order = tuple(order)
-    if len(order) == 1:
-        return picard_solve(u0, order, cfg, gamma, dims, symbol, mu)
     if len(order) != 2:
-        raise ValueError("sequential composition supports at most two perturbations")
+        raise ValueError(f"sequential composition takes exactly two perturbations, "
+                         f"got {len(order)}")
 
     V1, V2 = order
     alpha, d_gamma, d_list = _resolve_indices(order, gamma, dims)
@@ -507,45 +484,32 @@ def sequential_solve(u0: GridFunction, order, cfg: SolverConfig, gamma: ScaleInd
                                         cfg.picard_tol)
     summer = _spectral_sum(-lam, lambda x: x @ Q, lambda y: y @ Q.T)
     values, history = _sweep(u0.values, base, [V2.on_grid(u0.N, u0.n, u0.L).values], d_list[1:],
-                             d_gamma, times, summer, residual, stop, cfg.max_sweeps)
+                             d_gamma, times, summer, residual, stop)
     states = tuple(GridFunction(u0.N, u0.n, u0.L, v) for v in values)
     return Trajectory(times, states, gamma, alpha, theta, predicted, tuple(history),
                       cfg, order, dims, symbol, mu, u0)
 
 
 def evaluate(traj: Trajectory, t: float) -> GridFunction:
-    """Value of the perturbed evolution at an arbitrary positive time.
+    """Value of the perturbed evolution at a time t in (0, horizon].
 
-    Node times return the stored state; off-node times re-solve from the
-    preceding node, and times beyond the horizon compose full-horizon
-    hops (the semigroup property), so the check of that property stays
-    independent of any interpolation.
+    Node times return the stored state; other times re-solve from the
+    preceding node (from the datum before the first one), so the check
+    of the semigroup property stays independent of any interpolation.
     """
-    if t <= 0.0:
-        raise ValueError("evaluate needs t > 0")
     T = traj.horizon
-
-    def short_solve(datum: GridFunction, horizon: float, gamma: ScaleIndex) -> GridFunction:
-        nodes = traj.config.nodes if horizon > 0.5 * T else _SHORT_NODES
-        cfg = replace(traj.config, horizon=horizon, nodes=nodes,
-                      estimate_tolerance=False, theta=traj.theta)
-        sub = picard_solve(datum, traj.potentials, cfg, gamma, traj.dims,
-                           traj.symbol, traj.mu)
-        return sub.states[-1]
-
-    if t <= T * (1.0 + 1e-12):
-        k = traj.node_near(t)
-        if k is not None:
-            return traj.states[k]
-        below = np.where(traj.times < t * (1.0 - 1e-12))[0]
-        if below.size:
-            j = int(below[-1])
-            return short_solve(traj.states[j], t - float(traj.times[j]), traj.alpha)
-        return short_solve(traj.u0, t, traj.gamma)
-
-    state = traj.states[-1]
-    remaining = t - T
-    while remaining > T * (1.0 + 1e-12):
-        state = short_solve(state, T, traj.alpha)
-        remaining -= T
-    return short_solve(state, remaining, traj.alpha)
+    if not 0.0 < t <= T * (1.0 + 1e-12):
+        raise ValueError(f"evaluate needs 0 < t <= horizon {T:g}, got t = {t:g}")
+    k = traj.node_near(t)
+    if k is not None:
+        return traj.states[k]
+    below = np.flatnonzero(traj.times < t * (1.0 - 1e-12))
+    if below.size:
+        j = int(below[-1])
+        datum, horizon, gamma = traj.states[j], t - float(traj.times[j]), traj.alpha
+    else:
+        datum, horizon, gamma = traj.u0, t, traj.gamma
+    nodes = traj.config.nodes if horizon > 0.5 * T else _SHORT_NODES
+    cfg = replace(traj.config, horizon=horizon, nodes=nodes, theta=traj.theta)
+    return picard_solve(datum, traj.potentials, cfg, gamma, traj.dims,
+                        traj.symbol, traj.mu).states[-1]

@@ -277,20 +277,16 @@ def regularity_set_contains(target: ScaleIndex, alpha: ScaleIndex, cls: Potentia
 
 
 def sigma_contains(gamma: ScaleIndex, alpha: ScaleIndex, cls: PotentialClass) -> bool:
-    """Conjunction of the existence and regularity sets:
+    """The joint admissibility system: gamma is reachable from alpha (the
+    regularity set, which raises when alpha + gamma0 leaves the triangle)
+    and lies in alpha's existence set.
 
-        alpha1 + gamma0_1 <= 1,
-        alpha2 <= gamma2 <= alpha2 + gamma0_2,
-        slope(alpha) <= slope(gamma) <= slope(alpha + gamma0).
+    For kappa < 1 - 2 TOL this is  alpha2 <= gamma2 <= alpha2 + gamma0_2
+    and slope(alpha) <= slope(gamma) <= slope(alpha + gamma0): the
+    existence bound gamma2 < alpha2 + 1 and the regularity bound
+    gamma2 > alpha2 - (1 - kappa) follow from the heights.
     """
-    beta = _check_beta(alpha, cls)
-    g0 = cls.gamma0
-    return (
-        _le(alpha.gamma2, gamma.gamma2)
-        and _le(gamma.gamma2, alpha.gamma2 + g0.gamma2)
-        and _le(alpha.slope, gamma.slope)
-        and _le(gamma.slope, beta.slope)
-    )
+    return regularity_set_contains(gamma, alpha, cls) and existence_set_contains(gamma, alpha)
 
 
 def choose_alpha(gamma: ScaleIndex, classes) -> ScaleIndex:

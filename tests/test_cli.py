@@ -92,6 +92,24 @@ def test_config_rejects_duplicate_record(tmp_path, capsys):
     assert len(validate_config(both_m).checks) == 2
 
 
+def test_config_rejects_unknown_check_parameter(tmp_path, capsys):
+    """A check entry's keys are its check's parameters: a misspelt one is a
+    config error naming its path (exit 2), raised before any check runs."""
+    for checks, path in (
+        ([{"name": "tangent", "tolx": 0.5}], r"config\.checks\[0\]\.tolx"),
+        ([{"name": "tangent"}, {"name": "regions", "densty": 60}], r"config\.checks\[1\]\.densty"),
+        ([{"name": "tangent", "ctx": None}], r"config\.checks\[0\]\.ctx"),
+    ):
+        bad = {**TINY, "checks": checks}
+        with pytest.raises(ConfigError, match=path):
+            validate_config(bad)
+        assert main(["run", "--config", write_cfg(tmp_path, bad)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown parameter" in err and "[PASS]" not in err and "[FAIL]" not in err
+    ok = {**TINY, "checks": [{"name": "regions", "count": 5, "density": 60}]}
+    assert validate_config(ok).checks == (("regions", {"count": 5, "density": 60}),)
+
+
 def test_config_file_errors(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{ not json")
@@ -452,8 +470,6 @@ def test_config_rejects_box_below_unit_ball(tmp_path, capsys):
 
 # Public names no src/ code reads, each kept for a stated reason.
 KEEPERS = {
-    "existence_set_contains": "the paper's existence set, one half of sigma_contains",
-    "regularity_set_contains": "the paper's regularity set, the other half of sigma_contains",
     "cd2_region_contains": "the (p, ell) reference the star-region test checks against",
     "symbol_from_coefficients": "the only route to elliptic symbols beyond the presets",
     "lp_ball_norm": "the benchmark tracer wraps it by name",

@@ -10,6 +10,7 @@ from morreylab.indices import (
     PotentialClass,
     ProblemDims,
     ScaleIndex,
+    TOL,
     boundary_h,
     cd2_region_contains,
     choose_alpha,
@@ -122,17 +123,60 @@ def test_sigma_examples(dims1):
         sigma_contains(g, ScaleIndex(0.9, 0.2), c)  # alpha1 + gamma0_1 > 1
 
 
+def spelled_out_sigma(g, a, c):
+    """The joint system inequality by inequality, without the existence
+    bound g2 < a2 + 1 and the regularity bound g2 > a2 - (1 - kappa)."""
+    beta = a + c.gamma0
+    return (a.gamma2 <= g.gamma2 + TOL and g.gamma2 <= beta.gamma2 + TOL
+            and a.slope <= g.slope + TOL and g.slope <= beta.slope + TOL)
+
+
+def conjunction(g, a, c):
+    return existence_set_contains(g, a) and regularity_set_contains(g, a, c)
+
+
 def test_sigma_is_conjunction(dims1, rng):
     c = cls(1.5, 0.75, dims1)
     cap = dims1.slope_cap
+    seen = set()
     for _ in range(500):
         g = ScaleIndex(rng.uniform(0.01, 1), rng.uniform(0.0, cap))
         a = ScaleIndex(rng.uniform(0.01, 1.0 - c.gamma0.gamma1), rng.uniform(0.0, cap))
         if g.gamma2 > cap * g.gamma1 or a.gamma2 > cap * a.gamma1:
             continue
-        if sigma_contains(g, a, c):
-            assert existence_set_contains(g, a)
-            assert regularity_set_contains(g, a, c)
+        verdict = sigma_contains(g, a, c)
+        assert verdict == conjunction(g, a, c) == spelled_out_sigma(g, a, c)
+        seen.add(verdict)
+    assert seen == {True, False}
+
+
+def band_samples(c, a):
+    """Indices on the TOL bands of both height bounds a2 <= g2 <= a2 + kappa,
+    at slopes on and between slope(a) and slope(a + gamma0)."""
+    beta = a + c.gamma0
+    offsets = (-2.0, -1.5, -1.0, -0.75, -0.5, 0.0, 0.5, 0.75, 1.0, 1.5, 2.0)
+    heights = [h + x * TOL for h in (a.gamma2, beta.gamma2) for x in offsets]
+    slopes = [a.slope, 0.5 * (a.slope + beta.slope), beta.slope]
+    return [ScaleIndex(h / s, h) for h in heights for s in slopes]
+
+
+@pytest.mark.parametrize("gap", [0.5, 3e-12, 1.5e-12])
+def test_sigma_on_the_tol_band(gap):
+    """sigma_contains equals the conjunction on the TOL bands, and the
+    spelled-out system does too while kappa < 1 - 2 TOL; at
+    kappa = 1 - 1.5 TOL the two extra bounds decide some verdicts."""
+    dims = ProblemDims(2, 1, 0.5)  # order 1: kappa = ell0 / p0
+    c = cls(2.0, 2.0 * (1.0 - gap), dims)
+    assert c.admissible and c.gamma0.gamma1 == 0.5
+    verdicts, differ = set(), 0
+    for a in (ScaleIndex(0.25, 0.1), ScaleIndex(0.5, 0.3), ScaleIndex(0.1, 0.15)):
+        for g in band_samples(c, a):
+            verdict = sigma_contains(g, a, c)
+            assert verdict == conjunction(g, a, c)
+            verdicts.add(verdict)
+            differ += verdict != spelled_out_sigma(g, a, c)
+    assert verdicts == {True, False}
+    assert (differ > 0) == (c.kappa >= 1.0 - 2.0 * TOL)
 
 
 def test_choose_alpha_examples(dims2):

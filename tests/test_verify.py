@@ -13,6 +13,7 @@ from morreylab.indices import (
     ScaleIndex,
     TOL,
     in_triangle,
+    out_reason,
     to_index,
 )
 from morreylab.semigroup import laplacian_power_symbol
@@ -229,6 +230,25 @@ def test_region_oracle_grid_is_cached_and_read_only():
     for x in grid:
         with pytest.raises(ValueError):
             x[0] = 1.0
+
+
+@pytest.mark.parametrize("density,gamma,classes", [
+    (50, (0.989848, 0.208902), [(4.6736, 0.4659), (4.3618, 0.5366)]),
+    (50, (0.915753, 0.348322), [(2.778, 0.797), (4.2375, 0.9215)]),
+    (200, (0.91827, 0.13327), [(5.8951, 0.7209), (2.0015, 0.4667)]),
+])
+def test_region_oracle_grid_finds_witnesses_the_ray_misses(density, gamma, classes):
+    """Near-degenerate queries whose feasible stretch of the ray falls
+    between two of its density + 1 samples: the ray alone says OUT, the
+    grid finds a witness, and the closed form agrees with the grid.  The
+    grid pass is not redundant."""
+    g = ScaleIndex(*gamma)
+    cs = [cls(p0, ell0) for p0, ell0 in classes]
+    tau = np.linspace(0.0, 1.0, density + 1)
+    r1, r2 = tau * g.gamma1, tau * g.gamma2
+    assert not verify._witness(r1, r2, verify._slope(r1, r2), g, cs, DIMS)
+    assert verify.region_oracle(g, cs, DIMS, density)
+    assert out_reason(g, cs, DIMS) is None
 
 
 # -- trace and pseudoresolvent -------------------------------------------------------------
