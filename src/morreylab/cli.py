@@ -17,13 +17,16 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import math
 import os
 import sys
 
+import numpy as np
+
 from .checks import CHECK_GROUPS, CHECKS, run_checks
 from .config import ConfigError, DEFAULT_CONFIG, ExperimentConfig, load_config, validate_config
-from .indices import MorreyParams, PotentialClass, region_report
+from .indices import MorreyParams, region_report, to_index
 from .report import build_report, report_from_json, report_to_json, write_csv
 
 __all__ = ["main"]
@@ -72,31 +75,74 @@ def _group_entries(cfg: ExperimentConfig, group: str, selected):
     return entries
 
 
-def _answer(line: str, dims) -> str:
-    """'p ell p0 ell0 [p1 ell1]' -> 'IN|OUT reason'; raises ValueError on a bad line."""
-    parts = [math.inf if tok.lower() in ("inf", "infinity") else float(tok)
-             for tok in line.split()]
-    if len(parts) not in (4, 6):
-        raise ValueError(f"expected 'p ell p0 ell0 [p1 ell1]', got {len(parts)} fields")
-    mp = MorreyParams(parts[0], parts[1])
-    classes = [PotentialClass.from_exponents(p0, ell0, dims)
-               for p0, ell0 in zip(parts[2::2], parts[3::2])]
-    return region_report(mp, classes, dims).line()
+# Query lines answered per numpy pass; bounds the protocol's working set.
+BLOCK = 4096
+
+
+def _bad_exponents(rows, counts, dims) -> dict:
+    """ERR answers, keyed by row, of the rows whose exponents MorreyParams
+    or validate_for reject.  One array pass clears a block with no bad
+    row; otherwise each row replays the scalar constructors, so each
+    message and their order (p >= 1, then ell > 0, for the query, class 0
+    and class 1; then ell <= N for each) come from them alone."""
+    two = counts == 6
+    try:
+        for p, ell in ((rows[:, 0], rows[:, 1]), (rows[:, 2], rows[:, 3]),
+                       (rows[two, 4], rows[two, 5])):
+            MorreyParams(p, ell).validate_for(dims)
+        return {}
+    except ValueError:
+        pass
+    errors = {}
+    for k, (fields, count) in enumerate(zip(rows.tolist(), counts.tolist())):
+        try:
+            params = [MorreyParams(fields[j], fields[j + 1]) for j in range(0, count, 2)]
+            for mp in params:
+                mp.validate_for(dims)
+        except ValueError as exc:
+            errors[k] = f"ERR {exc}"
+    return errors
+
+
+def _answer_block(lines, dims) -> str:
+    """Answers to query lines 'p ell p0 ell0 [p1 ell1]', one line each:
+    'IN admissible', 'OUT reason', or 'ERR message' for a line that
+    cannot be answered."""
+    answers, rows, counts, at = [None] * len(lines), [], [], []
+    for i, line in enumerate(lines):
+        try:
+            fields = list(map(float, line.split()))
+        except ValueError as exc:
+            answers[i] = f"ERR {exc}"
+            continue
+        if len(fields) not in (4, 6):
+            answers[i] = f"ERR expected 'p ell p0 ell0 [p1 ell1]', got {len(fields)} fields"
+            continue
+        counts.append(len(fields))
+        rows.append(fields + [math.nan] * (6 - len(fields)))
+        at.append(i)
+    rows, counts = np.array(rows).reshape(-1, 6), np.array(counts, dtype=int)
+    errors = _bad_exponents(rows, counts, dims)
+    keep = [k for k in range(len(at)) if k not in errors]
+    q = rows[keep]
+    reasons = region_report(to_index(MorreyParams(q[:, 0], q[:, 1]), dims), q[:, 2:], dims)
+    for k, reason in zip(keep, reasons):
+        answers[at[k]] = "IN admissible" if reason is None else f"OUT {reason}"
+    for k, err in errors.items():
+        answers[at[k]] = err
+    return "".join(a + "\n" for a in answers)
 
 
 def _regions_protocol(args, cfg: ExperimentConfig) -> int:
-    """Line protocol: one answer line per query line; a line that cannot be
-    answered gets 'ERR message' and the stream goes on."""
+    """Line protocol: one answer line per query line, written a block of
+    BLOCK query lines at a time; a line that cannot be answered gets
+    'ERR message' and the stream goes on."""
     stream = open(args.queries) if args.queries != "-" else sys.stdin
     try:
-        for line in stream:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                print(_answer(line, cfg.dims))
-            except ValueError as exc:
-                print(f"ERR {exc}")
+        queries = (line for line in map(str.strip, stream)
+                   if line and not line.startswith("#"))
+        while block := list(itertools.islice(queries, BLOCK)):
+            sys.stdout.write(_answer_block(block, cfg.dims))
     finally:
         if stream is not sys.stdin:
             stream.close()
@@ -135,8 +181,13 @@ def main(argv=None) -> int:
             write_csv(report, args.csv)
             return 0 if report.get("all_passed", False) else 1
 
+        protocol = args.command == "regions" and args.queries is not None
+        if protocol:
+            for flag, value in (("--out", args.out), ("--check", args.check)):
+                if value is not None:
+                    raise ConfigError(f"{flag} is not read by the --queries protocol")
         cfg = _load(args)
-        if args.command == "regions" and args.queries is not None:
+        if protocol:
             return _regions_protocol(args, cfg)
 
         if args.command == "run":

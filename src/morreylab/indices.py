@@ -18,6 +18,11 @@ construction.
 All comparisons use an absolute tolerance band of 1e-12 per inequality
 so that queries sitting exactly on a region boundary do not flip with
 rounding noise.
+
+The region predicates are written once and evaluate elementwise: the
+coordinates of a ScaleIndex and the exponents of a MorreyParams may be
+floats or equal-length numpy columns, and region_report decides a whole
+block of queries in one pass.
 """
 
 from __future__ import annotations
@@ -26,13 +31,14 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 __all__ = [
     "TOL",
     "ProblemDims",
     "MorreyParams",
     "ScaleIndex",
     "PotentialClass",
-    "RegionReport",
     "holder_conjugate",
     "to_index",
     "from_index",
@@ -49,7 +55,6 @@ __all__ = [
     "star_region_contains",
     "boundary_h",
     "exterior_tangent",
-    "out_reason",
     "region_report",
 ]
 
@@ -107,13 +112,13 @@ class MorreyParams:
     ell: float
 
     def __post_init__(self):
-        if not (self.p >= 1.0):
+        if not np.all(self.p >= 1.0):
             raise ValueError(f"p must be >= 1, got {self.p}")
-        if not (self.ell > 0.0):
+        if not np.all(self.ell > 0.0):
             raise ValueError(f"ell must be positive, got {self.ell}")
 
     def validate_for(self, dims: ProblemDims) -> "MorreyParams":
-        if not _le(self.ell, dims.N):
+        if not np.all(_le(self.ell, dims.N)):
             raise ValueError(f"ell={self.ell} exceeds dimension N={dims.N}")
         return self
 
@@ -126,49 +131,47 @@ class ScaleIndex:
     gamma2: float
 
     @property
-    def is_origin(self) -> bool:
-        return self.gamma1 <= TOL and self.gamma2 <= TOL
+    def is_origin(self):
+        return (self.gamma1 <= TOL) & (self.gamma2 <= TOL)
 
     @property
-    def slope(self) -> float:
+    def slope(self):
         """gamma2/gamma1, with the origin assigned slope 0.
 
         The origin encodes L^inf; giving it slope 0 makes it smooth only
-        to itself under the relation below.
+        to itself under the relation below.  A point with gamma1 = 0
+        (p = inf) divides by zero here, silently: the origin takes 0, and
+        any other such point lies outside the triangle.
         """
-        if self.is_origin:
-            return 0.0
-        return self.gamma2 / self.gamma1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.divide(self.gamma2, self.gamma1)
+        return np.where(self.is_origin, 0.0, ratio)[()]
 
     def __add__(self, other: "ScaleIndex") -> "ScaleIndex":
         return ScaleIndex(self.gamma1 + other.gamma1, self.gamma2 + other.gamma2)
 
     def as_tuple(self):
-        return (self.gamma1, self.gamma2)
+        return (float(self.gamma1), float(self.gamma2))
 
 
 ORIGIN = ScaleIndex(0.0, 0.0)
 
 
-def in_triangle(gamma: ScaleIndex, dims: ProblemDims) -> bool:
+def in_triangle(gamma: ScaleIndex, dims: ProblemDims):
     """Membership of gamma in J."""
-    if gamma.is_origin:
-        return True
     g1, g2 = gamma.gamma1, gamma.gamma2
-    return (
+    return gamma.is_origin | (
         _lt(0.0, g1)
-        and _le(g1, 1.0)
-        and _lt(0.0, g2)
-        and _le(g2, dims.slope_cap)
-        and _le(g2 / g1, dims.slope_cap)
+        & _le(g1, 1.0)
+        & _lt(0.0, g2)
+        & _le(g2, dims.slope_cap)
+        & _le(gamma.slope, dims.slope_cap)
     )
 
 
 def to_index(mp: MorreyParams, dims: ProblemDims) -> ScaleIndex:
-    """Coordinates (1/p, ell/(2 m mu p)); p = inf collapses to the origin."""
+    """Coordinates (1/p, ell/(2 m mu p)); p = inf lands on the origin."""
     mp.validate_for(dims)
-    if mp.p == math.inf:
-        return ORIGIN
     return ScaleIndex(1.0 / mp.p, mp.ell / (dims.order * mp.p))
 
 
@@ -236,12 +239,12 @@ def sub_triangle_contains(gamma: ScaleIndex, cls: PotentialClass) -> bool:
 
     A class at the origin (a bounded potential) imposes no restriction.
     """
-    return in_triangle(gamma, cls.dims) and _within_class_slope(gamma, cls)
+    return in_triangle(gamma, cls.dims) & _within_class_slope(gamma, cls)
 
 
-def _within_class_slope(gamma: ScaleIndex, cls: PotentialClass) -> bool:
+def _within_class_slope(gamma: ScaleIndex, cls: PotentialClass):
     g0 = cls.gamma0
-    return g0.is_origin or _le(gamma.slope, g0.slope)
+    return g0.is_origin | _le(gamma.slope, g0.slope)
 
 
 def existence_set_contains(gamma: ScaleIndex, alpha: ScaleIndex) -> bool:
@@ -350,35 +353,33 @@ def cd2_region_contains(mp: MorreyParams, classes, dims: ProblemDims) -> bool:
     return _le(lhs, rhs)
 
 
-def star_theta(classes) -> float:
+def star_theta(classes):
     """theta = 1 - max_i(gamma^i_1): the largest working-index gamma1 that
     keeps alpha + gamma^i inside the triangle for every class."""
-    return 1.0 - max(c.gamma0.gamma1 for c in classes)
+    return 1.0 - np.max([c.gamma0.gamma1 for c in classes], axis=0)
 
 
-def boundary_h(gamma1: float, classes) -> float:
+def boundary_h(gamma1, classes):
     """Curved boundary of the star region for gamma1 > theta:
 
         h(g1) = m2 + m2 * theta / (g1 - theta),
 
     with theta = star_theta(classes) and m2 = min_i(gamma^i_2).
-    Returns inf at g1 = theta.
+    Returns inf for g1 <= theta + TOL, where the division by g1 - theta
+    (zero at g1 = theta) is discarded.
     """
     theta = star_theta(classes)
-    m2 = min(c.gamma0.gamma2 for c in classes)
-    if gamma1 <= theta + TOL:
-        return math.inf
-    return m2 + m2 * theta / (gamma1 - theta)
+    m2 = np.min([c.gamma0.gamma2 for c in classes], axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = m2 + m2 * theta / (gamma1 - theta)
+    return np.where(gamma1 <= theta + TOL, math.inf, h)[()]
 
 
-def star_region_contains(gamma: ScaleIndex, classes) -> bool:
-    """Indices with a joint working index for both classes: gamma1 <= theta
-    or gamma2 <= h(gamma1)."""
-    classes = [c.require_admissible() for c in classes]
+def star_region_contains(gamma: ScaleIndex, classes):
+    """Indices with a joint working index for both (admissible) classes:
+    gamma1 <= theta or gamma2 <= h(gamma1)."""
     theta = star_theta(classes)
-    if _le(gamma.gamma1, theta):
-        return True
-    return _le(gamma.gamma2, boundary_h(gamma.gamma1, classes))
+    return _le(gamma.gamma1, theta) | _le(gamma.gamma2, boundary_h(gamma.gamma1, classes))
 
 
 def _bracketed_newton(g, gp, lo: float, hi: float, maxiter: int = 200) -> float:
@@ -444,48 +445,48 @@ def exterior_tangent(f, fp, fpp, a: float, b: float, c: float, d: float, side: s
     return float(x_star)
 
 
-def out_reason(gamma: ScaleIndex, classes, dims: ProblemDims) -> str | None:
-    """Why initial data at gamma admit no joint working index, or None if
-    they do: the closed-form region verdict, tested in the order
-    admissibility, index triangle, sub-triangle, star region.
+# region_report's reason by verdict code: 0 IN, 1 kappa >= 1 (worded per
+# row), 2 triangle, 3 sub-triangle, 4 star region
+_OUT_REASONS = (None, None, "outside the index triangle",
+                "slope exceeds potential-class slope (ell > ell0)",
+                "outside the two-potential star region")
+
+
+def region_report(gamma: ScaleIndex, classes, dims: ProblemDims) -> list:
+    """Why initial data at each row of gamma admit no joint working index,
+    or None where they do: the closed-form region verdict for a block of
+    queries, tested in the order admissibility, index triangle,
+    sub-triangle, star region.
+
+    gamma holds index columns; classes is an (n, 4) array of rows
+    (p0, ell0, p1, ell1), with p1 = ell1 = nan where a row names one
+    class.  Every exponent must pass MorreyParams and validate_for; one
+    that does not raises ValueError for the whole block.
 
     No working index is constructed: inside the sub-triangles, the star
     region is exactly where choose_alpha's candidate
     alpha = (theta, slope * theta) satisfies sigma, because the binding
     inequality gamma2 - slope * theta <= min gamma^i_2 is the star bound
     gamma2 <= h(gamma1) scaled by (gamma1 - theta) / gamma1 <= 1.  For
-    one class the sub-triangle already implies that bound.
+    one class the sub-triangle already implies that bound, so the star
+    test applies to two-class rows only.
     """
-    classes = list(classes)
-    kappas = [f"kappa({c.params.p:g},{c.params.ell:g})={c.kappa:.4g}>=1"
-              for c in classes if not c.admissible]
-    if kappas:
-        return "; ".join(kappas)
-    if not in_triangle(gamma, dims):
-        return "outside the index triangle"
-    if not all(_within_class_slope(gamma, c) for c in classes):
-        return "slope exceeds potential-class slope (ell > ell0)"
-    if len(classes) >= 2 and not star_region_contains(gamma, classes):
-        return "outside the two-potential star region"
-    return None
-
-
-@dataclass(frozen=True)
-class RegionReport:
-    """Self-describing answer to a region query, for the text protocol."""
-
-    gamma: ScaleIndex
-    reason: str | None = None  # why the query is OUT; None when IN
-
-    @property
-    def verdict(self) -> bool:
-        return self.reason is None
-
-    def line(self) -> str:
-        return "IN admissible" if self.verdict else f"OUT {self.reason}"
-
-
-def region_report(mp: MorreyParams, classes, dims: ProblemDims) -> RegionReport:
-    """Verdict for a query space against one or two potential classes."""
-    gamma = to_index(mp, dims)
-    return RegionReport(gamma, out_reason(gamma, classes, dims))
+    classes = np.asarray(classes, dtype=float)
+    two = ~np.isnan(classes[:, 2])
+    # a one-class row repeats its class in the second slot: the slope
+    # test is unchanged, and the kappa and star tests are masked by `two`
+    second = np.where(two[:, None], classes[:, 2:], classes[:, :2])
+    c0 = PotentialClass.from_exponents(classes[:, 0], classes[:, 1], dims)
+    c1 = PotentialClass.from_exponents(second[:, 0], second[:, 1], dims)
+    inadmissible = (~c0.admissible, two & ~c1.admissible)
+    code = np.select([inadmissible[0] | inadmissible[1],
+                      ~in_triangle(gamma, dims),
+                      ~(_within_class_slope(gamma, c0) & _within_class_slope(gamma, c1)),
+                      two & ~star_region_contains(gamma, [c0, c1])], [1, 2, 3, 4], 0)
+    reasons = [_OUT_REASONS[c] for c in code.tolist()]
+    for i in np.flatnonzero(code == 1).tolist():
+        reasons[i] = "; ".join(
+            f"kappa({float(c.params.p[i]):g},{float(c.params.ell[i]):g})="
+            f"{float(c.kappa[i]):.4g}>=1"
+            for c, bad in zip((c0, c1), inadmissible) if bad[i])
+    return reasons

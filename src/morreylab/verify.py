@@ -25,7 +25,7 @@ from .indices import (
     boundary_h,
     from_index,
     in_triangle,
-    out_reason,
+    region_report,
     star_theta,
 )
 from .norms import RadiusLadder, morrey_norm
@@ -285,11 +285,17 @@ def _boundary_distance(gamma: ScaleIndex, classes, dims: ProblemDims) -> float:
 
 
 def compare_region_predicates(queries, dims: ProblemDims, density: int = 200):
-    """Run the closed-form verdict (indices.out_reason, as the region protocol
-    answers) vs the oracle on (gamma, classes) queries; log disagreements."""
+    """Run the closed-form verdict (one indices.region_report batch, the
+    call the region protocol answers with) vs the oracle on
+    (gamma, classes) queries of one or two classes; log disagreements."""
+    gammas = ScaleIndex(np.array([g.gamma1 for g, _ in queries]),
+                        np.array([g.gamma2 for g, _ in queries]))
+    rows = np.full((len(queries), 4), math.nan)
+    for row, (_, classes) in zip(rows, queries):
+        row[:2 * len(classes)] = [x for c in classes for x in (c.params.p, c.params.ell)]
     disagreements = []
-    for gamma, classes in queries:
-        cf = out_reason(gamma, classes, dims) is None
+    for (gamma, classes), reason in zip(queries, region_report(gammas, rows, dims)):
+        cf = reason is None
         orc = region_oracle(gamma, classes, dims, density)
         if cf != orc:
             disagreements.append(OracleDisagreement(

@@ -294,6 +294,9 @@ def test_cli_regions_protocol_survives_bad_lines(monkeypatch, capsys):
 
     lines = ["2 0.5 2 1", "foo 0.5 2 1", "2 0.5 2 1", "2 1.5 2 1", "0.5 0.5 2 1",
              "nan 0.5 2 1", "2 0.5 2 inf 1", "2 0.5 2", "2 0.9 1.5 0.6", "2 1e-13 2 1"]
+    # every spelling float() reads as infinity, in any field
+    lines += ["Infinity 0.5 2 1", "2 0.5 +inf 1", "1.5 0.5 2 1 INF 0.5", "2 Infinity 2 1",
+              "-inf 0.5 2 1", "2 0.5 2 1 +Infinity 0.5", "2 0.5 2 -INF"]
     monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines) + "\n"))
     assert main(["regions", "--queries", "-"]) == 0
     assert capsys.readouterr().out.splitlines() == [
@@ -307,7 +310,55 @@ def test_cli_regions_protocol_survives_bad_lines(monkeypatch, capsys):
         "ERR expected 'p ell p0 ell0 [p1 ell1]', got 3 fields",
         "OUT slope exceeds potential-class slope (ell > ell0)",
         "OUT outside the index triangle",
+        "IN admissible",
+        "IN admissible",
+        "OUT outside the two-potential star region",
+        "ERR ell=inf exceeds dimension N=1",
+        "ERR p must be >= 1, got -inf",
+        "IN admissible",
+        "ERR ell must be positive, got -inf",
     ]
+
+
+def test_cli_regions_protocol_answers_across_blocks(tmp_path, monkeypatch, capsys):
+    """Answers do not depend on where the block edges fall: a stream of
+    many blocks, with comments, blank lines, every ERR kind, kappa >= 1
+    classes and 4- and 6-field queries at every offset from an edge,
+    answers as it does one query line per block."""
+    from morreylab import cli
+
+    pattern = ["# comment", "2 0.5 2 1", "", "foo 0.5 2 1", "1.5 0.5 2 1 1 0.9",
+               "2 0.5 2", "2 0.5 2 1 1", "0.5 0.5 2 1", "2 -1 2 1", "2 1.5 2 1",
+               "2 0.5 0.5 1", "2 0.5 2 0", "2 0.5 2 1.5", "2 0.5 2 1 nan 1",
+               "2 0.5 2 1 1 2", "   ", "1 1 1 1", "2 0.5 1 1 1 1", "inf 1 2 1 +inf 0.5",
+               "1.2 0.9 2 0.8", "2 1.5 0.5 1", "2 0.5 2 1.5 1 2"]
+    queries = tmp_path / "q.txt"
+    queries.write_text("\n".join(pattern * 7) + "\n")
+    cfg = write_cfg(tmp_path, {"version": 1, "dims": {"N": 1, "m": 1, "mu": 0.5}})
+    answers = []
+    for block in (5, 1):
+        monkeypatch.setattr(cli, "BLOCK", block)
+        assert main(["regions", "--config", cfg, "--queries", str(queries)]) == 0
+        answers.append(capsys.readouterr().out)
+    assert answers[0] == answers[1]
+    kinds = {line.split(" ", 1)[0] for line in answers[0].splitlines()}
+    assert kinds == {"IN", "OUT", "ERR"} and "kappa(" in answers[0]
+    assert answers[0].count("\n") == 19 * 7
+
+
+def test_cli_regions_protocol_rejects_unread_flags(tmp_path, capsys):
+    """--out and --check do nothing in the protocol, so they are config
+    errors there; --seed is accepted."""
+    queries = tmp_path / "q.txt"
+    queries.write_text("2 0.5 2 1\n")
+    out = tmp_path / "never"
+    for flag in (["--out", str(out)], ["--check", "tangent"]):
+        assert main(["regions", "--queries", str(queries), *flag]) == 2
+        captured = capsys.readouterr()
+        assert flag[0] in captured.err and captured.out == ""
+    assert not out.exists()
+    assert main(["regions", "--queries", str(queries), "--seed", "3"]) == 0
+    assert capsys.readouterr().out == "IN admissible\n"
 
 
 def test_cli_report_export(tmp_path):
@@ -387,7 +438,8 @@ def test_golden_fixture_csv(tmp_path):
 
 # -- region protocol golden output ---------------------------------------------------
 
-PROTOCOL_DIMS = ({"N": 1, "m": 1, "mu": 1.0}, {"N": 2, "m": 1, "mu": 0.5})
+PROTOCOL_DIMS = ({"N": 1, "m": 1, "mu": 1.0}, {"N": 2, "m": 1, "mu": 0.5},
+                 {"N": 1, "m": 2, "mu": 0.75})
 
 
 def _protocol_stream(seed, dims, count):

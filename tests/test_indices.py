@@ -18,7 +18,6 @@ from morreylab.indices import (
     existence_set_contains,
     from_index,
     in_triangle,
-    out_reason,
     region_report,
     regularity,
     regularity_set_contains,
@@ -311,37 +310,76 @@ def test_tangent_residual_and_side(rng):
 # -- report plumbing -----------------------------------------------------------
 
 
-def test_out_reason_matches_choose_alpha(dims1):
+def _class_rows(classes):
+    """region_report's class columns (p0, ell0, p1, ell1), nan-padded."""
+    rows = np.full((len(classes), 4), np.nan)
+    for row, cs in zip(rows, classes):
+        row[:2 * len(cs)] = [x for c in cs for x in (c.params.p, c.params.ell)]
+    return rows
+
+
+def test_region_report_matches_choose_alpha(dims1):
     """The closed-form verdict is IN exactly when choose_alpha finds a
     working index that meets sigma for every class."""
     rng = np.random.default_rng(2024)
     cap = dims1.slope_cap
+    gammas, classes, reference = [], [], []
     counts = {1: [0, 0], 2: [0, 0]}
     while min(min(c) for c in counts.values()) < 100:
         g1, g2 = rng.uniform(0.0, 1.0), rng.uniform(0.0, cap)
         if g2 > cap * g1 or g1 < 1e-3 or g2 < 1e-3:
             continue
         gamma = ScaleIndex(g1, g2)
-        classes = [cls(rng.uniform(1.0, 6.0), rng.uniform(0.05, 1.0), dims1)
-                   for _ in range(1 if rng.uniform() < 0.5 else 2)]
+        cs = [cls(rng.uniform(1.0, 6.0), rng.uniform(0.05, 1.0), dims1)
+              for _ in range(1 if rng.uniform() < 0.5 else 2)]
         try:
-            alpha = choose_alpha(gamma, classes)
-            reference = all(sigma_contains(gamma, alpha, c) for c in classes)
+            alpha = choose_alpha(gamma, cs)
+            ref = all(sigma_contains(gamma, alpha, c) for c in cs)
         except ValueError:
-            reference = False
-        verdict = out_reason(gamma, classes, dims1) is None
-        assert verdict == reference, (gamma, [c.params for c in classes])
-        counts[len(classes)][verdict] += 1
+            ref = False
+        gammas.append(gamma)
+        classes.append(cs)
+        reference.append(ref)
+        counts[len(cs)][ref] += 1
     # both verdicts occur for one and for two classes
     assert all(min(c) >= 100 for c in counts.values())
+    block = ScaleIndex(np.array([g.gamma1 for g in gammas]), np.array([g.gamma2 for g in gammas]))
+    verdicts = [r is None for r in region_report(block, _class_rows(classes), dims1)]
+    assert verdicts == reference
 
 
-def test_region_report_lines(dims1):
-    ok = region_report(MorreyParams(2.0, 0.5), [cls(2.0, 1.0, dims1)], dims1)
-    assert ok.verdict and ok.line().startswith("IN")
-    bad = region_report(MorreyParams(1.0, 1.0), [cls(2.0, 0.5, dims1)], dims1)
-    assert not bad.verdict and bad.line().startswith("OUT")
-    inadm = region_report(MorreyParams(2.0, 0.5),
-                          [PotentialClass.from_exponents(1.0, 1.0, ProblemDims(1, 1, 0.5))],
-                          ProblemDims(1, 1, 0.5))
-    assert not inadm.verdict and "kappa" in inadm.line()
+def test_region_report_reasons(dims1):
+    """One reason per row, in the order admissibility, triangle, slope,
+    star; the star test applies to two-class rows only."""
+    gamma = ScaleIndex(np.array([0.5, 0.5, 0.5, 0.98, 0.98]),
+                       np.array([0.25, 0.3, 0.2, 0.294, 0.294]))
+    rows = np.array([[2.0, 1.0, np.nan, np.nan],
+                     [2.0, 0.5, np.nan, np.nan],
+                     [2.0, 0.5, np.nan, np.nan],
+                     [2.0, 0.6, 1.5, 0.75],
+                     [2.0, 0.6, np.nan, np.nan]])
+    assert region_report(gamma, rows, dims1) == [
+        None,
+        "outside the index triangle",
+        "slope exceeds potential-class slope (ell > ell0)",
+        "outside the two-potential star region",
+        None,
+    ]
+
+
+def test_region_report_kappa_names_each_inadmissible_class():
+    """At 2 m mu = 1, ell0 = p0 = 1 gives kappa = 1: a kappa reason lists
+    every inadmissible class of its row once, and a bounded class
+    (p0 = inf) restricts nothing."""
+    dims = ProblemDims(1, 1, 0.5)
+    gamma = ScaleIndex(np.full(4, 0.5), np.full(4, 0.25))
+    rows = np.array([[1.0, 1.0, np.nan, np.nan],
+                     [1.0, 1.0, 1.0, 0.75],
+                     [1.0, 1.0, 1.0, 1.0],
+                     [np.inf, 1.0, np.nan, np.nan]])
+    assert region_report(gamma, rows, dims) == [
+        "kappa(1,1)=1>=1",
+        "kappa(1,1)=1>=1",
+        "kappa(1,1)=1>=1; kappa(1,1)=1>=1",
+        None,
+    ]

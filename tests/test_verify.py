@@ -13,7 +13,7 @@ from morreylab.indices import (
     ScaleIndex,
     TOL,
     in_triangle,
-    out_reason,
+    region_report,
     to_index,
 )
 from morreylab.semigroup import laplacian_power_symbol
@@ -248,7 +248,8 @@ def test_region_oracle_grid_finds_witnesses_the_ray_misses(density, gamma, class
     r1, r2 = tau * g.gamma1, tau * g.gamma2
     assert not verify._witness(r1, r2, verify._slope(r1, r2), g, cs, DIMS)
     assert verify.region_oracle(g, cs, DIMS, density)
-    assert out_reason(g, cs, DIMS) is None
+    rows = [[x for c in cs for x in (c.params.p, c.params.ell)] + [np.nan] * (4 - 2 * len(cs))]
+    assert region_report(ScaleIndex(np.array([g.gamma1]), np.array([g.gamma2])), rows, DIMS) == [None]
 
 
 # -- trace and pseudoresolvent -------------------------------------------------------------
