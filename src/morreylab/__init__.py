@@ -3,7 +3,7 @@
 Layers, bottom up: `grids` (periodic sampled functions), `indices`
 (the two-parameter smoothing calculus), `norms` (Morrey estimators),
 `semigroup` (the Fourier-multiplier evolution engine), `potentials` and
-`duhamel` (the perturbed evolution by Picard iteration), `verify`
+`duhamel` (the perturbed evolution, marched in time), `verify`
 (rate fits and brute-force oracles), and `checks`/`cli` (the runnable
 experiment surface).
 """

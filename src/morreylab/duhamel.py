@@ -1,24 +1,26 @@
-"""Perturbed semigroup via Picard iteration on the Duhamel formula.
+"""Perturbed semigroup by marching the Duhamel formula in time.
 
-The fixed point of
+The solution of
 
-    F(phi)(t) = S(t) u0 + sum_i integral_0^t S(t - s) V_i phi(s) ds
+    u(t) = S(t) u0 + sum_i integral_0^t S(t - s) V_i u(s) ds
 
 is computed on a graded time grid t_k = T (k/K)^g with the singular
-product-integration rule from `quadrature`, contracting in the weighted
-norm  sup_t e^{-theta t} t^{d(alpha, gamma)} ||phi(t)||_alpha.  theta is
-chosen from the closed-form contraction bound unless fixed by the
-caller.  Every solve runs one sweep engine with one node rule on
-stacked (K, ...) arrays, one state per node, and one stacked Morrey scan
-norms all K updates of a sweep.  The history sum is taken in a basis
+product-integration rule from `quadrature`.  S(0) = I makes the
+discrete system lower-triangular in time, so one pass over the nodes
+solves it exactly (Brunner, Collocation Methods for Volterra Integral
+and Related Functional Equations, CUP 2004): at each node the history
+over earlier nodes is one weighted sum of stored coefficients, and the
+node's own term is a pointwise division.  The sum is taken in a basis
 where the base propagator over tau multiplies coefficient f by
 e^{-tau r(f)}: Fourier modes for the free semigroup (r = a^mu, real
 transforms for real data), or, when perturbations are applied one at a
 time, the eigenbasis H = Q Lambda Q^T of the first one's symmetric
-discrete generator (r = -lambda), which reaches every lag exactly.  On
-a uniform grid with a node at s = 0 the sum is a discrete convolution
-in time, taken by FFT along the node axis; other grids use one matrix
-product per coefficient.
+discrete generator (r = -lambda), which reaches every lag exactly.
+
+The paper builds the solution as the fixed point of a map contracting
+in the weighted norm sup_t e^{-theta t} t^{d(alpha, gamma)} ||.||_alpha;
+`contraction_bound` and `choose_theta` give that factor and its theta
+for the contraction check.  The solver needs neither.
 """
 
 from __future__ import annotations
@@ -30,14 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grids import GridFunction
-from .indices import (
-    ScaleIndex,
-    ProblemDims,
-    choose_alpha,
-    from_index,
-    smoothing_distance,
-)
-from .norms import RadiusLadder, _scan
+from .indices import ScaleIndex, ProblemDims, choose_alpha, smoothing_distance
 from .potentials import PotentialSpec
 from .quadrature import product_weights
 from .semigroup import SymbolSpec, apply_semigroup
@@ -58,30 +53,21 @@ __all__ = [
 # n x n matrices (the generator, its eigenvectors, LAPACK's copy of the
 # generator and its 2 n^2 workspace)
 _FIRST_STAGE_MAX_BYTES = 3 * 2**30
-# the most memory the history sum of one solve may take
+# the most memory the march of one solve may take
 _HISTORY_MAX_BYTES = 2**30
 # the doubling ladder of choose_theta, and the nodes of evaluate's short re-solves
 _THETA_MIN = 1.0
 _THETA_MAX = 2.0**24
 _SHORT_NODES = 24
-# the sweep budget of every solve
-_MAX_SWEEPS = 60
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs of the Picard solver.
-
-    horizon T, K graded nodes t_k = T (k/K)^g, weight parameter theta
-    (None selects it from the contraction bound) and the stopping
-    tolerance on the weighted residual.
-    """
+    """The time grid of a solve: horizon T and K graded nodes t_k = T (k/K)^g."""
 
     horizon: float
     nodes: int = 64
     grading: float = 2.0
-    theta: float | None = None
-    picard_tol: float = 1e-8
 
     def __post_init__(self):
         if self.horizon <= 0.0:
@@ -90,8 +76,6 @@ class SolverConfig:
             raise ValueError("need at least 16 time nodes")
         if self.grading < 1.0:
             raise ValueError("grading must be >= 1")
-        if self.picard_tol <= 0.0:
-            raise ValueError("picard_tol must be positive")
 
 
 def time_grid(cfg: SolverConfig) -> np.ndarray:
@@ -166,14 +150,7 @@ def choose_theta(norm_bound: float, d_list, d_gamma: float, T: float):
         theta *= 2.0
 
 
-def _theta(cfg: SolverConfig, norm_bound: float, d_list, d_gamma: float):
-    """theta and the predicted contraction ratio at it (fixed theta or the ladder)."""
-    if cfg.theta is None:
-        return choose_theta(norm_bound, d_list, d_gamma, cfg.horizon)
-    return cfg.theta, norm_bound * sum(contraction_bound(cfg.theta, cfg.horizon, d_list, d_gamma))
-
-
-# -- the sweep engine ------------------------------------------------------------
+# -- the march ----------------------------------------------------------------
 
 
 def _weights(d_list, d_gamma: float, times):
@@ -196,132 +173,65 @@ def _weight_table(d_list, d_gamma: float, times_bytes: bytes):
     return W, conv
 
 
-def _diagonals(K: int, J: int):
-    """Lag diagonals j = k + off - lag (off = J - K) of a K x J weight
-    table: (lag, first node k0, first convolution node j0, length)."""
-    off = J - K
-    for lag in range(J):
-        k0 = max(lag - off, 0)
-        yield lag, k0, k0 + off - lag, K - k0
+def _march(u0, base, tables, d_list, d_gamma: float, times, basis):
+    """The discrete Duhamel system u_k = base_k + sum_i sum_j W_i[k, j]
+    P(t_k - s_j)[V_i u_j], solved one node at a time on stacked arrays.
 
-
-def _sweep(u0, base, tables, d_list, d_gamma: float, times, summer, residual,
-           stop: float):
-    """Picard sweeps u_k = base_k + sum_i sum_j W_i[k, j] P(t_k - s_j)[V_i u_j]
-    on stacked arrays, one state per node along axis 0.
-
-    `summer(tables, W, conv)` builds, once per solve, the history
-    `history(nodes)`: it maps the stacked states at the convolution nodes
-    (u0 first when s = 0 is one, the same at every call) to the stacked
-    sums over j.  The iterate is kept in that stack and updated in place.
-    `residual(change)` maps the stacked update of a sweep to one weighted
-    norm per node.  Returns the states and the per-sweep residuals, and
-    raises on blow-up (a residual that is not finite, which a state that
-    is not finite gives too) and when _MAX_SWEEPS run out.
+    `basis` is (rates, forward, inverse): `forward` maps (m, ...) stacked
+    states to (m, F) coefficients, `inverse` maps them back, and the base
+    propagator over tau multiplies coefficient f by e^{-tau rates[f]}.
+    The coefficients of every V_i u_j are stored as they are made, so
+    node k's history over s_j < t_k is one weighted sum of them, with the
+    decays of a uniform grid read from one table by lag.  P(0) = I makes
+    node k's own term pointwise, so u_k = (base_k + history_k) /
+    (1 - sum_i W_i[k, k'] V_i).  The bytes are checked first; a divisor
+    that is not finite or has real part <= 0, or a state that is not
+    finite, raises a blow-up naming t_k.
     """
+    rates, forward, inverse = basis
+    K, F = times.size, rates.size
+    J = K + (d_gamma == 0.0)
+    # the coefficients, and the lag table or one node's decays
+    need = (len(d_list) + 1) * J * F * 16
+    if need > _HISTORY_MAX_BYTES:
+        raise ValueError(f"the march over {K} nodes needs {need} bytes, "
+                         f"above the {_HISTORY_MAX_BYTES}-byte limit")
     W, conv = _weights(d_list, d_gamma, times)
-    history = summer(tables, W, conv)
-    nodes = np.empty((conv.size,) + base.shape[1:], dtype=np.result_type(u0, base, *tables))
-    nodes[: conv.size - times.size] = u0
-    current = nodes[conv.size - times.size:]
-    current[...] = base
-    residuals = []
-    for sweep in range(_MAX_SWEEPS):
-        new = history(nodes)
-        new += base
-        per_node = residual(new - current)
-        if not np.isfinite(per_node).all():
-            k = int(np.argmin(np.isfinite(per_node)))
-            raise RuntimeError(f"blow-up at t = {times[k]:.6g} during sweep {sweep}")
-        worst = float(np.max(per_node))
-        current[...] = new
-        del new  # not alive during the next history sum
-        residuals.append(worst)
-        if worst <= stop:
-            return current, residuals
-    raise RuntimeError(f"no contraction: residual {residuals[-1]:.3e} above {stop:.3e} "
-                       f"after {_MAX_SWEEPS} sweeps")
+    off = J - K
+    step = np.diff(conv)
+    if np.ptp(step) <= 1e-12 * conv[-1]:
+        lags = np.exp(-np.multiply.outer(step[0] * np.arange(J), rates))
+
+        def decay(k):
+            return lags[k + off:0:-1]
+    else:
+        def decay(k):
+            return np.exp(-np.multiply.outer(times[k] - conv[:k + off], rates))
+
+    tables = np.stack(tables)
+    X = forward(tables * u0)  # the s = 0 node's data, and the coefficients' type
+    coef = np.empty((X.shape[0], J, F), X.dtype)
+    coef[:, :off] = X[:, None]
+    divisors = 1.0 - np.tensordot(np.diagonal(W, off, 1, 2).T, tables, 1)
+    positive = (np.isfinite(divisors) & (divisors.real > 0.0)).reshape(K, -1).all(axis=1)
+    states = np.empty(base.shape, np.result_type(u0, base, tables))
+    for k in range(K):
+        j = k + off
+        if not positive[k]:
+            raise RuntimeError(f"blow-up at t = {times[k]:.6g}: 1 - sum_i W_i V_i "
+                               f"is not positive there")
+        history = np.einsum("ij,jf,ijf->f", W[:, k, :j], decay(k), coef[:, :j])
+        u = states[k] = (base[k] + inverse(history[None])[0]) / divisors[k]
+        if not np.isfinite(u).all():
+            raise RuntimeError(f"blow-up at t = {times[k]:.6g}: the state is not finite")
+        coef[:, j] = forward(tables * u)
+    return states
 
 
-def _spectral_sum(rates: np.ndarray, forward, inverse):
-    """History sums in a basis that diagonalises the base generator.
-
-    `forward` maps (J, ...) stacked states to (J, F) coefficients,
-    `inverse` maps (K, F) back, and the base propagator over tau
-    multiplies coefficient f by e^{-tau rates[f]}.  On a uniform grid
-    with a node at s = 0 the weights depend on the lag alone off the
-    s = 0 column, so the sum is a discrete convolution in time (Lubich,
-    Numer. Math. 52, 1988): lag kernels C_i[l, f] = W_i[l, 1] e^{-l h rates[f]}
-    (column 1 holds every lag's weight, each at its first row; other rows
-    agree with it to about 1e-14), transformed once at length 2K, give a
-    sweep from one FFT product along the node axis; the s = 0 column is
-    summed once.  Other grids take one product per coefficient with
-    G_i[f, k, j] = W_i[k, j] e^{-(t_k - s_j) rates[f]}, built one lag
-    diagonal at a time.  Both paths check their bytes first.
-    """
-
-    def summer(tables, W, conv):
-        I, K, J = W.shape
-        F, times = rates.size, conv[J - K:]
-        uniform = J == K + 1 and np.ptp(np.diff(conv)) <= 1e-12 * conv[-1]
-        # the lag kernels, a sweep's two length-2K stacks, its transformed data
-        # and the s = 0 sum; or the dense operator
-        need = (2 * I + 6) * F * K * 16 if uniform else I * F * K * J * rates.itemsize
-        if need > _HISTORY_MAX_BYTES:
-            raise ValueError(f"history sum for {K} nodes needs {need} bytes, "
-                             f"above the {_HISTORY_MAX_BYTES}-byte limit")
-        if uniform:
-            C = np.fft.fft(W[:, :, 1, None] * np.exp(-np.multiply.outer(times - conv[1], rates)),
-                           2 * K, axis=1)
-            start = None
-
-            def history(nodes):
-                nonlocal start
-                if start is None:
-                    decay = np.exp(-np.multiply.outer(times, rates))
-                    start = sum(W_i[:, :1] * decay * forward(tab * nodes[:1])
-                                for W_i, tab in zip(W, tables))
-                acc = None
-                for C_i, tab in zip(C, tables):
-                    Z = np.fft.fft(forward(tab * nodes[1:]), 2 * K, axis=0)
-                    Z *= C_i
-                    acc = Z if acc is None else np.add(acc, Z, out=acc)
-                    del Z
-                out = np.fft.ifft(acc, axis=0, out=acc)[:K]
-                out += start
-                return inverse(out.real if np.isrealobj(start) else out)
-
-            return history
-
-        G = np.zeros((I, F, K, J), dtype=rates.dtype)
-        for _, k0, j0, size in _diagonals(K, J):
-            tau = times[k0:] - conv[j0:j0 + size]
-            if np.ptp(tau) <= 1e-12 * tau.max():
-                tau = tau[:1]
-            k, j = np.arange(k0, K), np.arange(j0, j0 + size)
-            G[:, :, k, j] = W[:, None, k, j] * np.exp(-np.multiply.outer(rates, tau))
-
-        def history(nodes):
-            acc = 0.0
-            for G_i, tab in zip(G, tables):
-                X = forward(tab * nodes).reshape(J, F, 1).transpose(1, 0, 2)
-                # a real G acts on the real and imaginary parts alike
-                split = np.isrealobj(G) and np.iscomplexobj(X)
-                term = (G_i @ X.view(float)).view(complex) if split else G_i @ X
-                del X  # at most two stacks of this size alive at once
-                acc += term
-                del term
-            return inverse(acc.transpose(1, 0, 2).reshape(K, F))
-
-        return history
-
-    return summer
-
-
-def _fourier_sum(a_mu: np.ndarray, real: bool):
-    """The free semigroup's history sums: multipliers e^{-tau a^mu} in hat
-    space with every axis of a state transformed; `real` data, potentials
-    and symbol take the real transforms on the half spectrum."""
+def _fourier_basis(a_mu: np.ndarray, real: bool):
+    """The free semigroup's basis: multipliers e^{-tau a^mu} in hat space
+    with every axis of a state transformed; `real` data, potentials and
+    symbol take the real transforms on the half spectrum."""
     N, shape = a_mu.ndim, a_mu.shape
     axes = tuple(range(1, N + 1))
     if real:
@@ -330,9 +240,9 @@ def _fourier_sum(a_mu: np.ndarray, real: bool):
     else:
         forward, inverse = np.fft.fftn, np.fft.ifftn
     spec = a_mu.shape
-    return _spectral_sum(a_mu.ravel(),
-                         lambda x: forward(x, axes=axes).reshape(len(x), -1),
-                         lambda y: inverse(y.reshape((len(y),) + spec), axes=axes))
+    return (a_mu.ravel(),
+            lambda x: forward(x, axes=axes).reshape(len(x), -1),
+            lambda y: inverse(y.reshape((len(y),) + spec), axes=axes))
 
 
 # -- trajectories -------------------------------------------------------------
@@ -346,15 +256,15 @@ class Trajectory:
     states: tuple
     gamma: ScaleIndex
     alpha: ScaleIndex
-    theta: float
-    predicted_ratio: float
-    residual_history: tuple
     config: SolverConfig
     potentials: tuple
     dims: ProblemDims
     symbol: SymbolSpec
     mu: float
     u0: GridFunction
+
+    # always empty: a march takes no sweeps (kept for readers that count them)
+    residual_history = ()
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -380,50 +290,24 @@ def _resolve_indices(potentials, gamma, dims):
     return alpha, d_gamma, d_list
 
 
-def _weighted_residual(alpha, dims, theta, times, d_gamma, base, grid, tol):
-    """Per-node residuals in the contraction norm, all K of a sweep from one
-    stacked Morrey scan, and the level that stops the sweeps: tol relative
-    to the size of the base sweep in that norm, so large data do not stall
-    on roundoff."""
-    mp = from_index(alpha, dims)
-    ladder = RadiusLadder.for_grid(grid)
-    t_weight = np.exp(-theta * times) * times**d_gamma
-
-    def residual(change):
-        return t_weight * _scan(grid, change, mp.p, mp.ell, ladder)
-
-    return residual, tol * max(1.0, float(np.max(residual(base))))
-
-
 def picard_solve(u0: GridFunction, potentials, cfg: SolverConfig, gamma: ScaleIndex,
                  dims: ProblemDims, symbol: SymbolSpec, mu: float) -> Trajectory:
-    """Fixed point of the Duhamel map on the graded grid.
-
-    With no perturbation the first sweep already returns the base
-    evolution.  Raises on NaN/overflow (with the blow-up time) and when
-    the weighted residual fails to contract within _MAX_SWEEPS sweeps.
+    """The perturbed evolution on the graded grid, marched node by node in
+    the Fourier basis.  With no perturbation it is the base evolution.
+    Raises on blow-up, naming its time.
     """
     potentials = tuple(potentials)
     alpha, d_gamma, d_list = _resolve_indices(potentials, gamma, dims)
     times = time_grid(cfg)
-    base = apply_semigroup(u0, times, mu, symbol)
-    if not potentials:
-        return Trajectory(times, tuple(base), gamma, alpha, _THETA_MIN, 0.0, (0.0,),
-                          cfg, potentials, dims, symbol, mu, u0)
-
-    norm_bound = max(V.measured_norm(u0.N, u0.n, u0.L) for V in potentials)
-    theta, predicted = _theta(cfg, norm_bound, d_list, d_gamma)
-    base = np.stack([b.values for b in base])
-    residual, stop = _weighted_residual(alpha, dims, theta, times, d_gamma, base, u0,
-                                        cfg.picard_tol)
-    tables = [V.on_grid(u0.N, u0.n, u0.L).values for V in potentials]
-    a_mu = symbol.power(mu)
-    real = all(np.isrealobj(x) for x in [u0.values, a_mu, *tables])
-    values, history = _sweep(u0.values, base, tables, d_list, d_gamma, times,
-                             _fourier_sum(a_mu, real), residual, stop)
-    states = tuple(GridFunction(u0.N, u0.n, u0.L, v) for v in values)
-    return Trajectory(times, states, gamma, alpha, theta, predicted,
-                      tuple(history), cfg, potentials, dims, symbol, mu, u0)
+    states = apply_semigroup(u0, times, mu, symbol)
+    if potentials:
+        tables = [V.on_grid(u0.N, u0.n, u0.L).values for V in potentials]
+        a_mu = symbol.power(mu)
+        real = all(np.isrealobj(x) for x in [u0.values, a_mu, *tables])
+        values = _march(u0.values, np.stack([s.values for s in states]), tables, d_list,
+                        d_gamma, times, _fourier_basis(a_mu, real))
+        states = [GridFunction(u0.N, u0.n, u0.L, v) for v in values]
+    return Trajectory(times, tuple(states), gamma, alpha, cfg, potentials, dims, symbol, mu, u0)
 
 
 # -- sequential (iterated) perturbations --------------------------------------
@@ -465,8 +349,8 @@ def sequential_solve(u0: GridFunction, order, cfg: SolverConfig, gamma: ScaleInd
     The first potential's evolution becomes the base propagator for the
     second solve, on any time grid: in the first stage's eigenbasis
     e^{tau H} = Q e^{tau Lambda} Q^T serves every lag t_k - s_j, so the
-    base is Q e^{t_k Lambda} Q^T u0 and the sweeps take the same history
-    sums as the joint solve, with rates -lambda.
+    base is Q e^{t_k Lambda} Q^T u0 and the march runs in that basis,
+    with rates -lambda.
     """
     order = tuple(order)
     if len(order) != 2:
@@ -477,17 +361,11 @@ def sequential_solve(u0: GridFunction, order, cfg: SolverConfig, gamma: ScaleInd
     alpha, d_gamma, d_list = _resolve_indices(order, gamma, dims)
     lam, Q = _propagator_matrices(V1, symbol, mu)
     times = time_grid(cfg)
-    theta, predicted = _theta(cfg, V2.measured_norm(u0.N, u0.n, u0.L), d_list[1:], d_gamma)
-
     base = (np.exp(np.multiply.outer(times, lam)) * (u0.values @ Q)) @ Q.T
-    residual, stop = _weighted_residual(alpha, dims, theta, times, d_gamma, base, u0,
-                                        cfg.picard_tol)
-    summer = _spectral_sum(-lam, lambda x: x @ Q, lambda y: y @ Q.T)
-    values, history = _sweep(u0.values, base, [V2.on_grid(u0.N, u0.n, u0.L).values], d_list[1:],
-                             d_gamma, times, summer, residual, stop)
+    values = _march(u0.values, base, [V2.on_grid(u0.N, u0.n, u0.L).values], d_list[1:],
+                    d_gamma, times, (-lam, lambda x: x @ Q, lambda y: y @ Q.T))
     states = tuple(GridFunction(u0.N, u0.n, u0.L, v) for v in values)
-    return Trajectory(times, states, gamma, alpha, theta, predicted, tuple(history),
-                      cfg, order, dims, symbol, mu, u0)
+    return Trajectory(times, states, gamma, alpha, cfg, order, dims, symbol, mu, u0)
 
 
 def evaluate(traj: Trajectory, t: float) -> GridFunction:
@@ -510,6 +388,6 @@ def evaluate(traj: Trajectory, t: float) -> GridFunction:
     else:
         datum, horizon, gamma = traj.u0, t, traj.gamma
     nodes = traj.config.nodes if horizon > 0.5 * T else _SHORT_NODES
-    cfg = replace(traj.config, horizon=horizon, nodes=nodes, theta=traj.theta)
+    cfg = replace(traj.config, horizon=horizon, nodes=nodes)
     return picard_solve(datum, traj.potentials, cfg, gamma, traj.dims,
                         traj.symbol, traj.mu).states[-1]

@@ -102,14 +102,14 @@ def predicted_rate(src: MorreyParams, dst: MorreyParams, dims: ProblemDims) -> f
 
 def evolve_norms(u0: GridFunction, potentials, dims: ProblemDims, symbol: SymbolSpec,
                  mu: float, step: float, n_steps: int):
-    """March the perturbed evolution in fixed steps, recording sup norms.
+    """Evolve in fixed steps, recording sup norms.
 
-    Each step is one short Picard solve (16 uniform nodes) from the
-    previous state (the semigroup property), which keeps long horizons
-    cheap and returns the norm history used for growth-rate fits.
+    Each step is one short solve (16 uniform nodes) from the previous
+    state (the semigroup property), which keeps long horizons cheap and
+    returns the norm history used for growth-rate fits.
     """
     gamma = ScaleIndex(0.0, 0.0)
-    cfg = SolverConfig(horizon=step, nodes=16, grading=1.0, picard_tol=1e-10)
+    cfg = SolverConfig(horizon=step, nodes=16, grading=1.0)
     state = u0
     times, log_norms = [], []
     log_scale = 0.0
@@ -119,8 +119,7 @@ def evolve_norms(u0: GridFunction, potentials, dims: ProblemDims, symbol: Symbol
         sup = float(np.max(np.abs(state.values)))
         times.append(i * step)
         log_norms.append(log_scale + math.log(sup))
-        # keep the iterate O(1) so exponential growth cannot swamp the
-        # solver's residual scale
+        # keep the state O(1) so exponential growth cannot overflow
         state = state * (1.0 / sup)
         log_scale += math.log(sup)
     return np.array(times), np.exp(np.array(log_norms))

@@ -7,8 +7,9 @@ a checklist.
 
 import pytest
 
-from morreylab.checks import run_checks
+from morreylab.checks import CheckContext, check_contraction, run_checks
 from morreylab.config import DEFAULT_CONFIG, validate_config
+from morreylab.indices import ProblemDims
 from morreylab.report import build_report, report_hash
 
 CFG = validate_config(DEFAULT_CONFIG)
@@ -72,15 +73,41 @@ def test_c05_constant_potential(records):
     c = records["constant_potential"]
     _criterion(5, "perturbed flow, constant potential", c.passed,
                f"sup error {c.details['sup_error']:.2e} <= {c.details['tol']:.0e}")
-    assert c.details["tol"] == 1e-7  # 10 x picard_tol with picard_tol = 1e-8
+    assert c.details["tol"] == 1e-7  # check_constant_potential's default tol
 
 
 def test_c06_picard_contraction(records):
     c = records["contraction"]
-    sweeps = {k: v["sweeps"] for k, v in c.details["fixtures"].items()}
+    fixtures = c.details["fixtures"]
     _criterion(6, "picard contraction", c.passed,
-               f"ratios within bound; sweeps {sweeps} (<= 25)")
-    assert all(v["sweeps"] <= 25 for v in c.details["fixtures"].values())
+               "; ".join(f"{k} ratio {v['ratio']:.3f} <= {v['bound']:.3f} at theta {v['theta']:g}"
+                         for k, v in fixtures.items()))
+    assert all(v["ratio"] <= v["bound"] for v in fixtures.values())
+
+
+@pytest.mark.parametrize("N,m,mu", [(1, 1, 1.0), (1, 1, 0.75), (1, 1, 0.5), (1, 2, 1.0),
+                                    (1, 2, 0.75)])
+def test_contraction_holds_at_each_1d_dims(N, m, mu):
+    """The measured ratios stay within their predicted factors at every
+    one-dimensional operator of the roadmap's table (constant fixture
+    0.185-0.186 against 0.228)."""
+    rec = check_contraction(CheckContext(ProblemDims(N, m, mu), 4096, 8.0))
+    assert rec.passed
+    assert all(0.0 < v["ratio"] <= v["bound"] for v in rec.details["fixtures"].values())
+
+
+def test_contraction_fails_on_a_halved_bound(monkeypatch):
+    """Halving contraction_bound (so choose_theta and the predicted factor
+    both see half) puts the constant fixture's 0.186 above its 0.114."""
+    from morreylab import duhamel
+
+    bound = duhamel.contraction_bound
+    monkeypatch.setattr(duhamel, "contraction_bound",
+                        lambda *a, **k: [0.5 * c for c in bound(*a, **k)])
+    rec = check_contraction(CheckContext(ProblemDims(1, 1, 1.0), 4096, 8.0))
+    assert not rec.passed
+    const = rec.details["fixtures"]["constant"]
+    assert const["ratio"] > const["bound"]
 
 
 def test_c07_semigroup_and_iteration(records):

@@ -327,7 +327,7 @@ def test_pseudoresolvent_shift_for_constant_potential():
     sym = laplacian_power_symbol(1, 256, 8.0, 1)
     bump = gaussian_bump(1, 256, 8.0)
     c = 1.0
-    cfg = SolverConfig(horizon=3.2, nodes=256, grading=1.0, picard_tol=1e-9)
+    cfg = SolverConfig(horizon=3.2, nodes=256, grading=1.0)
     traj = picard_solve(bump, [constant_potential(c)], cfg,
                         to_index(MorreyParams(2.0, 1.0), DIMS), DIMS, sym, 1.0)
     for lam in (-4.0, -6.0):
