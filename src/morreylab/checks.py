@@ -503,14 +503,13 @@ def _random_queries(ctx: CheckContext, count: int):
 
 
 def check_regions(ctx: CheckContext, count: int = 1000, density: int = 200) -> CheckRecord:
-    """Closed-form predicates vs the brute-force witness oracle."""
+    """Closed-form predicates vs the exact witness oracle: any
+    disagreement fails."""
+    # density is unread: the oracle no longer samples, but configs still set it
     queries = _random_queries(ctx, count)
-    disagreements = verify.compare_region_predicates(queries, ctx.dims, density)
-    cell = max(1.0, ctx.dims.slope_cap) / density
-    outside = [d for d in disagreements if d.boundary_distance > cell]
-    return _record("regions", not outside, queries=count,
-                   disagreements=len(disagreements), outside_cell=len(outside),
-                   cell=cell)
+    disagreements = verify.compare_region_predicates(queries, ctx.dims)
+    return _record("regions", not disagreements, queries=count,
+                   disagreements=len(disagreements))
 
 
 def check_tangent(ctx: CheckContext, tol: float = 1e-12) -> CheckRecord:

@@ -43,8 +43,8 @@ def _emit(report: dict, out_dir: str | None) -> None:
         print(text)
 
 
-def _run_entries(cfg: ExperimentConfig, entries, jobs: int, out_dir: str | None) -> int:
-    records = run_checks(cfg.context(), entries, jobs=jobs)
+def _run_entries(cfg: ExperimentConfig, entries, jobs: int | None, out_dir: str | None) -> int:
+    records = run_checks(cfg.context(), entries, jobs=jobs or 1)
     for rec in records:
         status = "PASS" if rec.passed else "FAIL"
         raised = rec.details.get("error_type")
@@ -153,7 +153,7 @@ def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to a JSON experiment config")
     common.add_argument("--out", help="output directory for report artifacts")
-    common.add_argument("--jobs", type=int, default=1, help="parallel check workers")
+    common.add_argument("--jobs", type=int, default=None, help="parallel check workers (default 1)")
     common.add_argument("--seed", type=int, default=None, help="override the config seed")
     common.add_argument("--check", action="append", default=None,
                         help="restrict to named checks (repeatable)")
@@ -183,7 +183,7 @@ def main(argv=None) -> int:
 
         protocol = args.command == "regions" and args.queries is not None
         if protocol:
-            for flag, value in (("--out", args.out), ("--check", args.check)):
+            for flag, value in (("--out", args.out), ("--jobs", args.jobs), ("--check", args.check)):
                 if value is not None:
                     raise ConfigError(f"{flag} is not read by the --queries protocol")
         cfg = _load(args)

@@ -3,14 +3,13 @@
 Everything here is an independent cross-check of the closed-form
 machinery: decay exponents are fitted from measured norms and compared
 with the predicted smoothing rate, exponential types are fitted from
-late-window growth, and the region predicates are compared against a
-brute-force grid search for a working index satisfying the raw
-inequality systems.
+late-window growth, and the region predicates are compared against an
+exact search, on the ray through gamma, for a working index satisfying
+the raw inequality systems.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -22,11 +21,9 @@ from .indices import (
     MorreyParams,
     ProblemDims,
     ScaleIndex,
-    boundary_h,
     from_index,
     in_triangle,
     region_report,
-    star_theta,
 )
 from .norms import RadiusLadder, morrey_norm
 from .duhamel import SolverConfig, Trajectory, picard_solve, multiply
@@ -179,7 +176,7 @@ def continuous_dependence_check(base_traj: Trajectory, perturbed, norm_gaps,
     return replace(fit, extra={"weighted_constants": (sups / gaps).tolist()})
 
 
-# -- brute-force region oracle -------------------------------------------------
+# -- exact region oracle -------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -187,120 +184,81 @@ class OracleDisagreement:
     query: tuple
     closed_form: bool
     oracle: bool
-    boundary_distance: float
 
 
-def _slope(a1, a2):
-    """Slopes a2/a1 of candidate points, the origin assigned slope 0."""
-    return np.where((a1 <= 0.0) & (a2 <= 0.0), 0.0, np.divide(a2, np.maximum(a1, 1e-300)))
+def region_oracle(gamma: ScaleIndex, classes, excluded, dims: ProblemDims) -> np.ndarray:
+    """Whether a working index alpha satisfies the raw system, per query.
 
+    The system, per class i with beta_i = alpha + gamma^i: beta_i inside
+    the triangle, the existence conditions alpha2 <= gamma2 < alpha2 + 1
+    and slope(alpha) <= slope(gamma), and the regularity conditions
+    gamma2 <= alpha2 + gamma^i_2 with slope(gamma) <= slope(beta_i), each
+    in a TOL band.  Entirely inequality-level: no use of the closed-form
+    geometry.
 
-@functools.lru_cache(maxsize=4)
-def _alpha_grid(dims: ProblemDims, density: int):
-    """The triangle's candidate grid (a1, a2, slope), sorted by a2 and read-only."""
-    g1 = np.linspace(0.0, 1.0, density + 1)
-    g2 = np.linspace(0.0, dims.slope_cap, density + 1)
-    A1, A2 = np.meshgrid(g1, g2, indexing="ij")
-    a1, a2 = A1.ravel(), A2.ravel()
-    origin = (a1 == 0.0) & (a2 == 0.0)
-    interior = (a1 > 0.0) & (a2 > 0.0) & (a2 <= a1 * dims.slope_cap + TOL)
-    keep = origin | interior
-    order = np.argsort(a2[keep])
-    a1, a2 = a1[keep][order], a2[keep][order]
-    grid = (a1, a2, _slope(a1, a2))
-    for x in grid:
-        x.flags.writeable = False
-    return grid
+    Sliding any witness down its ray onto gamma's ray keeps every
+    inequality valid (heights are untouched, beta_1 shrinks, and the
+    mediant slope of beta only moves toward the class slope), so a
+    witness exists iff one exists on the ray alpha = tau gamma, tau in
+    [0, 1], where alpha2 <= gamma2 and slope(alpha) <= slope(gamma) hold
+    throughout.  Every other inequality is linear in tau there: the
+    slope tests cross-multiply by beta_1 >= 0, and in
+    slope(gamma) beta_1 <= beta_2 + TOL beta_1 the tau gamma2 terms
+    cancel.  The verdict is whether the intersection of these
+    tau-intervals, one of them open below, is non-empty (one-variable
+    Fourier-Motzkin elimination), so no candidate is sampled and no
+    witness, however narrow, is missed.
 
-
-def _witness(a1, a2, a_slope, gamma: ScaleIndex, classes, dims: ProblemDims) -> bool:
-    """Whether any candidate alpha = (a1, a2) satisfies the raw system."""
-    g2, slope_g = gamma.gamma2, gamma.slope
-    ok = (a2 <= g2 + TOL) & (g2 < a2 + 1.0 - TOL) & (a_slope <= slope_g + TOL)
-    for cls in classes:
-        c1, c2 = cls.gamma0.gamma1, cls.gamma0.gamma2
-        b1, b2 = a1 + c1, a2 + c2
-        in_j = (b1 <= 1.0 + TOL) & (b2 <= dims.slope_cap + TOL)
-        b_slope = _slope(b1, b2)
-        in_j &= b_slope <= dims.slope_cap + TOL
-        reach = (g2 <= a2 + c2 + TOL) & (slope_g <= b_slope + TOL)
-        ok &= in_j & reach
-    return bool(np.any(ok))
-
-
-def region_oracle(gamma: ScaleIndex, classes, dims: ProblemDims, density: int = 200) -> bool:
-    """Search candidate working indices for a witness of the raw system.
-
-    For each candidate alpha the checks are, per class i with
-    beta_i = alpha + gamma^i:  beta_i inside the triangle, the existence
-    conditions alpha2 <= gamma2 < alpha2 + 1 and
-    slope(alpha) <= slope(gamma), and the regularity conditions
-    gamma2 <= alpha2 + gamma^i_2 with slope(gamma) <= slope(beta_i).
-    Entirely inequality-level: no use of the closed-form geometry.
-
-    Candidates are the triangle grid plus a dense sample of the ray
-    through gamma: sliding any witness down its ray onto gamma's ray
-    keeps every inequality valid (heights are untouched, beta_1 shrinks,
-    and the mediant slope of beta only moves toward the class slope), so
-    a witness exists iff one exists on the ray, and the degenerate
-    witness sets produced by bounded potentials are met exactly.
-
-    The grid is built once per (dims, density), sorted by alpha2, and each
-    query tests only its prefix alpha2 <= gamma2 + TOL.  Every candidate
-    past that prefix fails the existence condition alpha2 <= gamma2
-    exactly as written above, so the cut is exact, not a pruning
-    heuristic: the verdict is that of the full grid and the full ray.
+    gamma holds float index columns; classes is a sequence of
+    class-index columns, one per class slot, nan where a row has no
+    class in that slot; excluded is a boolean column marking rows that
+    are OUT before any search (an inadmissible class, or gamma outside
+    the triangle).
     """
-    if density < 50:
-        raise ValueError("oracle density must be at least 50")
-    if not in_triangle(gamma, dims):
-        return False
-    for cls in classes:
-        if not cls.admissible:
-            return False
-    a1, a2, a_slope = _alpha_grid(dims, density)
-    band = int(np.searchsorted(a2, gamma.gamma2 + TOL, side="right"))
-    if _witness(a1[:band], a2[:band], a_slope[:band], gamma, classes, dims):
-        return True
-    if gamma.is_origin:
-        return False
-    tau = np.linspace(0.0, 1.0, density + 1)
-    r1, r2 = tau * gamma.gamma1, tau * gamma.gamma2
-    return _witness(r1, r2, _slope(r1, r2), gamma, classes, dims)
+    g1, g2 = gamma.gamma1, gamma.gamma2
+    cap = dims.slope_cap + TOL  # the triangle's height and slope bound, with its band
+    first = classes[0]
+    rows = []  # (a, b) per inequality a tau <= b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope_g = gamma.slope
+        for c in classes:
+            # an absent class repeats the first one, which adds no new bound
+            c1 = np.where(np.isnan(c.gamma1), first.gamma1, c.gamma1)
+            c2 = np.where(np.isnan(c.gamma2), first.gamma2, c.gamma2)
+            rows += [(g1, 1.0 + TOL - c1),                        # beta_1 <= 1
+                     (g2, cap - c2),                              # beta_2 <= cap
+                     (g2 - cap * g1, cap * c1 - c2),              # slope(beta) <= cap
+                     (-g2, c2 + TOL - g2),                        # gamma2 <= alpha2 + gamma^i_2
+                     (-TOL * g1, c2 + TOL * c1 - slope_g * c1)]   # slope(gamma) <= slope(beta)
+        a, b = (np.array(x) for x in zip(*rows))
+        t = b / a
+        # gamma2 < alpha2 + 1, the one strict bound: tau > (gamma2 - 1 + TOL) / gamma2
+        strict = np.where(g2 > 0.0, (g2 - 1.0 + TOL) / g2, -np.inf)
+    lo = np.max(np.where(a < 0.0, t, 0.0), axis=0)
+    hi = np.min(np.where(a > 0.0, t, 1.0), axis=0)
+    fixed = np.all((a != 0.0) | (b >= 0.0), axis=0)  # the bounds that do not involve tau
+    return ~excluded & fixed & (lo <= hi) & (strict < hi)
 
 
-def _boundary_distance(gamma: ScaleIndex, classes, dims: ProblemDims) -> float:
-    """Rough distance (index units) from gamma to the nearest region boundary."""
-    dists = [abs(1.0 - gamma.gamma1), gamma.gamma2, abs(dims.slope_cap - gamma.gamma2)]
-    for cls in classes:
-        g0 = cls.gamma0
-        if not g0.is_origin:
-            dists.append(abs(gamma.gamma2 - g0.slope * gamma.gamma1))
-    if len(classes) >= 2:
-        dists.append(abs(gamma.gamma1 - star_theta(classes)))
-        # h is inf up to theta, where the curved boundary does not apply
-        dists.append(abs(gamma.gamma2 - boundary_h(gamma.gamma1, classes)))
-    return float(min(dists))
-
-
-def compare_region_predicates(queries, dims: ProblemDims, density: int = 200):
+def compare_region_predicates(queries, dims: ProblemDims):
     """Run the closed-form verdict (one indices.region_report batch, the
-    call the region protocol answers with) vs the oracle on
+    call the region protocol answers with) vs one region_oracle batch on
     (gamma, classes) queries of one or two classes; log disagreements."""
     gammas = ScaleIndex(np.array([g.gamma1 for g, _ in queries]),
                         np.array([g.gamma2 for g, _ in queries]))
     rows = np.full((len(queries), 4), math.nan)
-    for row, (_, classes) in zip(rows, queries):
-        row[:2 * len(classes)] = [x for c in classes for x in (c.params.p, c.params.ell)]
-    disagreements = []
-    for (gamma, classes), reason in zip(queries, region_report(gammas, rows, dims)):
-        cf = reason is None
-        orc = region_oracle(gamma, classes, dims, density)
-        if cf != orc:
-            disagreements.append(OracleDisagreement(
-                (gamma.as_tuple(), tuple((c.params.p, c.params.ell) for c in classes)),
-                cf, orc, _boundary_distance(gamma, classes, dims)))
-    return disagreements
+    slots = np.full((2, 2, len(queries)), math.nan)  # slot, coordinate, query
+    excluded = ~in_triangle(gammas, dims)
+    for i, (_, classes) in enumerate(queries):
+        rows[i, :2 * len(classes)] = [x for c in classes for x in (c.params.p, c.params.ell)]
+        slots[:len(classes), :, i] = [c.gamma0.as_tuple() for c in classes]
+        excluded[i] |= not all(c.admissible for c in classes)
+    closed = np.array([reason is None for reason in region_report(gammas, rows, dims)])
+    oracle = region_oracle(gammas, [ScaleIndex(*s) for s in slots], excluded, dims)
+    return [OracleDisagreement(
+                (queries[i][0].as_tuple(), tuple((c.params.p, c.params.ell) for c in queries[i][1])),
+                bool(closed[i]), bool(oracle[i]))
+            for i in np.flatnonzero(closed != oracle).tolist()]
 
 
 # -- trace and pseudoresolvent checks -----------------------------------------

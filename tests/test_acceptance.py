@@ -7,7 +7,7 @@ a checklist.
 
 import pytest
 
-from morreylab.checks import CheckContext, check_contraction, run_checks
+from morreylab.checks import CheckContext, check_contraction, check_regions, run_checks
 from morreylab.config import DEFAULT_CONFIG, validate_config
 from morreylab.indices import ProblemDims
 from morreylab.report import build_report, report_hash
@@ -141,10 +141,17 @@ def test_c10_region_calculus(records):
     tg = records["tangent"]
     _criterion(10, "region calculus", rg.passed and tg.passed,
                f"{rg.details['queries']} queries, {rg.details['disagreements']} "
-               f"disagreements, {rg.details['outside_cell']} outside one cell; "
-               f"tangent err {tg.details['error']:.1e} <= 1e-12")
+               f"disagreements; tangent err {tg.details['error']:.1e} <= 1e-12")
     assert rg.details["queries"] == 1000
-    assert rg.details["outside_cell"] == 0
+    assert rg.details["disagreements"] == 0
+
+
+@pytest.mark.parametrize("N,m,mu", [(1, 1, 0.75), (1, 2, 1.0), (2, 1, 0.5), (3, 2, 0.75)])
+def test_regions_agree_at_each_dims(N, m, mu):
+    """The exact oracle and the closed form agree on every query away from
+    the default dims too, slope caps 1/3 to 2 (no sampling, no allowance)."""
+    rec = check_regions(CheckContext(ProblemDims(N, m, mu), 64, 8.0), count=1000)
+    assert rec.passed and rec.details == {"queries": 1000, "disagreements": 0}
 
 
 def test_c11_pseudoresolvent(records):

@@ -361,6 +361,19 @@ def test_cli_regions_protocol_rejects_unread_flags(tmp_path, capsys):
     assert capsys.readouterr().out == "IN admissible\n"
 
 
+def test_cli_regions_protocol_refuses_jobs(tmp_path, capsys):
+    """The protocol runs no checks, so an explicit --jobs is a config
+    error there (exit 2, no answers); `run --jobs 1` still runs."""
+    queries = tmp_path / "q.txt"
+    queries.write_text("2 0.5 2 1\n")
+    for jobs in ("4", "1"):
+        assert main(["regions", "--queries", str(queries), "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert "config error: --jobs" in captured.err and captured.out == ""
+    cfg = write_cfg(tmp_path, {**TINY, "checks": [{"name": "tangent"}]})
+    assert main(["run", "--config", cfg, "--jobs", "1", "--out", str(tmp_path / "o")]) == 0
+
+
 def test_cli_report_export(tmp_path):
     out = tmp_path / "out"
     main(["run", "--config", write_cfg(tmp_path), "--out", str(out)])

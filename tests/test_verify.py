@@ -78,18 +78,23 @@ def cls(p0, ell0):
     return PotentialClass.from_exponents(p0, ell0, DIMS)
 
 
+def exact(queries, dims=DIMS):
+    """The exact oracle's verdicts on (gamma, classes) queries, one batch."""
+    gammas = ScaleIndex(np.array([g.gamma1 for g, _ in queries]),
+                        np.array([g.gamma2 for g, _ in queries]))
+    slots = np.full((2, 2, len(queries)), np.nan)
+    for i, (_, cs) in enumerate(queries):
+        slots[:len(cs), :, i] = [c.gamma0.as_tuple() for c in cs]
+    excluded = np.array([not (in_triangle(g, dims) and all(c.admissible for c in cs))
+                         for g, cs in queries])
+    return verify.region_oracle(gammas, [ScaleIndex(*s) for s in slots], excluded, dims).tolist()
+
+
 def test_region_oracle_examples():
     c = cls(1.5, 0.6)
     inside = to_index(MorreyParams(2.0, 0.5), DIMS)
-    assert verify.region_oracle(inside, [c], DIMS, 50)
     too_steep = to_index(MorreyParams(2.0, 0.9), DIMS)  # slope 0.45 > 0.3
-    assert not verify.region_oracle(too_steep, [c], DIMS, 50)
-    assert verify.region_oracle(ScaleIndex(0, 0), [c], DIMS, 50)
-
-
-def test_region_oracle_requires_density():
-    with pytest.raises(ValueError):
-        verify.region_oracle(ScaleIndex(0, 0), [cls(2.0, 1.0)], DIMS, 10)
+    assert exact([(inside, [c]), (too_steep, [c]), (ScaleIndex(0, 0), [c])]) == [True, False, True]
 
 
 def test_region_oracle_vs_closed_form(rng):
@@ -106,21 +111,42 @@ def test_region_oracle_vs_closed_form(rng):
             if c.admissible:
                 classes.append(c)
         queries.append((ScaleIndex(g1, g2), classes))
-    disagreements = verify.compare_region_predicates(queries, DIMS, density=100)
-    cell = max(1.0, cap) / 100
-    assert all(d.boundary_distance <= cell for d in disagreements)
+    assert verify.compare_region_predicates(queries, DIMS) == []
 
 
 def test_oracle_handles_bounded_class():
     c_inf = cls(math.inf, 1.0)
-    for mp in (MorreyParams(2.0, 0.5), MorreyParams(1.0, 1.0), MorreyParams(7.0, 0.33)):
-        g = to_index(mp, DIMS)
-        assert verify.region_oracle(g, [c_inf], DIMS, 100)
+    points = [to_index(mp, DIMS) for mp in
+              (MorreyParams(2.0, 0.5), MorreyParams(1.0, 1.0), MorreyParams(7.0, 0.33))]
+    assert exact([(g, [c_inf]) for g in points]) == [True] * 3
+
+
+def witness(a1, a2, gamma, classes, dims):
+    """Whether any candidate alpha = (a1, a2) satisfies the raw system,
+    each inequality tested as written, with the oracle's TOL bands."""
+    def slope(x1, x2):
+        return np.where((x1 <= 0.0) & (x2 <= 0.0), 0.0, np.divide(x2, np.maximum(x1, 1e-300)))
+
+    g2, slope_g = gamma.gamma2, gamma.slope
+    ok = (a2 <= g2 + TOL) & (g2 < a2 + 1.0 - TOL) & (slope(a1, a2) <= slope_g + TOL)
+    for c in classes:
+        c1, c2 = c.gamma0.gamma1, c.gamma0.gamma2
+        b1, b2 = a1 + c1, a2 + c2
+        b_slope = slope(b1, b2)
+        in_j = (b1 <= 1.0 + TOL) & (b2 <= dims.slope_cap + TOL) & (b_slope <= dims.slope_cap + TOL)
+        reach = (g2 <= a2 + c2 + TOL) & (slope_g <= b_slope + TOL)
+        ok &= in_j & reach
+    return bool(np.any(ok))
+
+
+def ray_samples(gamma, density):
+    tau = np.linspace(0.0, 1.0, density + 1)
+    return tau * gamma.gamma1, tau * gamma.gamma2
 
 
 def reference_oracle(gamma, classes, dims, density=200):
-    """The oracle's former per-query body: the full triangle grid and the ray
-    rebuilt on every call, one candidate set, no band cut."""
+    """The former sampled oracle: the full triangle grid and density + 1
+    samples of the ray through gamma, as candidate working indices."""
     if not in_triangle(gamma, dims):
         return False
     for c in classes:
@@ -132,23 +158,10 @@ def reference_oracle(gamma, classes, dims, density=200):
     origin = (a1 == 0.0) & (a2 == 0.0)
     interior = (a1 > 0.0) & (a2 > 0.0) & (a2 <= a1 * dims.slope_cap + TOL)
     a1, a2 = a1[origin | interior], a2[origin | interior]
-    g1, g2 = gamma.gamma1, gamma.gamma2
     if not gamma.is_origin:
-        tau = np.linspace(0.0, 1.0, density + 1)
-        a1 = np.concatenate([a1, tau * g1])
-        a2 = np.concatenate([a2, tau * g2])
-    slope_g = gamma.slope
-    a_slope = np.where((a1 <= 0.0) & (a2 <= 0.0), 0.0, np.divide(a2, np.maximum(a1, 1e-300)))
-    ok = (a2 <= g2 + TOL) & (g2 < a2 + 1.0 - TOL) & (a_slope <= slope_g + TOL)
-    for c in classes:
-        c1, c2 = c.gamma0.gamma1, c.gamma0.gamma2
-        b1, b2 = a1 + c1, a2 + c2
-        in_j = (b1 <= 1.0 + TOL) & (b2 <= dims.slope_cap + TOL)
-        b_slope = np.where((b1 <= 0.0) & (b2 <= 0.0), 0.0, np.divide(b2, np.maximum(b1, 1e-300)))
-        in_j &= b_slope <= dims.slope_cap + TOL
-        reach = (g2 <= a2 + c2 + TOL) & (slope_g <= b_slope + TOL)
-        ok &= in_j & reach
-    return bool(np.any(ok))
+        r1, r2 = ray_samples(gamma, density)
+        a1, a2 = np.concatenate([a1, r1]), np.concatenate([a2, r2])
+    return witness(a1, a2, gamma, classes, dims)
 
 
 ORACLE_DIMS = [ProblemDims(1, 1, 1.0), ProblemDims(2, 1, 0.5), ProblemDims(3, 2, 0.75)]
@@ -172,26 +185,12 @@ def band_edge_queries(dims, density, rng, count):
     return queries
 
 
-def scanned_bands(monkeypatch, queries, dims, density):
-    """Verdicts of the oracle, and the grid prefix length each query scanned."""
-    bands = []
-    witness = verify._witness
-
-    def spy(a1, a2, a_slope, *rest):
-        if a2.base is not None:  # a view of the cached grid, not the ray
-            bands.append(a2.size)
-        return witness(a1, a2, a_slope, *rest)
-
-    monkeypatch.setattr(verify, "_witness", spy)
-    return [verify.region_oracle(g, c, dims, density) for g, c in queries], bands
-
-
 @pytest.mark.parametrize("density", [50, 200])
 @pytest.mark.parametrize("dims", ORACLE_DIMS, ids=lambda d: f"N{d.N}m{d.m}mu{d.mu:g}")
-def test_region_oracle_matches_reference(monkeypatch, dims, density):
-    """The cached, a2-sorted grid scanned up to gamma2 + TOL gives the former
-    full scan's verdict on every query, and the scanned prefix is exactly
-    the candidates with a2 <= gamma2 + TOL."""
+def test_region_oracle_matches_reference(dims, density):
+    """On random, band-edge, bounded, inadmissible and off-triangle queries
+    the exact oracle says IN wherever the sampled reference finds a
+    witness, and equals the closed form on every query."""
     ctx = checks.CheckContext(dims=dims, n=64, L=8.0, seed=density + dims.N)
     queries = checks._random_queries(ctx, 150)
     assert {len(c) for _, c in queries} == {1, 2}
@@ -212,24 +211,11 @@ def test_region_oracle_matches_reference(monkeypatch, dims, density):
         (queries[2][0], [steep]),
         (queries[3][0], [fine, steep]),
     ]
-    verdicts, bands = scanned_bands(monkeypatch, queries, dims, density)
-    assert verdicts == [reference_oracle(g, c, dims, density) for g, c in queries]
+    verdicts = exact(queries, dims)
     assert any(verdicts) and not all(verdicts)
-    a2 = verify._alpha_grid(dims, density)[1]
-    expected = [int(np.count_nonzero(a2 <= g.gamma2 + TOL)) for g, c in queries
-                if in_triangle(g, dims) and all(x.admissible for x in c)]
-    assert bands == expected
-
-
-def test_region_oracle_grid_is_cached_and_read_only():
-    dims = ORACLE_DIMS[1]
-    grid = verify._alpha_grid(dims, 60)
-    assert verify._alpha_grid(ProblemDims(2, 1, 0.5), 60) is grid
-    a1, a2, a_slope = grid
-    assert np.all(np.diff(a2) >= 0.0)
-    for x in grid:
-        with pytest.raises(ValueError):
-            x[0] = 1.0
+    reference = [reference_oracle(g, c, dims, density) for g, c in queries]
+    assert [q for q, v, r in zip(queries, verdicts, reference) if r and not v] == []
+    assert verify.compare_region_predicates(queries, dims) == []
 
 
 @pytest.mark.parametrize("density,gamma,classes", [
@@ -239,17 +225,38 @@ def test_region_oracle_grid_is_cached_and_read_only():
 ])
 def test_region_oracle_grid_finds_witnesses_the_ray_misses(density, gamma, classes):
     """Near-degenerate queries whose feasible stretch of the ray falls
-    between two of its density + 1 samples: the ray alone says OUT, the
-    grid finds a witness, and the closed form agrees with the grid.  The
-    grid pass is not redundant."""
+    between two of its density + 1 samples: the sampled ray alone says
+    OUT, only the reference's grid finds a witness, and the exact oracle
+    says IN, with the closed form."""
     g = ScaleIndex(*gamma)
     cs = [cls(p0, ell0) for p0, ell0 in classes]
-    tau = np.linspace(0.0, 1.0, density + 1)
-    r1, r2 = tau * g.gamma1, tau * g.gamma2
-    assert not verify._witness(r1, r2, verify._slope(r1, r2), g, cs, DIMS)
-    assert verify.region_oracle(g, cs, DIMS, density)
+    assert not witness(*ray_samples(g, density), g, cs, DIMS)
+    assert reference_oracle(g, cs, DIMS, density)
+    assert exact([(g, cs)]) == [True]
     rows = [[x for c in cs for x in (c.params.p, c.params.ell)] + [np.nan] * (4 - 2 * len(cs))]
     assert region_report(ScaleIndex(np.array([g.gamma1]), np.array([g.gamma2])), rows, DIMS) == [None]
+
+
+def test_region_oracle_mixed_batch():
+    """One batch of one- and two-class rows (nan columns for the absent
+    class): the origin, a bounded class, a slope inside the class slope's
+    TOL band, an inadmissible class, a point outside the triangle, a
+    slope above the class slope and a point beyond the two-class star
+    region.  Each verdict is the closed form's."""
+    dims = ProblemDims(2, 1, 0.5)  # slope cap 2, so kappa = ell0 / p0 can reach 1
+    fine, bounded, second, steep = (PotentialClass.from_exponents(p0, ell0, dims) for p0, ell0
+                                    in ((2.0, 1.0), (math.inf, 1.0), (3.0, 1.2), (1.0, 1.5)))
+    queries = [(ScaleIndex(0.0, 0.0), [fine]),
+               (ScaleIndex(0.5, 0.5), [bounded]),
+               (ScaleIndex(0.5, 0.5), [fine, bounded]),
+               (ScaleIndex(0.3, 0.3), [fine, second]),
+               (ScaleIndex(0.4, 0.4 * (1.0 + 0.5 * TOL)), [fine]),  # slope 1 + TOL / 2
+               (ScaleIndex(0.5, 0.5), [fine, steep]),    # kappa = 1.5
+               (ScaleIndex(1.5, 0.1), [fine]),           # right of the triangle
+               (ScaleIndex(0.5, 0.75), [fine]),          # slope 1.5 above 1
+               (ScaleIndex(1.0, 0.95), [fine, second])]  # above h(1) = 0.8
+    assert exact(queries, dims) == [True] * 5 + [False] * 4
+    assert verify.compare_region_predicates(queries, dims) == []
 
 
 # -- trace and pseudoresolvent -------------------------------------------------------------
