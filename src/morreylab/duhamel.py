@@ -15,7 +15,9 @@ where the base propagator over tau multiplies coefficient f by
 e^{-tau r(f)}: Fourier modes for the free semigroup (r = a^mu, real
 transforms for real data), or, when perturbations are applied one at a
 time, the eigenbasis H = Q Lambda Q^T of the first one's symmetric
-discrete generator (r = -lambda), which reaches every lag exactly.
+discrete generator (r = -lambda), which reaches every lag exactly.  Either
+way the coefficients of u0 and of each V_i u_j go from node to node by one
+factor e^{-(t_k - t_{k-1}) r} (Hochbruck & Ostermann, Acta Numerica 2010).
 
 The paper builds the solution as the fixed point of a map contracting
 in the weighted norm sup_t e^{-theta t} t^{d(alpha, gamma)} ||.||_alpha;
@@ -173,57 +175,51 @@ def _weight_table(d_list, d_gamma: float, times_bytes: bytes):
     return W, conv
 
 
-def _march(u0, base, tables, d_list, d_gamma: float, times, basis):
-    """The discrete Duhamel system u_k = base_k + sum_i sum_j W_i[k, j]
+def _march(u0, tables, d_list, d_gamma: float, times, basis):
+    """The discrete Duhamel system u_k = P(t_k) u0 + sum_i sum_j W_i[k, j]
     P(t_k - s_j)[V_i u_j], solved one node at a time on stacked arrays.
 
     `basis` is (rates, forward, inverse): `forward` maps (m, ...) stacked
     states to (m, F) coefficients, `inverse` maps them back, and the base
     propagator over tau multiplies coefficient f by e^{-tau rates[f]}.
-    The coefficients of every V_i u_j are stored as they are made, so
-    node k's history over s_j < t_k is one weighted sum of them, with the
-    decays of a uniform grid read from one table by lag.  P(0) = I makes
-    node k's own term pointwise, so u_k = (base_k + history_k) /
-    (1 - sum_i W_i[k, k'] V_i).  The bytes are checked first; a divisor
-    that is not finite or has real part <= 0, or a state that is not
-    finite, raises a blow-up naming t_k.
+    The coefficients of u0 (the base) and of every V_i u_j, stored as they
+    are made, are decayed in place by e^{-(t_k - t_{k-1}) rates} at each
+    node, so node k's history over s_j < t_k is one weighted sum of them.
+    P(0) = I makes node k's own term pointwise, so u_k = inverse(base_k +
+    history_k) / (1 - sum_i W_i[k, k'] V_i).  The bytes are checked first;
+    a divisor that is not finite or has real part <= 0, or a state that is
+    not finite, raises a blow-up naming t_k.  Returns the K states' list.
     """
     rates, forward, inverse = basis
     K, F = times.size, rates.size
     J = K + (d_gamma == 0.0)
-    # the coefficients, and the lag table or one node's decays
-    need = (len(d_list) + 1) * J * F * 16
+    need = len(d_list) * J * F * 16  # the coefficients
     if need > _HISTORY_MAX_BYTES:
         raise ValueError(f"the march over {K} nodes needs {need} bytes, "
                          f"above the {_HISTORY_MAX_BYTES}-byte limit")
     W, conv = _weights(d_list, d_gamma, times)
     off = J - K
-    step = np.diff(conv)
-    if np.ptp(step) <= 1e-12 * conv[-1]:
-        lags = np.exp(-np.multiply.outer(step[0] * np.arange(J), rates))
-
-        def decay(k):
-            return lags[k + off:0:-1]
-    else:
-        def decay(k):
-            return np.exp(-np.multiply.outer(times[k] - conv[:k + off], rates))
-
     tables = np.stack(tables)
     X = forward(tables * u0)  # the s = 0 node's data, and the coefficients' type
     coef = np.empty((X.shape[0], J, F), X.dtype)
     coef[:, :off] = X[:, None]
+    base = forward(u0[None])[0].astype(X.dtype)
     divisors = 1.0 - np.tensordot(np.diagonal(W, off, 1, 2).T, tables, 1)
     positive = (np.isfinite(divisors) & (divisors.real > 0.0)).reshape(K, -1).all(axis=1)
-    states = np.empty(base.shape, np.result_type(u0, base, tables))
-    for k in range(K):
+    states = []
+    for k, step in enumerate(np.diff(times, prepend=0.0)):
         j = k + off
         if not positive[k]:
             raise RuntimeError(f"blow-up at t = {times[k]:.6g}: 1 - sum_i W_i V_i "
                                f"is not positive there")
-        history = np.einsum("ij,jf,ijf->f", W[:, k, :j], decay(k), coef[:, :j])
-        u = states[k] = (base[k] + inverse(history[None])[0]) / divisors[k]
+        decay = np.exp(-step * rates)
+        base *= decay
+        coef[:, :j] *= decay
+        history = (W[:, k, :j, None] * coef[:, :j]).sum((0, 1))
+        u = inverse((base + history)[None])[0] / divisors[k]
         if not np.isfinite(u).all():
             raise RuntimeError(f"blow-up at t = {times[k]:.6g}: the state is not finite")
+        states.append(u)
         coef[:, j] = forward(tables * u)
     return states
 
@@ -231,18 +227,20 @@ def _march(u0, base, tables, d_list, d_gamma: float, times, basis):
 def _fourier_basis(a_mu: np.ndarray, real: bool):
     """The free semigroup's basis: multipliers e^{-tau a^mu} in hat space
     with every axis of a state transformed; `real` data, potentials and
-    symbol take the real transforms on the half spectrum."""
+    symbol take the real transforms on the half spectrum, one-axis ones in 1D."""
     N, shape = a_mu.ndim, a_mu.shape
-    axes = tuple(range(1, N + 1))
+    kw = {"axes": tuple(range(1, N + 1))}
     if real:
         a_mu = a_mu[..., : shape[-1] // 2 + 1]
         forward, inverse = np.fft.rfftn, functools.partial(np.fft.irfftn, s=shape)
+        if N == 1:
+            forward, inverse, kw = np.fft.rfft, functools.partial(np.fft.irfft, n=shape[0]), {}
     else:
         forward, inverse = np.fft.fftn, np.fft.ifftn
     spec = a_mu.shape
     return (a_mu.ravel(),
-            lambda x: forward(x, axes=axes).reshape(len(x), -1),
-            lambda y: inverse(y.reshape((len(y),) + spec), axes=axes))
+            lambda x: forward(x, **kw).reshape(len(x), -1),
+            lambda y: inverse(y.reshape((len(y),) + spec), **kw))
 
 
 # -- trajectories -------------------------------------------------------------
@@ -299,14 +297,14 @@ def picard_solve(u0: GridFunction, potentials, cfg: SolverConfig, gamma: ScaleIn
     potentials = tuple(potentials)
     alpha, d_gamma, d_list = _resolve_indices(potentials, gamma, dims)
     times = time_grid(cfg)
-    states = apply_semigroup(u0, times, mu, symbol)
     if potentials:
         tables = [V.on_grid(u0.N, u0.n, u0.L).values for V in potentials]
         a_mu = symbol.power(mu)
         real = all(np.isrealobj(x) for x in [u0.values, a_mu, *tables])
-        values = _march(u0.values, np.stack([s.values for s in states]), tables, d_list,
-                        d_gamma, times, _fourier_basis(a_mu, real))
+        values = _march(u0.values, tables, d_list, d_gamma, times, _fourier_basis(a_mu, real))
         states = [GridFunction(u0.N, u0.n, u0.L, v) for v in values]
+    else:
+        states = apply_semigroup(u0, times, mu, symbol)
     return Trajectory(times, tuple(states), gamma, alpha, cfg, potentials, dims, symbol, mu, u0)
 
 
@@ -348,9 +346,9 @@ def sequential_solve(u0: GridFunction, order, cfg: SolverConfig, gamma: ScaleInd
 
     The first potential's evolution becomes the base propagator for the
     second solve, on any time grid: in the first stage's eigenbasis
-    e^{tau H} = Q e^{tau Lambda} Q^T serves every lag t_k - s_j, so the
-    base is Q e^{t_k Lambda} Q^T u0 and the march runs in that basis,
-    with rates -lambda.
+    e^{tau H} = Q e^{tau Lambda} Q^T serves every lag, so the march runs
+    in that basis with rates -lambda, carrying Q^T u0 and the stored
+    coefficients of V2 u_j forward by e^{tau lambda}.
     """
     order = tuple(order)
     if len(order) != 2:
@@ -361,8 +359,7 @@ def sequential_solve(u0: GridFunction, order, cfg: SolverConfig, gamma: ScaleInd
     alpha, d_gamma, d_list = _resolve_indices(order, gamma, dims)
     lam, Q = _propagator_matrices(V1, symbol, mu)
     times = time_grid(cfg)
-    base = (np.exp(np.multiply.outer(times, lam)) * (u0.values @ Q)) @ Q.T
-    values = _march(u0.values, base, [V2.on_grid(u0.N, u0.n, u0.L).values], d_list[1:],
+    values = _march(u0.values, [V2.on_grid(u0.N, u0.n, u0.L).values], d_list[1:],
                     d_gamma, times, (-lam, lambda x: x @ Q, lambda y: y @ Q.T))
     states = tuple(GridFunction(u0.N, u0.n, u0.L, v) for v in values)
     return Trajectory(times, states, gamma, alpha, cfg, order, dims, symbol, mu, u0)

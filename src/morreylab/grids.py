@@ -48,9 +48,9 @@ class GridFunction:
         vals = np.asarray(self.values)
         if vals.shape != (self.n,) * self.N:
             raise ValueError(f"values shape {vals.shape} incompatible with N={self.N}, n={self.n}")
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("grid function contains non-finite values")
-        vals = np.require(vals, requirements=["C"])
+        vals = np.ascontiguousarray(vals)
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 

@@ -276,11 +276,6 @@ class SubordinatorDensity:
     nodes: np.ndarray
     weights: np.ndarray
 
-    @staticmethod
-    def density(s):
-        s = np.asarray(s, dtype=float)
-        return 0.5 / math.sqrt(math.pi) * s**-1.5 * np.exp(-0.25 / s)
-
     @classmethod
     def build(cls, n_nodes: int = 200, u_max: float = 8.0) -> "SubordinatorDensity":
         x, w = leggauss(n_nodes)
@@ -300,7 +295,9 @@ def subordination_apply(u0: GridFunction, t: float, symbol: SymbolSpec,
                         density: SubordinatorDensity | None = None) -> GridFunction:
     """The mu = 1/2 semigroup via subordination of the full-power one:
 
-        S_{1/2}(t) u0 = integral f(s) S_1(s t^2) u0 ds.
+        S_{1/2}(t) u0 = integral f(s) S_1(s t^2) u0 ds,
+
+    summed only where min(s) t^2 Re a <= 746: elsewhere every term is 0.
     """
     if t <= 0.0:
         raise ValueError("subordination needs t > 0")
@@ -308,7 +305,11 @@ def subordination_apply(u0: GridFunction, t: float, symbol: SymbolSpec,
         density = SubordinatorDensity.build()
 
     def multiplier(a):
-        yield sum(w * np.exp(-s * t * t * a) for s, w in zip(density.nodes, density.weights))
+        live = density.nodes.min() * t * t * np.real(a) <= 746.0
+        mult = np.zeros_like(a)
+        mult[live] = sum(w * np.exp(-s * t * t * a[live])
+                         for s, w in zip(density.nodes, density.weights))
+        yield mult
 
     [values] = _apply_multiplier(u0.values, symbol.power(1.0), multiplier)
     return GridFunction(u0.N, u0.n, u0.L, values)

@@ -339,14 +339,15 @@ def test_blowup_reported(sym, bump):
         picard_solve(bump, [huge], cfg, gamma_of(2.0, 1.0), DIMS, sym, 1.0)
 
 
-def test_blowup_on_a_state_that_is_not_finite(sym):
-    """A state that is not finite is a blow-up named at its node."""
+def test_blowup_on_a_state_that_is_not_finite():
+    """A state that is not finite is a blow-up named at its node: a base
+    growing as e^{13000 t} is finite at t = 0.046875 (e^609) and overflows
+    at the next node."""
     times = time_grid(SolverConfig(horizon=0.25, nodes=16, grading=1.0))
-    base = np.zeros((16, N))
-    base[3, 7] = np.inf
-    with pytest.raises(RuntimeError, match="blow-up at t = 0.0625: the state is not finite"):
-        _march(np.zeros(N), base, [np.ones(N)], [0.0], 0.0, times,
-               _fourier_basis(sym.power(1.0), real=True))
+    growth = (np.full(N, -13000.0), lambda x: x, lambda y: y)
+    with np.errstate(over="ignore"), pytest.raises(
+            RuntimeError, match="blow-up at t = 0.0625: the state is not finite"):
+        _march(np.ones(N), [np.zeros(N)], [0.0], 0.0, times, growth)
 
 
 # -- sequential composition -------------------------------------------------------------
@@ -521,17 +522,19 @@ def rel_gap(a, b):
 
 def march_gap(symbol, d_list, d_gamma, times, real):
     """Relative gap of the Fourier-basis march to the fixed point of the
-    per-node reference history, on random data and base and the test
-    potentials (complex ones when not real)."""
+    per-node reference history, on random data and the test potentials
+    (complex ones when not real); the reference's base is the free
+    evolution of the data, one full-spectrum transform pair per node."""
     n = symbol.n
     rng = np.random.default_rng(7)
-    u0, base = rng.standard_normal(n), rng.standard_normal((times.size, n))
+    u0 = rng.standard_normal(n)
     tables = [V.on_grid(1, n, L).values for V in _two_potentials()][: len(d_list)]
     if not real:
-        u0, base = u0 + 1j * rng.standard_normal(n), base + 1j * rng.standard_normal(base.shape)
+        u0 = u0 + 1j * rng.standard_normal(n)
         tables = [tab * (1.0 + 0.5j) for tab in tables]
     a_mu = symbol.power(1.0)
-    new = _march(u0, base, tables, d_list, d_gamma, times, _fourier_basis(a_mu, real))
+    base = np.stack([np.fft.ifft(np.exp(-t * a_mu) * np.fft.fft(u0)) for t in times])
+    new = np.stack(_march(u0, tables, d_list, d_gamma, times, _fourier_basis(a_mu, real)))
     W, conv = _weights(d_list, d_gamma, times)
     ref = fixed_point(u0, base, per_node_sum(a_mu)(tables, W, conv), conv)
     if real:
@@ -547,10 +550,26 @@ def march_gap(symbol, d_list, d_gamma, times, real):
 ])
 @pytest.mark.parametrize("real", [True, False])
 def test_history_matches_per_node_reference(sym, grading, d_list, d_gamma, real):
-    """The march's history sums, read from stored coefficients, solve the
-    system the per-node reference history defines."""
+    """The march's history sums, read from coefficients carried node to node
+    by one decay factor each, solve the system the per-node reference
+    history defines."""
     times = time_grid(SolverConfig(horizon=0.25, nodes=24, grading=grading))
     assert march_gap(sym, d_list, d_gamma, times, real) <= 1e-12
+
+
+@pytest.mark.parametrize("horizon,nodes,d_list,d_gamma", [
+    (0.25, 256, [0.3], 0.0),
+    (3.2, 192, [0.25], 7 / 120),   # the grid and exponents of pseudoresolvent_power
+])
+@pytest.mark.parametrize("real", [True, False])
+def test_long_graded_history_matches_per_node_reference(horizon, nodes, d_list, d_gamma, real):
+    """On long graded grids each coefficient goes through up to K decay
+    factors of different steps; the roundoff those products accumulate
+    stays within the per-node reference's bound (a 32-point grid keeps
+    K = 256 quick)."""
+    times = time_grid(SolverConfig(horizon=horizon, nodes=nodes, grading=2.0))
+    small = laplacian_power_symbol(1, 32, L, 1)
+    assert march_gap(small, d_list, d_gamma, times, real) <= 1e-12
 
 
 @pytest.mark.parametrize("nodes,d_list", [
@@ -560,9 +579,10 @@ def test_history_matches_per_node_reference(sym, grading, d_list, d_gamma, real)
 ])
 @pytest.mark.parametrize("real", [True, False])
 def test_uniform_history_matches_lag_exact_reference(nodes, d_list, real):
-    """On a uniform grid with a node at s = 0 the march reads every decay
-    e^{-l h a^mu} from one table by lag l; the reference takes each from
-    its own pair of times (a 32-point grid keeps K = 256 quick)."""
+    """On a uniform grid with a node at s = 0 the march reaches the decay
+    e^{-l h a^mu} of lag l as l products of the one-step factor; the
+    reference takes each from its own pair of times (a 32-point grid keeps
+    K = 256 quick)."""
     times = time_grid(SolverConfig(horizon=0.25, nodes=nodes, grading=1.0))
     small = laplacian_power_symbol(1, 32, L, 1)
     assert march_gap(small, d_list, 0.0, times, real) <= 1e-12
@@ -604,19 +624,22 @@ def one_step(V, cfg, symbol):
 @pytest.mark.parametrize("d_gamma", [0.0, 0.1])  # a node at s = 0, none
 def test_eigenbasis_history_matches_power_reference(sym, d_gamma):
     """The march in the first stage's eigenbasis solves the system the
-    one-step-matrix reference history defines."""
+    one-step-matrix reference history defines, whose base is the datum
+    through the one-step matrix once per node."""
     V0, V1 = _two_potentials()
     cfg = SolverConfig(horizon=0.25, nodes=32, grading=1.0)
     times = time_grid(cfg)
     d_list = [V1.potential_class(DIMS).kappa]
     rng = np.random.default_rng(5)
-    u0, base = rng.standard_normal(N), rng.standard_normal((times.size, N))
+    u0 = rng.standard_normal(N)
     tables = [V1.on_grid(1, N, L).values]
     lam, Q = _propagator_matrices(V0, sym, 1.0)
-    new = _march(u0, base, tables, d_list, d_gamma, times,
-                 (-lam, lambda x: x @ Q, lambda y: y @ Q.T))
+    new = np.stack(_march(u0, tables, d_list, d_gamma, times,
+                          (-lam, lambda x: x @ Q, lambda y: y @ Q.T)))
+    U1 = one_step(V0, cfg, sym)
+    base = np.stack([np.linalg.matrix_power(U1, k) @ u0 for k in range(1, times.size + 1)])
     W, conv = _weights(d_list, d_gamma, times)
-    ref = fixed_point(u0, base, power_sum(one_step(V0, cfg, sym))(tables, W, conv), conv)
+    ref = fixed_point(u0, base, power_sum(U1)(tables, W, conv), conv)
     assert np.isrealobj(new) and rel_gap(new, ref.real) <= 1e-12
 
 
@@ -686,8 +709,7 @@ def peak_bytes(fn):
 def test_uniform_solve_never_holds_the_dense_operator(sym, bump):
     """The K = 256 uniform constant-potential solve peaks far below the
     1 x 129 x 256 x 257 real history operator a dense history would hold
-    (68 MB): 3.8 MB measured, for its base, states, coefficients and lag
-    table."""
+    (68 MB): 2.3 MB measured, for its states, divisors and coefficients."""
     cfg = SolverConfig(horizon=0.25, nodes=256, grading=1.0)
     peak = peak_bytes(lambda: picard_solve(bump, [constant_potential(1.0)], cfg,
                                            gamma_of(2.0, 1.0), DIMS, sym, 1.0))
@@ -696,16 +718,17 @@ def test_uniform_solve_never_holds_the_dense_operator(sym, bump):
 
 def test_uniform_history_at_large_n_in_bounded_memory():
     """n = 4096, K = 256: a dense history operator would need 1.08 GB, above
-    the limit; the march's coefficients and lag table take 12.6 MB, and
-    the whole march peaks at 30 MB (measured), below 64 MB."""
+    the limit.  The march holds four arrays of 8.4 MB each, its
+    coefficients, its divisors, its states and one node's weighted
+    coefficients before they are summed, and peaks at 34.4 MB (measured),
+    below 40 MB."""
     n = 4096
     a_mu = laplacian_power_symbol(1, n, L, 1).power(1.0)
     times = time_grid(SolverConfig(horizon=0.25, nodes=256, grading=1.0))
     assert (n // 2 + 1) * 256 * 257 * 8 > _HISTORY_MAX_BYTES
-    base = np.ones((times.size, n))
-    peak = peak_bytes(lambda: _march(np.ones(n), base, [np.ones(n)], [0.0], 0.0, times,
+    peak = peak_bytes(lambda: _march(np.ones(n), [np.ones(n)], [0.0], 0.0, times,
                                      _fourier_basis(a_mu, real=True)))
-    assert peak < 64e6
+    assert peak < 40e6
 
 
 @pytest.mark.parametrize("N_dim,n,p", [(1, 128, 2.0), (1, 128, math.inf),
@@ -777,16 +800,15 @@ def test_first_stage_rejects_complex_tables(sym):
 
 def test_history_operator_bytes_guarded_before_allocation():
     """At 2^20 frequencies and 256 nodes the march's coefficients would take
-    8 GiB: graded and uniform grids alike refuse before allocating anything
-    of that size."""
+    I J F 16 = 4 GiB: graded and uniform grids alike refuse before
+    allocating anything of that size."""
     zero = np.zeros(2**20)
-    base = np.broadcast_to(zero, (256, 2**20))
     basis = _fourier_basis(np.ones(2**20), real=False)
-    for grading, d_gamma in ((2.0, 0.1), (1.0, 0.0)):
+    for grading, d_gamma, J in ((2.0, 0.1, 256), (1.0, 0.0, 257)):
         times = time_grid(SolverConfig(horizon=0.25, nodes=256, grading=grading))
 
         def refused():
-            with pytest.raises(ValueError, match="bytes"):
-                _march(zero, base, [zero], [0.25], d_gamma, times, basis)
+            with pytest.raises(ValueError, match=f"needs {J * 2**20 * 16} bytes"):
+                _march(zero, [zero], [0.25], d_gamma, times, basis)
 
         assert peak_bytes(refused) < 2**20 * 256

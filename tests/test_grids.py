@@ -34,6 +34,19 @@ def test_values_frozen():
         g.values[0] = 2.0
 
 
+def test_values_copied_only_when_not_c_contiguous():
+    """A C-contiguous array is kept as it is; a strided view becomes a
+    C-contiguous copy of the same values."""
+    kept = np.zeros(8)
+    assert GridFunction(1, 8, 1.0, kept).values is kept
+    strided = np.arange(16.0)[::2]
+    g = GridFunction(1, 8, 1.0, strided)
+    assert g.values.flags.c_contiguous and np.array_equal(g.values, strided)
+    assert not g.values.flags.writeable and strided.flags.writeable
+    with pytest.raises(ValueError, match="non-finite"):
+        GridFunction(1, 8, 1.0, np.full(8, np.inf))
+
+
 def test_arithmetic_and_mismatch():
     a = GridFunction.constant(2.0, 1, 16, 1.0)
     b = GridFunction.constant(3.0, 1, 16, 1.0)

@@ -319,6 +319,23 @@ def test_subordination_half_spectrum_matches_full(sym1):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def test_subordination_skips_only_underflowed_frequencies(sym1):
+    """At t = 1 every term underflows on the upper 46% of the half spectrum;
+    skipping those frequencies leaves the result bit-identical to the full
+    200-term sum."""
+    delta = GridFunction.dirac(**N1)
+    dens = SubordinatorDensity.build()
+    t = 1.0
+    dead = dens.nodes.min() * t * t * sym1.table[: 4096 // 2 + 1] > 746.0
+    assert 0.4 < dead.mean() < 0.5
+
+    def full(a):
+        yield sum(w * np.exp(-s * t * t * a) for s, w in zip(dens.nodes, dens.weights))
+
+    [want] = _apply_multiplier(delta.values, sym1.power(1.0), full)
+    assert np.array_equal(subordination_apply(delta, t, sym1, dens).values, want)
+
+
 # -- pseudoresolvent -----------------------------------------------------------------
 
 
