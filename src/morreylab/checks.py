@@ -41,7 +41,6 @@ from .indices import (
 from .norms import RadiusLadder, _scan, morrey_norm
 from .potentials import constant_potential, power_law_potential
 from .semigroup import (
-    SubordinatorDensity,
     apply_semigroup,
     kernel,
     laplacian_power_symbol,
@@ -198,7 +197,7 @@ def check_subordination(ctx: CheckContext, t: float = 0.5, tol: float = 1e-3) ->
     sym = ctx.symbol(m=1)
     delta = GridFunction.dirac(ctx.dims.N, ctx.n, ctx.L)
     direct = apply_semigroup(delta, t, 0.5, sym)
-    sub = subordination_apply(delta, t, sym, SubordinatorDensity.build())
+    sub = subordination_apply(delta, t, sym)
     num = float(np.sum(np.abs(direct.values - sub.values)))
     den = float(np.sum(np.abs(direct.values)))
     return _record("subordination", num / den <= tol, rel_l1=num / den, tol=tol)
@@ -280,14 +279,13 @@ def _solver_context(ctx: CheckContext, n: int):
     return dims, sym, bump
 
 
-def _power_traj(ctx: CheckContext, n: int = 512, amplitude: float = 1.0,
-                nodes: int = 64, horizon: float = 0.25):
-    key = ("power_traj", n, amplitude, nodes, horizon)
+def _power_traj(ctx: CheckContext, n: int = 512):
+    key = ("power_traj", n)
     if key not in ctx.memo:
         dims, sym, bump = _solver_context(ctx, n)
-        V = power_law_potential(amplitude, _POWER_BETA, _POWER_P0)
+        V = power_law_potential(1.0, _POWER_BETA, _POWER_P0)
         gamma = to_index(MorreyParams(2.0, 0.7), dims)
-        cfg = SolverConfig(horizon=horizon, nodes=nodes)
+        cfg = SolverConfig(horizon=0.25, nodes=64)
         ctx.memo[key] = picard_solve(bump, [V], cfg, gamma, dims, sym, dims.mu)
     return ctx.memo[key]
 
@@ -381,7 +379,7 @@ def _sup_norm(g: GridFunction) -> float:
 
 def check_semigroup_property(ctx: CheckContext, n: int = 256, tol_factor: float = 10.0) -> CheckRecord:
     """evaluate(t1+t2) against re-propagating evaluate(t2) by t1."""
-    traj = _power_traj(ctx, n=n, nodes=64, horizon=0.25)
+    traj = _power_traj(ctx, n=n)
     err = _half_node_gap(traj, picard_solve, _working_norm(traj))
     t1, t2 = 0.125, 0.125
     u_sum = evaluate(traj, t1 + t2)
@@ -600,12 +598,10 @@ def _guarded(ctx: CheckContext, name: str, fn, params) -> CheckRecord:
     return replace(rec, duration=time.perf_counter() - start)
 
 
-def run_checks(ctx: CheckContext, entries, jobs: int = 1):
-    """Execute configured checks; `entries` are (name, params) pairs.
-
-    Workers may run in parallel, but records are assembled in the
-    configured order so reports are deterministic.  A check that raises
-    yields a FAIL record and the others still run.
+def run_checks(ctx: CheckContext, entries):
+    """Execute configured checks in order, one at a time; `entries` are
+    (name, params) pairs.  A check that raises yields a FAIL record and
+    the others still run.
     """
     tasks = []
     for name, params in entries:
@@ -613,10 +609,4 @@ def run_checks(ctx: CheckContext, entries, jobs: int = 1):
         if fn is None:
             raise KeyError(f"unknown check {name!r}")
         tasks.append((name, fn, params))
-    if jobs <= 1:
-        return [_guarded(ctx, *task) for task in tasks]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [pool.submit(_guarded, ctx, *task) for task in tasks]
-        return [f.result() for f in futures]
+    return [_guarded(ctx, *task) for task in tasks]

@@ -43,8 +43,8 @@ def _emit(report: dict, out_dir: str | None) -> None:
         print(text)
 
 
-def _run_entries(cfg: ExperimentConfig, entries, jobs: int | None, out_dir: str | None) -> int:
-    records = run_checks(cfg.context(), entries, jobs=jobs or 1)
+def _run_entries(cfg: ExperimentConfig, entries, out_dir: str | None) -> int:
+    records = run_checks(cfg.context(), entries)
     for rec in records:
         status = "PASS" if rec.passed else "FAIL"
         raised = rec.details.get("error_type")
@@ -153,7 +153,8 @@ def main(argv=None) -> int:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to a JSON experiment config")
     common.add_argument("--out", help="output directory for report artifacts")
-    common.add_argument("--jobs", type=int, default=None, help="parallel check workers (default 1)")
+    common.add_argument("--jobs", type=int, default=None,
+                        help="accepted only as 1: checks run one at a time")
     common.add_argument("--seed", type=int, default=None, help="override the config seed")
     common.add_argument("--check", action="append", default=None,
                         help="restrict to named checks (repeatable)")
@@ -186,6 +187,8 @@ def main(argv=None) -> int:
             for flag, value in (("--out", args.out), ("--jobs", args.jobs), ("--check", args.check)):
                 if value is not None:
                     raise ConfigError(f"{flag} is not read by the --queries protocol")
+        elif args.jobs not in (None, 1):
+            raise ConfigError(f"--jobs {args.jobs}: checks run one at a time, so only 1 is accepted")
         cfg = _load(args)
         if protocol:
             return _regions_protocol(args, cfg)
@@ -199,7 +202,7 @@ def main(argv=None) -> int:
                 entries = [(n, p) for n, p in entries if n in set(args.check)]
         else:
             entries = _group_entries(cfg, args.command, args.check)
-        return _run_entries(cfg, entries, args.jobs, args.out)
+        return _run_entries(cfg, entries, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

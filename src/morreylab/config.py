@@ -121,7 +121,7 @@ DEFAULT_CONFIG = {
 }
 
 
-def validate_config(raw: dict, path: str = "config") -> ExperimentConfig:
+def validate_config(raw: dict) -> ExperimentConfig:
     top = _require_keys(raw, {
         "version": (True, _integer(1)),
         "seed": (False, _integer(0)),
@@ -136,9 +136,9 @@ def validate_config(raw: dict, path: str = "config") -> ExperimentConfig:
         }, p)),
         "checks": (False, _check_list),
         "output_dir": (False, _optional_string),
-    }, path)
+    }, "config")
     if top["version"] != SCHEMA_VERSION:
-        raise ConfigError(f"{path}.version: schema version {top['version']} unsupported "
+        raise ConfigError(f"config.version: schema version {top['version']} unsupported "
                           f"(expected {SCHEMA_VERSION})")
     dims_raw = top.get("dims", {})
     dims = ProblemDims(dims_raw.get("N", 1), dims_raw.get("m", 1), dims_raw.get("mu", 1.0))

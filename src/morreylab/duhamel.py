@@ -37,7 +37,7 @@ from .grids import GridFunction
 from .indices import ScaleIndex, ProblemDims, choose_alpha, smoothing_distance
 from .potentials import PotentialSpec
 from .quadrature import product_weights
-from .semigroup import SymbolSpec, apply_semigroup
+from .semigroup import SymbolSpec, _fourier_basis, apply_semigroup
 
 __all__ = [
     "SolverConfig",
@@ -96,14 +96,13 @@ def multiply(V: PotentialSpec | GridFunction, phi: GridFunction) -> GridFunction
 # -- contraction bound ------------------------------------------------------
 
 
-def contraction_bound(theta: float, T: float, d_list, d_gamma: float,
-                      n_q: int = 96, q_max: float = 60.0):
+def contraction_bound(theta: float, T: float, d_list, d_gamma: float):
     """Closed-form upper bounds on the per-perturbation contraction factors
 
         c_i(theta) = sup_{t <= T} t^{1-d_i} e^{-theta t}
                      integral_0^1 e^{theta t z} (1-z)^{-d_i} z^{-d_gamma} dz,
 
-    namely min over q in (1, q_max] of
+    namely min over q in (1, 60] of
     theta^{-1/q'} T^{1/q - d_i} q'^{-1/q'} B(1 - q d_i, 1 - q d_gamma)^{1/q}.
     """
     if not 0.0 <= d_gamma < 1.0:
@@ -112,19 +111,19 @@ def contraction_bound(theta: float, T: float, d_list, d_gamma: float,
     for d in d_list:
         if not 0.0 <= d < 1.0:
             raise ValueError(f"d(alpha, beta) = {d} must lie in [0, 1)")
-        inv_qp, t_power, rest = _q_terms(d, d_gamma, n_q, q_max)
+        inv_qp, t_power, rest = _q_terms(d, d_gamma)
         logs = -math.log(theta) * inv_qp + t_power * math.log(T) + rest
         bounds.append(float(np.exp(logs.min())))
     return bounds
 
 
 @functools.lru_cache(maxsize=64)
-def _q_terms(d: float, d_gamma: float, n_q: int, q_max: float):
-    """The parts of contraction_bound's log on its q grid that do not
+def _q_terms(d: float, d_gamma: float):
+    """The parts of contraction_bound's log on its 96-point q grid that do not
     depend on theta or T: 1/q', 1/q - d, and -log(q')/q' + log B / q, the
     log-Beta row from math.lgamma once per exponent pair."""
-    q_hi = min([q_max] + [1.0 / x for x in (d, d_gamma) if x > 0.0])
-    qs = 1.0 + (q_hi - 1.0) * np.linspace(1e-4, 1.0 - 1e-6, n_q) ** 2
+    q_hi = min([60.0] + [1.0 / x for x in (d, d_gamma) if x > 0.0])
+    qs = 1.0 + (q_hi - 1.0) * np.linspace(1e-4, 1.0 - 1e-6, 96) ** 2
     qp = qs / (qs - 1.0)
     p, r = 1.0 - qs * d, 1.0 - qs * d_gamma
     log_beta = np.array([math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y)
@@ -222,25 +221,6 @@ def _march(u0, tables, d_list, d_gamma: float, times, basis):
         states.append(u)
         coef[:, j] = forward(tables * u)
     return states
-
-
-def _fourier_basis(a_mu: np.ndarray, real: bool):
-    """The free semigroup's basis: multipliers e^{-tau a^mu} in hat space
-    with every axis of a state transformed; `real` data, potentials and
-    symbol take the real transforms on the half spectrum, one-axis ones in 1D."""
-    N, shape = a_mu.ndim, a_mu.shape
-    kw = {"axes": tuple(range(1, N + 1))}
-    if real:
-        a_mu = a_mu[..., : shape[-1] // 2 + 1]
-        forward, inverse = np.fft.rfftn, functools.partial(np.fft.irfftn, s=shape)
-        if N == 1:
-            forward, inverse, kw = np.fft.rfft, functools.partial(np.fft.irfft, n=shape[0]), {}
-    else:
-        forward, inverse = np.fft.fftn, np.fft.ifftn
-    spec = a_mu.shape
-    return (a_mu.ravel(),
-            lambda x: forward(x, **kw).reshape(len(x), -1),
-            lambda y: inverse(y.reshape((len(y),) + spec), **kw))
 
 
 # -- trajectories -------------------------------------------------------------

@@ -13,16 +13,15 @@ from .grids import GridFunction
 __all__ = ["gaussian_bump", "power_law"]
 
 
-def gaussian_bump(N: int, n: int, L: float, width: float = 1.0) -> GridFunction:
+def gaussian_bump(N: int, n: int, L: float) -> GridFunction:
+    """exp(-|x|^2)."""
     g = GridFunction.constant(0.0, N, n, L)
-    r = g.radii()
-    return GridFunction(N, n, L, np.exp(-((r / width) ** 2)))
+    return GridFunction(N, n, L, np.exp(-(g.radii() ** 2)))
 
 
-def power_law(N: int, n: int, L: float, beta: float = 0.5, amplitude: float = 1.0,
-              cap_radius: float | None = None, support_radius: float | None = None,
-              mass_faithful: bool = False) -> GridFunction:
-    """|x|^{-beta}, capped below cap_radius; optionally zero outside support_radius.
+def power_law(N: int, n: int, L: float, beta: float = 0.5,
+              support_radius: float | None = None, mass_faithful: bool = False) -> GridFunction:
+    """|x|^{-beta}, capped below |x| = 2h; optionally zero outside support_radius.
 
     The outer truncation keeps the torus wrap from leaving a flat
     background whose norms would contaminate decay-rate fits.  With
@@ -32,9 +31,8 @@ def power_law(N: int, n: int, L: float, beta: float = 0.5, amplitude: float = 1.
     evolves like an extra point source and flattens small-time fits.
     """
     g = GridFunction.constant(0.0, N, n, L)
-    cap = 2.0 * g.h if cap_radius is None else cap_radius
-    r = np.maximum(g.radii(), cap)
-    vals = amplitude * r ** (-beta)
+    cap = 2.0 * g.h
+    vals = np.maximum(g.radii(), cap) ** (-beta)
     if mass_faithful:
         if N != 1 or beta >= 1.0:
             raise ValueError("mass-faithful realization needs N = 1 and beta < 1")
@@ -50,7 +48,7 @@ def power_law(N: int, n: int, L: float, beta: float = 0.5, amplitude: float = 1.
         cell = np.where(straddles, anti(np.abs(lo)) + anti(hi),
                         anti(hi) - anti(np.maximum(lo, 0.0)))
         vals = vals.copy()
-        vals[core] = amplitude * cell / h
+        vals[core] = cell / h
     if support_radius is not None:
         vals = np.where(g.radii() <= support_radius, vals, 0.0)
     return GridFunction(N, n, L, vals)

@@ -3,7 +3,7 @@
 Everything downstream (norm estimators, the multiplier engine, the
 Duhamel solver) works on these uniform periodic grids.  N is 1 or 2,
 the number of points per axis is a power of two, and values are frozen
-numpy arrays so grid functions can be shared freely between threads.
+numpy arrays so one grid function can be shared by every caller.
 """
 
 from __future__ import annotations

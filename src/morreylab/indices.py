@@ -387,16 +387,17 @@ def star_region_contains(gamma: ScaleIndex, classes):
     return _le(gamma.gamma1, theta) | _le(gamma.gamma2, boundary_h(gamma.gamma1, classes))
 
 
-def _bracketed_newton(g, gp, lo: float, hi: float, maxiter: int = 200) -> float:
-    """Root of g on [lo, hi], where g changes sign: Newton steps, with a
-    bisection whenever a step would leave the shrinking bracket."""
+def _bracketed_newton(g, gp, lo: float, hi: float) -> float:
+    """Root of g on [lo, hi], where g changes sign: at most 200 Newton
+    steps, with a bisection whenever a step would leave the shrinking
+    bracket."""
     g_lo, g_hi = g(lo), g(hi)
     if g_lo == 0.0 or g_hi == 0.0:
         return lo if g_lo == 0.0 else hi
     if (g_lo < 0.0) == (g_hi < 0.0):
         raise ValueError("root is not bracketed")
     x = 0.5 * (lo + hi)
-    for _ in range(maxiter):
+    for _ in range(200):
         gx = g(x)
         if gx == 0.0:
             return x
@@ -411,7 +412,7 @@ def _bracketed_newton(g, gp, lo: float, hi: float, maxiter: int = 200) -> float:
         if abs(x_new - x) <= 1e-15 + 8.9e-16 * abs(x_new):
             return x_new
         x = x_new
-    raise ArithmeticError(f"no convergence in {maxiter} iterations")
+    raise ArithmeticError("no convergence in 200 iterations")
 
 
 def exterior_tangent(f, fp, fpp, a: float, b: float, c: float, d: float, side: str) -> float:
@@ -467,6 +468,10 @@ def region_report(gamma: ScaleIndex, classes, dims: ProblemDims) -> list:
     (p0, ell0, p1, ell1), with p1 = ell1 = nan where a row names one
     class.  Every exponent must pass MorreyParams and validate_for; one
     that does not raises ValueError for the whole block.
+
+    The sub-triangle test's TOL band is on the class slope,
+    slope(gamma) <= slope(gamma^i) + TOL, the band verify.region_oracle
+    gives the raw test slope(gamma) <= slope(beta_i).
 
     No working index is constructed: inside the sub-triangles, the star
     region is exactly where choose_alpha's candidate

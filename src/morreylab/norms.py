@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -43,31 +42,26 @@ __all__ = [
 _BALL_SPECTRA: dict = {}
 _CACHE_BYTES = 64 << 20
 _BLOCK_BYTES = 4 << 20
-_CACHE_LOCK = threading.Lock()
+# the center stride of the default ladder and of the uniform norm
+_STRIDE = 4
 
 
 @dataclass(frozen=True)
 class RadiusLadder:
-    """Geometric radius sequence R_min..R_max plus a center stride.
+    """A radius sequence plus a center stride.
 
-    R = 1 is spliced in when it falls inside the range so that the
-    embedding into the uniform space is exact at the estimator level.
+    `for_grid` builds the default ladder: radii from 2h to the box
+    half-width L in ratios of sqrt(2), with R = 1 spliced in when it falls
+    inside that range so that the embedding into the uniform space is
+    exact at the estimator level, and every 4th center.
     """
 
     radii: tuple
     stride: int
 
     @classmethod
-    def for_grid(cls, g: GridFunction, ratio: float = math.sqrt(2.0), stride: int = 4,
-                 r_min: float | None = None, r_max: float | None = None) -> "RadiusLadder":
-        r_min = 2.0 * g.h if r_min is None else r_min
-        r_max = g.L if r_max is None else r_max
-        if r_min < 2.0 * g.h - 1e-12:
-            raise ValueError("R_min below 2h is under-resolved")
-        if r_max > g.L + 1e-12:
-            raise ValueError("R_max beyond the box half-width")
-        if ratio <= 1.0:
-            raise ValueError("ladder ratio must exceed 1")
+    def for_grid(cls, g: GridFunction) -> "RadiusLadder":
+        r_min, r_max, ratio = 2.0 * g.h, g.L, math.sqrt(2.0)
         radii = [r_min]
         while radii[-1] * ratio < r_max * (1.0 - 1e-12):
             radii.append(radii[-1] * ratio)
@@ -75,7 +69,7 @@ class RadiusLadder:
             radii.append(r_max)
         if r_min <= 1.0 <= r_max and not any(abs(r - 1.0) < 1e-12 for r in radii):
             radii.append(1.0)
-        return cls(tuple(sorted(radii)), int(stride))
+        return cls(tuple(sorted(radii)), _STRIDE)
 
 
 def _ball_mask(r: np.ndarray, radius: float) -> np.ndarray:
@@ -116,11 +110,10 @@ def _ball_spectra(g: GridFunction, radii: tuple, stride: int) -> np.ndarray:
     i.e. rolled so offset 0 is at index 0.
     """
     key = (g.N, g.n, g.L, radii, stride)
-    with _CACHE_LOCK:
-        spectra = _BALL_SPECTRA.pop(key, None)
-        if spectra is not None:
-            _BALL_SPECTRA[key] = spectra  # now the most recently used
-            return spectra
+    spectra = _BALL_SPECTRA.pop(key, None)
+    if spectra is not None:
+        _BALL_SPECTRA[key] = spectra  # now the most recently used
+        return spectra
     axes = tuple(range(g.N))
     m = g.n // stride
     r = g.radii()
@@ -128,10 +121,9 @@ def _ball_spectra(g: GridFunction, radii: tuple, stride: int) -> np.ndarray:
     for row, radius in zip(spectra, radii):
         kernel = np.roll(_ball_mask(r, radius).astype(float), (-(g.n // 2),) * g.N, axis=axes)
         row[...] = _aliased(np.fft.fftn(kernel).real, stride, g.N)
-    with _CACHE_LOCK:
-        _BALL_SPECTRA[key] = spectra
-        while sum(a.nbytes for a in _BALL_SPECTRA.values()) > _CACHE_BYTES:
-            del _BALL_SPECTRA[next(iter(_BALL_SPECTRA))]
+    _BALL_SPECTRA[key] = spectra
+    while sum(a.nbytes for a in _BALL_SPECTRA.values()) > _CACHE_BYTES:
+        del _BALL_SPECTRA[next(iter(_BALL_SPECTRA))]
     return spectra
 
 
@@ -262,11 +254,11 @@ def morrey_norm(phi: GridFunction, p: float, ell: float, ladder: RadiusLadder | 
     return float(_scan(phi, phi.values, p, ell, ladder))
 
 
-def uniform_norm(phi: GridFunction, p: float, stride: int = 4) -> float:
-    """Locally-uniform norm: max over centers of the unit-ball L^p norm."""
+def uniform_norm(phi: GridFunction, p: float) -> float:
+    """Locally-uniform norm: max over every 4th center of the unit-ball L^p norm."""
     if phi.L < 1.0:
         raise ValueError("uniform norm needs a box with L >= 1")
-    return morrey_norm(phi, p, float(phi.N), RadiusLadder((1.0,), stride))
+    return morrey_norm(phi, p, float(phi.N), RadiusLadder((1.0,), _STRIDE))
 
 
 class HolderCheck(NamedTuple):
@@ -278,13 +270,12 @@ class HolderCheck(NamedTuple):
 
 
 def holder_product_check(f: GridFunction, g: GridFunction, w: float, kappa: float,
-                         p0: float, ell0: float, tol: float = 0.05,
-                         ladder: RadiusLadder | None = None) -> HolderCheck:
+                         p0: float, ell0: float) -> HolderCheck:
     """Product inequality ||f g||_{M^{z,nu}} <= ||f||_{M^{w,kappa}} ||g||_{M^{p0,ell0}}
     with 1/z = 1/w + 1/p0 and nu/z = kappa/w + ell0/p0.
 
     Requires w >= p0' so that z >= 1.  `passed` allows a discretization
-    slack of `tol` on the right-hand side.
+    slack of 5% on the right-hand side; every norm takes the default ladder.
     """
     inv_w = 0.0 if w == math.inf else 1.0 / w
     inv_p0 = 0.0 if p0 == math.inf else 1.0 / p0
@@ -294,6 +285,6 @@ def holder_product_check(f: GridFunction, g: GridFunction, w: float, kappa: floa
     z = math.inf if inv_z == 0.0 else 1.0 / inv_z
     nu_over_z = kappa * inv_w + ell0 * inv_p0
     nu = 0.0 if z == math.inf else nu_over_z * z
-    lhs = morrey_norm(f * g, z, nu if nu > 0 else float(f.N), ladder)
-    rhs = morrey_norm(f, w, kappa, ladder) * morrey_norm(g, p0, ell0, ladder)
-    return HolderCheck(lhs, rhs, z, nu, lhs <= rhs * (1.0 + tol))
+    lhs = morrey_norm(f * g, z, nu if nu > 0 else float(f.N))
+    rhs = morrey_norm(f, w, kappa) * morrey_norm(g, p0, ell0)
+    return HolderCheck(lhs, rhs, z, nu, lhs <= rhs * 1.05)

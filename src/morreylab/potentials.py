@@ -9,7 +9,7 @@ import numpy as np
 
 from .grids import GridFunction
 from .indices import MorreyParams, PotentialClass, ProblemDims
-from .norms import RadiusLadder, morrey_norm
+from .norms import morrey_norm
 
 __all__ = ["PotentialSpec", "power_law_potential", "constant_potential", "tabulated_potential"]
 
@@ -18,7 +18,7 @@ __all__ = ["PotentialSpec", "power_law_potential", "constant_potential", "tabula
 class PotentialSpec:
     """A potential with a realization rule and a declared class (p0, ell0).
 
-    kind is 'power_law' (amplitude * r^{-beta}, capped at cap_radius),
+    kind is 'power_law' (amplitude * r^{-beta}, capped at r = 2h),
     'constant', or 'tabulated'.  Power-law specs must satisfy the class
     consistency ell0 = beta * p0 and beta * p0 < N.
     """
@@ -28,7 +28,6 @@ class PotentialSpec:
     ell0: float
     amplitude: float = 0.0
     beta: float = 0.0
-    cap_radius: float | None = None
     value: float = 0.0
     table: GridFunction | None = None
 
@@ -50,7 +49,7 @@ class PotentialSpec:
         return PotentialClass.from_exponents(self.p0, self.ell0, dims).require_admissible()
 
     def on_grid(self, N: int, n: int, L: float) -> GridFunction:
-        """Realize the potential on a grid; the power-law cap defaults to 2h."""
+        """Realize the potential on a grid; the power law is capped at 2h."""
         if self.kind == "constant":
             return GridFunction.constant(self.value, N, n, L)
         if self.kind == "tabulated":
@@ -60,11 +59,10 @@ class PotentialSpec:
                 raise ValueError("tabulated potential on an incompatible grid")
             return self.table
         probe = GridFunction.constant(0.0, N, n, L)
-        cap = self.cap_radius if self.cap_radius is not None else 2.0 * probe.h
-        r = np.maximum(probe.radii(), cap)
+        r = np.maximum(probe.radii(), 2.0 * probe.h)
         return GridFunction(N, n, L, self.amplitude * r ** (-self.beta))
 
-    def measured_norm(self, N: int, n: int, L: float, ladder: RadiusLadder | None = None) -> float:
+    def measured_norm(self, N: int, n: int, L: float) -> float:
         """Morrey norm of the capped realization in the declared class.
 
         This measured value, not the analytic ideal, is what feeds the
@@ -72,13 +70,11 @@ class PotentialSpec:
         """
         if self.kind == "constant":
             return abs(self.value)
-        return morrey_norm(self.on_grid(N, n, L), self.p0, self.ell0, ladder)
+        return morrey_norm(self.on_grid(N, n, L), self.p0, self.ell0)
 
 
-def power_law_potential(amplitude: float, beta: float, p0: float,
-                        cap_radius: float | None = None) -> PotentialSpec:
-    return PotentialSpec("power_law", p0=p0, ell0=beta * p0, amplitude=amplitude,
-                         beta=beta, cap_radius=cap_radius)
+def power_law_potential(amplitude: float, beta: float, p0: float) -> PotentialSpec:
+    return PotentialSpec("power_law", p0=p0, ell0=beta * p0, amplitude=amplitude, beta=beta)
 
 
 def constant_potential(value: float, N: int = 1) -> PotentialSpec:

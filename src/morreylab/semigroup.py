@@ -2,11 +2,12 @@
 
 On the periodic box the constant-coefficient operator is diagonal in
 Fourier space, so e^{-t A^mu} u0 is computed by multiplying the DFT of
-u0 with e^{-t a(xi)^mu}.  One Fourier convention holds here and in
-`duhamel`: real data under a real symbol take the real transforms, with
-every multiplier built on the half spectrum a[..., : n//2 + 1] (which
-needs a real table even under xi -> -xi, as `_validate_symbol` makes it);
-anything complex takes the full complex transforms.  Kernels are the
+u0 with e^{-t a(xi)^mu}.  One Fourier convention, `_fourier_basis`,
+serves every multiplier here and the march in `duhamel`: real data under
+a real symbol take the real transforms, with every multiplier built on
+the half spectrum a[..., : n//2 + 1] (which needs a real table even
+under xi -> -xi, as `_validate_symbol` makes it); anything complex takes
+the full complex transforms.  Kernels are the
 image of a unit-mass discrete Dirac, the mu = 1/2 evolution can be
 cross-checked by averaging the full-power semigroup against the
 one-sided stable density, and the Laplace transform of the evolution
@@ -147,23 +148,34 @@ def symbol_from_coefficients(N: int, n: int, L: float, m: int, coeffs: dict) -> 
     return _validate_symbol(N, n, L, m, table, False)
 
 
-def _apply_multiplier(values: np.ndarray, a: np.ndarray, multipliers) -> list[np.ndarray]:
-    """The grid values under each multiplier that multipliers(a) yields,
-    all from one forward transform.
-
-    Real values with a real table take rfftn/irfftn, and `multipliers`
-    sees only the half spectrum a[..., : n//2 + 1]; anything complex takes
-    the full transforms.  Multipliers and inverses run one at a time.
-    """
-    axes = tuple(range(values.ndim))
-    if np.isrealobj(values) and np.isrealobj(a):
-        a = a[..., : values.shape[-1] // 2 + 1]
-        spec = np.fft.rfftn(values, axes=axes)
-        inverse = functools.partial(np.fft.irfftn, s=values.shape, axes=axes)
+def _fourier_basis(a: np.ndarray, real: bool):
+    """The basis where the symbol table a acts pointwise, as (rates, forward,
+    inverse): `forward` maps a stack (m, n, ..., n) of states to (m, F)
+    coefficients, `inverse` maps them back, and rates is a on those F.
+    `real` data and table take the real transforms on the half spectrum
+    (one-axis ones in 1D); otherwise every transform is complex."""
+    N, shape = a.ndim, a.shape
+    kw = {"axes": tuple(range(1, N + 1))}
+    if real:
+        a = a[..., : shape[-1] // 2 + 1]
+        forward, inverse = np.fft.rfftn, functools.partial(np.fft.irfftn, s=shape)
+        if N == 1:
+            forward, inverse, kw = np.fft.rfft, functools.partial(np.fft.irfft, n=shape[0]), {}
     else:
-        spec = np.fft.fftn(values, axes=axes)
-        inverse = functools.partial(np.fft.ifftn, axes=axes)
-    return [inverse(mult * spec) for mult in multipliers(a)]
+        forward, inverse = np.fft.fftn, np.fft.ifftn
+    spec = a.shape
+    return (a.ravel(),
+            lambda x: forward(x, **kw).reshape(len(x), -1),
+            lambda y: inverse(y.reshape((len(y),) + spec), **kw))
+
+
+def _apply_multiplier(values: np.ndarray, a: np.ndarray, multipliers) -> list[np.ndarray]:
+    """The grid values under each multiplier that multipliers(rates) yields,
+    all from one forward transform in `_fourier_basis`, real when values
+    and table both are.  Multipliers and inverses run one at a time."""
+    rates, forward, inverse = _fourier_basis(a, np.isrealobj(values) and np.isrealobj(a))
+    spec = forward(values[None])
+    return [inverse(mult * spec)[0] for mult in multipliers(rates)]
 
 
 def apply_semigroup(u0: GridFunction, t: float | np.ndarray, mu: float,
@@ -277,10 +289,11 @@ class SubordinatorDensity:
     weights: np.ndarray
 
     @classmethod
-    def build(cls, n_nodes: int = 200, u_max: float = 8.0) -> "SubordinatorDensity":
-        x, w = leggauss(n_nodes)
-        u = 0.5 * u_max * (x + 1.0)
-        wu = 0.5 * u_max * w
+    def build(cls) -> "SubordinatorDensity":
+        """200 Gauss-Legendre nodes on u in [0, 8]."""
+        x, w = leggauss(200)
+        u = 4.0 * (x + 1.0)
+        wu = 4.0 * w
         nodes = 0.25 / u**2
         weights = 2.0 / math.sqrt(math.pi) * np.exp(-(u**2)) * wu
         total = float(weights.sum())
@@ -291,18 +304,17 @@ class SubordinatorDensity:
         return cls(nodes, weights)
 
 
-def subordination_apply(u0: GridFunction, t: float, symbol: SymbolSpec,
-                        density: SubordinatorDensity | None = None) -> GridFunction:
+def subordination_apply(u0: GridFunction, t: float, symbol: SymbolSpec) -> GridFunction:
     """The mu = 1/2 semigroup via subordination of the full-power one:
 
         S_{1/2}(t) u0 = integral f(s) S_1(s t^2) u0 ds,
 
-    summed only where min(s) t^2 Re a <= 746: elsewhere every term is 0.
+    on the nodes of SubordinatorDensity.build(), summed only where
+    min(s) t^2 Re a <= 746: elsewhere every term is 0.
     """
     if t <= 0.0:
         raise ValueError("subordination needs t > 0")
-    if density is None:
-        density = SubordinatorDensity.build()
+    density = SubordinatorDensity.build()
 
     def multiplier(a):
         live = density.nodes.min() * t * t * np.real(a) <= 746.0
@@ -315,24 +327,23 @@ def subordination_apply(u0: GridFunction, t: float, symbol: SymbolSpec,
     return GridFunction(u0.N, u0.n, u0.L, values)
 
 
-def pseudoresolvent(u0: GridFunction, lam: complex, mu: float, symbol: SymbolSpec,
-                    margin: float = 0.1, nodes_per_decade: int = 48,
-                    tail_cut: float = 1e-12) -> GridFunction:
+def pseudoresolvent(u0: GridFunction, lam: complex, mu: float, symbol: SymbolSpec) -> GridFunction:
     """Truncated Laplace transform G(lam) u0 = integral e^{lam t} S(t) u0 dt.
 
-    Trapezoid in log-time on a geometric grid, with the initial segment
-    [0, t_min] integrated by one linear panel and the tail cut where
-    e^{Re lam t} drops below `tail_cut`.  Requires Re lam <= -margin.
+    Trapezoid in log-time on a geometric grid of 48 nodes per decade, with
+    the initial segment [0, t_min] integrated by one linear panel and the
+    tail cut where e^{Re lam t} drops below 1e-12.  Requires
+    Re lam <= -0.1.
     """
     lam = complex(lam)
-    if lam.real > -margin:
-        raise ValueError(f"Re(lambda) = {lam.real} violates the margin {-margin}")
+    if lam.real > -0.1:
+        raise ValueError(f"Re(lambda) = {lam.real} violates the margin -0.1")
     a_mu = symbol.power(mu)
     sigma_max = float(np.max(np.real(a_mu))) + abs(lam.real)
     t_min = min(1e-3, 1.0 / sigma_max) * 1e-4
-    t_max = math.log(1.0 / tail_cut) / abs(lam.real)
+    t_max = math.log(1.0 / 1e-12) / abs(lam.real)
     decades = math.log10(t_max / t_min)
-    k = max(2, int(math.ceil(decades * nodes_per_decade)) + 1)
+    k = max(2, int(math.ceil(decades * 48)) + 1)
     tau = np.linspace(math.log(t_min), math.log(t_max), k)
     ts = np.exp(tau)
     dtau = tau[1] - tau[0]

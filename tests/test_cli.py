@@ -363,15 +363,25 @@ def test_cli_regions_protocol_rejects_unread_flags(tmp_path, capsys):
 
 def test_cli_regions_protocol_refuses_jobs(tmp_path, capsys):
     """The protocol runs no checks, so an explicit --jobs is a config
-    error there (exit 2, no answers); `run --jobs 1` still runs."""
+    error there (exit 2, no answers)."""
     queries = tmp_path / "q.txt"
     queries.write_text("2 0.5 2 1\n")
     for jobs in ("4", "1"):
         assert main(["regions", "--queries", str(queries), "--jobs", jobs]) == 2
         captured = capsys.readouterr()
         assert "config error: --jobs" in captured.err and captured.out == ""
-    cfg = write_cfg(tmp_path, {**TINY, "checks": [{"name": "tangent"}]})
-    assert main(["run", "--config", cfg, "--jobs", "1", "--out", str(tmp_path / "o")]) == 0
+
+
+def test_cli_run_accepts_only_one_job(tmp_path, capsys):
+    """Checks run one at a time: `run --jobs 2` is a config error naming
+    --jobs (exit 2, no report), and `run --jobs 1`, the benchmark's argv,
+    runs."""
+    cfg, out = write_cfg(tmp_path), tmp_path / "o"
+    assert main(["run", "--config", cfg, "--jobs", "2", "--out", str(out)]) == 2
+    assert "config error: --jobs" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["run", "--config", cfg, "--jobs", "1", "--out", str(out)]) == 0
+    assert (out / "report.json").exists()
 
 
 def test_cli_report_export(tmp_path):
@@ -572,3 +582,55 @@ def test_every_public_name_has_a_src_caller():
     unread = {name: where for name, where in public.items() if name not in used}
     assert {n: w for n, w in unread.items() if n not in KEEPERS} == {}
     assert set(KEEPERS) == set(unread), "a keeper is gone or now has a src caller"
+
+
+# Defaulted parameters no src/ call passes, each kept for a stated reason.
+DEFAULT_KEEPERS = {
+    "cli.main.argv": "the benchmark and the tests pass the argument list",
+}
+
+
+def test_every_default_is_set_by_a_src_caller():
+    """Every defaulted parameter of a function or method in src/ is passed,
+    by keyword or by position, by some src/ call to that name, or is a
+    keeper.  The checks' parameters are the config schema, so the
+    functions in checks.CHECKS are exempt."""
+    import ast
+    from pathlib import Path
+
+    from morreylab.checks import CHECKS
+
+    exempt = {fn.__name__ for fn in CHECKS.values()}
+    calls, defaults = {}, {}  # name -> [(positional count, keywords)]; key -> (name, arg, index)
+
+    def collect(body, where, method):
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                collect(node.body, f"{where}.{node.name}", True)
+            elif isinstance(node, ast.FunctionDef):
+                args = node.args.posonlyargs + node.args.args
+                shift = method and not any(getattr(d, "id", None) == "staticmethod"
+                                           for d in node.decorator_list)
+                first = len(args) - len(node.args.defaults)
+                for i, arg in enumerate(args[first:], first):
+                    defaults[f"{where}.{node.name}.{arg.arg}"] = (node.name, arg.arg, i - shift)
+                for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+                    if default is not None:
+                        defaults[f"{where}.{node.name}.{arg.arg}"] = (node.name, arg.arg, math.inf)
+                collect(node.body, f"{where}.{node.name}", False)
+
+    for path in sorted(Path(morreylab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        collect(tree.body, path.stem, False)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                calls.setdefault(name, []).append(
+                    (math.inf if starred else len(node.args), {k.arg for k in node.keywords}))
+    # a keyword of None is a **mapping, which may pass anything
+    unset = {key for key, (name, arg, index) in defaults.items() if name not in exempt
+             and not any(arg in kws or None in kws or count > index
+                         for count, kws in calls.get(name, []))}
+    assert unset - set(DEFAULT_KEEPERS) == set()
+    assert set(DEFAULT_KEEPERS) == unset, "a keeper is gone or now has a src caller"

@@ -97,7 +97,7 @@ def test_multiply_operator_norm_proxy(bump):
 
     V = power_law_potential(1.0, 0.5, 1.5)
     table = V.on_grid(1, 4096, 1.0)
-    phi = gaussian_bump(1, 4096, 1.0, width=0.3)
+    phi = GridFunction(1, 4096, 1.0, np.exp(-((table.radii() / 0.3) ** 2)))
     res = holder_product_check(phi, table, 3.0, 0.5, 1.5, 0.75)
     assert res.passed
 

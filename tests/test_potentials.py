@@ -31,8 +31,6 @@ def test_power_law_cap():
     V = power_law_potential(1.0, 0.5, 1.5)
     g = V.on_grid(1, 512, 8.0)
     assert np.max(g.values) == pytest.approx((2 * g.h) ** -0.5)
-    custom = power_law_potential(1.0, 0.5, 1.5, cap_radius=0.5)
-    assert np.max(custom.on_grid(1, 512, 8.0).values) == pytest.approx(0.5**-0.5)
 
 
 def test_power_law_measured_norm():

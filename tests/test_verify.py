@@ -94,7 +94,12 @@ def test_region_oracle_examples():
     c = cls(1.5, 0.6)
     inside = to_index(MorreyParams(2.0, 0.5), DIMS)
     too_steep = to_index(MorreyParams(2.0, 0.9), DIMS)  # slope 0.45 > 0.3
-    assert exact([(inside, [c]), (too_steep, [c]), (ScaleIndex(0, 0), [c])]) == [True, False, True]
+    # slopes 0.3 + 0.4 TOL and 0.3 + 1.3 TOL: inside and just outside the
+    # class slope's band, which both sides take on the class slope
+    in_band, past_band = ScaleIndex(0.3, 0.09000000000012), ScaleIndex(0.3, 0.09000000000039)
+    queries = [(g, [c]) for g in (inside, too_steep, ScaleIndex(0, 0), in_band, past_band)]
+    assert exact(queries) == [True, False, True, True, False]
+    assert verify.compare_region_predicates(queries, DIMS) == []
 
 
 def test_region_oracle_vs_closed_form(rng):
@@ -123,7 +128,9 @@ def test_oracle_handles_bounded_class():
 
 def witness(a1, a2, gamma, classes, dims):
     """Whether any candidate alpha = (a1, a2) satisfies the raw system,
-    each inequality tested as written, with the oracle's TOL bands."""
+    each inequality tested as written, with the oracle's TOL bands: the
+    band of slope(gamma) <= slope(beta) is TOL on the class slope, so the
+    test reads slope(gamma) beta_1 <= beta_2 + TOL gamma^i_1."""
     def slope(x1, x2):
         return np.where((x1 <= 0.0) & (x2 <= 0.0), 0.0, np.divide(x2, np.maximum(x1, 1e-300)))
 
@@ -134,7 +141,7 @@ def witness(a1, a2, gamma, classes, dims):
         b1, b2 = a1 + c1, a2 + c2
         b_slope = slope(b1, b2)
         in_j = (b1 <= 1.0 + TOL) & (b2 <= dims.slope_cap + TOL) & (b_slope <= dims.slope_cap + TOL)
-        reach = (g2 <= a2 + c2 + TOL) & (slope_g <= b_slope + TOL)
+        reach = (g2 <= a2 + c2 + TOL) & (slope_g * b1 <= b2 + TOL * c1)
         ok &= in_j & reach
     return bool(np.any(ok))
 
