@@ -1,10 +1,11 @@
 """Named verification pipelines over the shipped fixtures.
 
-Each check is a pure function of the experiment context plus its own
-parameters, returning a CheckRecord with a pass flag and the measured
-numbers.  The CLI `run` command and the acceptance test suite both
-drive this registry, so tolerances live here, pinned at their
-contract values.
+Each check is a pure function of the experiment context (plus, for a
+few, a size or order a config sets), returning a CheckRecord with a
+pass flag and the measured numbers.  The CLI `run` command and the
+acceptance test suite both drive this registry, so tolerances and
+solver settings live here as constants of each check, pinned at their
+contract values: no config can override them.
 """
 
 from __future__ import annotations
@@ -116,28 +117,34 @@ def _kernel(ctx: CheckContext, t: float, mu: float, sym) -> GridFunction:
     return ctx.memo[key]
 
 
-def check_kernel_mass(ctx: CheckContext, t: float = 0.02, mus=(0.5, 0.75, 1.0),
-                      tol: float = 1e-8) -> CheckRecord:
+# The mass and positivity checks share these, so at m = 1 they share kernels.
+_KERNEL_T = 0.02
+_KERNEL_MUS = (0.5, 0.75, 1.0)
+
+
+def check_kernel_mass(ctx: CheckContext) -> CheckRecord:
+    tol = 1e-8
     sym = ctx.symbol()
-    t = _resolved_t(t, sym.h, sym.m, mus)
-    masses = {mu: _kernel(ctx, t, mu, sym).mass() for mu in mus}
+    t = _resolved_t(_KERNEL_T, sym.h, sym.m, _KERNEL_MUS)
+    masses = {mu: _kernel(ctx, t, mu, sym).mass() for mu in _KERNEL_MUS}
     worst = max(abs(v - 1.0) for v in masses.values())
     return _record("kernel_mass", worst <= tol, worst=worst, t=t,
                    masses={str(k): v for k, v in masses.items()}, tol=tol)
 
 
-def check_kernel_positivity(ctx: CheckContext, t: float = 0.02, mus=(0.5, 0.75, 1.0),
-                            tol: float = -1e-9) -> CheckRecord:
+def check_kernel_positivity(ctx: CheckContext) -> CheckRecord:
+    tol = -1e-9
     sym = ctx.symbol(m=1)
-    t = _resolved_t(t, sym.h, 1, mus)
-    defects = {mu: positivity_defect(_kernel(ctx, t, mu, sym)) for mu in mus}
+    t = _resolved_t(_KERNEL_T, sym.h, 1, _KERNEL_MUS)
+    defects = {mu: positivity_defect(_kernel(ctx, t, mu, sym)) for mu in _KERNEL_MUS}
     worst = min(defects.values())
     return _record("kernel_positivity", worst >= tol, worst=worst, t=t,
                    defects={str(k): v for k, v in defects.items()}, tol=tol)
 
 
-def check_kernel_gaussian(ctx: CheckContext, t: float = 0.25, tol: float = 1e-6) -> CheckRecord:
+def check_kernel_gaussian(ctx: CheckContext) -> CheckRecord:
     """m=1, mu=1 kernel against the closed-form heat kernel on |x| <= L/2."""
+    t, tol = 0.25, 1e-6
     sym = ctx.symbol(m=1)
     k = kernel(t, 1.0, sym).grid
     x = k.axis()
@@ -153,12 +160,13 @@ def wrapped_poisson(x: np.ndarray, t: float, L: float) -> np.ndarray:
     return (0.5 / L) * math.sinh(y) / (np.cosh(y) - np.cos(math.pi * x / L))
 
 
-def check_kernel_poisson(ctx: CheckContext, t: float = 0.5, tol: float = 1e-4) -> CheckRecord:
+def check_kernel_poisson(ctx: CheckContext) -> CheckRecord:
     """m=1, mu=1/2 kernel against the wrapped Poisson kernel on |x| <= L/2.
 
     The torus realization periodizes the heavy Cauchy tails, so the
     honest closed-form oracle is the lattice sum (in its sinh/cosh form).
     """
+    t, tol = 0.5, 1e-4
     sym = ctx.symbol(m=1)
     k = kernel(t, 0.5, sym).grid
     x = k.axis()
@@ -168,18 +176,18 @@ def check_kernel_poisson(ctx: CheckContext, t: float = 0.5, tol: float = 1e-4) -
     return _record("kernel_poisson", err <= tol, rel_sup_error=err, t=t, tol=tol)
 
 
-def check_selfsimilar_collapse(ctx: CheckContext, ts=(0.01, 0.04), m: int = 1,
-                               mu: float = 1.0, tol: float = 1e-3) -> CheckRecord:
+def check_selfsimilar_collapse(ctx: CheckContext, m: int = 1, tol: float = 1e-3) -> CheckRecord:
+    ts = (0.01, 0.04)
     sym = ctx.symbol(m=m)
-    resid = selfsimilar_collapse([kernel(t, mu, sym) for t in ts])
+    resid = selfsimilar_collapse([kernel(t, 1.0, sym) for t in ts])
     return _record(record_name("selfsimilar_collapse", {"m": m}), resid <= tol,
                    residual=resid, ts=list(ts), tol=tol)
 
 
-def check_kernel_2d(ctx: CheckContext, n: int = 256, t: float = 0.25,
-                    tol_mass: float = 1e-8, tol_gauss: float = 1e-6) -> CheckRecord:
+def check_kernel_2d(ctx: CheckContext) -> CheckRecord:
     """Two-dimensional spot check: mass, positivity, closed-form kernel."""
-    sym = ctx.symbol(N=2, n=n, m=1)
+    t = 0.25
+    sym = ctx.symbol(N=2, n=256, m=1)
     k = kernel(t, 1.0, sym).grid
     m = k.mass()
     defect = positivity_defect(k)
@@ -188,12 +196,13 @@ def check_kernel_2d(ctx: CheckContext, n: int = 256, t: float = 0.25,
     exact = np.exp(-(X**2 + Y**2) / (4.0 * t)) / (4.0 * math.pi * t)
     sel = np.maximum(np.abs(X), np.abs(Y)) <= ctx.L * 3.0 / 8.0
     rel = float(np.max(np.abs(k.values[sel] - exact[sel]) / exact[sel]))
-    ok = abs(m - 1.0) <= tol_mass and defect >= -1e-9 and rel <= tol_gauss
+    ok = abs(m - 1.0) <= 1e-8 and defect >= -1e-9 and rel <= 1e-6
     return _record("kernel_2d", ok, mass=m, positivity=defect, rel_sup_error=rel)
 
 
-def check_subordination(ctx: CheckContext, t: float = 0.5, tol: float = 1e-3) -> CheckRecord:
+def check_subordination(ctx: CheckContext) -> CheckRecord:
     """Multiplier path vs stable-density quadrature at mu = 1/2, Dirac datum."""
+    t, tol = 0.5, 1e-3
     sym = ctx.symbol(m=1)
     delta = GridFunction.dirac(ctx.dims.N, ctx.n, ctx.L)
     direct = apply_semigroup(delta, t, 0.5, sym)
@@ -206,8 +215,9 @@ def check_subordination(ctx: CheckContext, t: float = 0.5, tol: float = 1e-3) ->
 # -- smoothing rates -----------------------------------------------------------
 
 
-def check_smoothing_dirac(ctx: CheckContext, tol: float = 0.03) -> CheckRecord:
+def check_smoothing_dirac(ctx: CheckContext) -> CheckRecord:
     """Dirac datum, measure class to sup norm: slope -(N/(2 m mu))."""
+    tol = 0.03
     sym = ctx.symbol()
     delta = GridFunction.dirac(ctx.dims.N, ctx.n, ctx.L)
     ts = np.logspace(-3, -1, 10)
@@ -218,8 +228,9 @@ def check_smoothing_dirac(ctx: CheckContext, tol: float = 0.03) -> CheckRecord:
                    predicted=predicted, rel_dev=fit.rel_deviation, tol=tol)
 
 
-def check_smoothing_morrey(ctx: CheckContext, tol: float = 0.10) -> CheckRecord:
+def check_smoothing_morrey(ctx: CheckContext) -> CheckRecord:
     """Three Morrey pairs on the truncated power-law datum, t in [1e-3, 1e-1]."""
+    tol = 0.10
     sym = ctx.symbol()
     u0 = power_law(ctx.dims.N, ctx.n, ctx.L, beta=0.8, support_radius=2.0,
                    mass_faithful=True)
@@ -240,11 +251,12 @@ def check_smoothing_morrey(ctx: CheckContext, tol: float = 0.10) -> CheckRecord:
     return _record("smoothing_morrey", ok, fits=fits, tol=tol)
 
 
-def check_norm_fixtures(ctx: CheckContext, tol: float = 0.10) -> CheckRecord:
+def check_norm_fixtures(ctx: CheckContext) -> CheckRecord:
     """Morrey estimator against the analytic value of a homogeneous fixture,
     plus the product inequality and the uniform-space embedding."""
     from morreylab.norms import holder_product_check, uniform_norm
 
+    tol = 0.10
     pl = power_law(1, min(ctx.n, 4096), 1.0, beta=0.5)
     val = morrey_norm(pl, 1.0, 0.5)
     morrey_ok = abs(val - 4.0) <= tol * 4.0
@@ -258,7 +270,8 @@ def check_norm_fixtures(ctx: CheckContext, tol: float = 0.10) -> CheckRecord:
                    embedding_ok=embed_ok, tol=tol)
 
 
-def check_trace(ctx: CheckContext, threshold: float = 1e-3) -> CheckRecord:
+def check_trace(ctx: CheckContext) -> CheckRecord:
+    threshold = 1e-3
     sym = ctx.symbol()
     bump = gaussian_bump(ctx.dims.N, ctx.n, ctx.L)
     ok, dists = verify.trace_check(bump, 1.0, ctx.L / 2.0, ctx.dims.mu, sym,
@@ -270,6 +283,8 @@ def check_trace(ctx: CheckContext, threshold: float = 1e-3) -> CheckRecord:
 
 _POWER_BETA = 0.5
 _POWER_P0 = 1.5
+_CONST_C = 1.0  # the constant potential of the closed-form checks
+_LAMS = (-4.0, -6.0)  # where the pseudoresolvent checks test the identity
 
 
 def _solver_context(ctx: CheckContext, n: int):
@@ -290,28 +305,24 @@ def _power_traj(ctx: CheckContext, n: int = 512):
     return ctx.memo[key]
 
 
-def _const_traj(ctx: CheckContext, c: float = 1.0, n: int = 256, nodes: int = 256,
-                horizon: float = 0.25):
-    key = ("const_traj", c, n, nodes, horizon)
-    if key not in ctx.memo:
-        dims, sym, bump = _solver_context(ctx, n)
-        V = constant_potential(c, N=dims.N)
+def _const_traj(ctx: CheckContext):
+    if "const_traj" not in ctx.memo:
+        dims, sym, bump = _solver_context(ctx, 256)
+        V = constant_potential(_CONST_C, N=dims.N)
         gamma = to_index(MorreyParams(2.0, 1.0), dims)
-        cfg = SolverConfig(horizon=horizon, nodes=nodes, grading=1.0)
-        ctx.memo[key] = picard_solve(bump, [V], cfg, gamma, dims, sym, dims.mu)
-    return ctx.memo[key]
+        cfg = SolverConfig(horizon=0.25, nodes=256, grading=1.0)
+        ctx.memo["const_traj"] = picard_solve(bump, [V], cfg, gamma, dims, sym, dims.mu)
+    return ctx.memo["const_traj"]
 
 
-def check_constant_potential(ctx: CheckContext, c: float = 1.0, n: int = 256,
-                             nodes: int = 256, horizon: float = 0.25,
-                             tol: float = 1e-7) -> CheckRecord:
+def check_constant_potential(ctx: CheckContext) -> CheckRecord:
     """Solve with a constant potential against e^{c t} times the base flow."""
-    dims, sym, bump = _solver_context(ctx, n)
-    traj = _const_traj(ctx, c, n, nodes, horizon)
+    tol = 1e-7
+    traj = _const_traj(ctx)
     worst = 0.0
-    base = apply_semigroup(bump, traj.times, dims.mu, sym)
+    base = apply_semigroup(traj.u0, traj.times, traj.mu, traj.symbol)
     for t, state, free in zip(traj.times, traj.states, base):
-        exact = math.exp(c * t) * free
+        exact = math.exp(_CONST_C * t) * free
         worst = max(worst, float(np.max(np.abs(state.values - exact.values))))
     return _record("constant_potential", worst <= tol, sup_error=worst, tol=tol)
 
@@ -377,9 +388,10 @@ def _sup_norm(g: GridFunction) -> float:
     return float(np.max(np.abs(g.values)))
 
 
-def check_semigroup_property(ctx: CheckContext, n: int = 256, tol_factor: float = 10.0) -> CheckRecord:
-    """evaluate(t1+t2) against re-propagating evaluate(t2) by t1."""
-    traj = _power_traj(ctx, n=n)
+def check_semigroup_property(ctx: CheckContext) -> CheckRecord:
+    """evaluate(t1+t2) against re-propagating evaluate(t2) by t1, within
+    ten times the half-node estimate of the solve's error."""
+    traj = _power_traj(ctx, n=256)
     err = _half_node_gap(traj, picard_solve, _working_norm(traj))
     t1, t2 = 0.125, 0.125
     u_sum = evaluate(traj, t1 + t2)
@@ -388,7 +400,7 @@ def check_semigroup_property(ctx: CheckContext, n: int = 256, tol_factor: float 
     comp = picard_solve(u_comp_base, traj.potentials, sub_cfg, traj.alpha, traj.dims,
                         traj.symbol, traj.mu).states[-1]
     disc = _sup_norm(u_sum - comp)
-    tol = tol_factor * err
+    tol = 10.0 * err
     return _record("semigroup_property", disc <= tol, discrepancy=disc, tol=tol)
 
 
@@ -398,19 +410,19 @@ def _two_potentials():
     return V0, V1
 
 
-def check_iterated(ctx: CheckContext, n: int = 256, nodes: int = 64,
-                   horizon: float = 0.25, tol_factor: float = 10.0) -> CheckRecord:
-    """Joint two-potential solve vs sequential composition in both orders."""
+def check_iterated(ctx: CheckContext, n: int = 256, nodes: int = 64) -> CheckRecord:
+    """Joint two-potential solve vs sequential composition in both orders,
+    within ten times the half-node estimates of the two solves' errors."""
     dims, sym, bump = _solver_context(ctx, n)
     V0, V1 = _two_potentials()
     gamma = to_index(MorreyParams(2.0, 0.3), dims)
-    cfg = SolverConfig(horizon=horizon, nodes=nodes, grading=1.0)
+    cfg = SolverConfig(horizon=0.25, nodes=nodes, grading=1.0)
     joint = picard_solve(bump, [V0, V1], cfg, gamma, dims, sym, dims.mu)
     joint_err = _half_node_gap(joint, picard_solve, _working_norm(joint))
     seq01 = sequential_solve(bump, [V0, V1], cfg, gamma, dims, sym, dims.mu)
     seq10 = sequential_solve(bump, [V1, V0], cfg, gamma, dims, sym, dims.mu)
     seq_err = _half_node_gap(seq01, sequential_solve, _sup_norm)
-    tol = tol_factor * (joint_err + seq_err)
+    tol = 10.0 * (joint_err + seq_err)
     d_orders = max(_sup_norm(a - b) for a, b in zip(seq01.states, seq10.states))
     d_joint = max(_sup_norm(a - b) for a, b in zip(seq01.states, joint.states))
     ok = d_orders <= tol and d_joint <= tol
@@ -418,12 +430,12 @@ def check_iterated(ctx: CheckContext, n: int = 256, nodes: int = 64,
                    joint_discrepancy=d_joint, tol=tol)
 
 
-def check_continuous_dependence(ctx: CheckContext, n: int = 256, nodes: int = 48,
-                                horizon: float = 0.25, tol: float = 0.10) -> CheckRecord:
+def check_continuous_dependence(ctx: CheckContext) -> CheckRecord:
     """Difference norms scale linearly in the potential gap (slope 1)."""
+    n, tol = 256, 0.10
     dims, sym, bump = _solver_context(ctx, n)
     gamma = to_index(MorreyParams(2.0, 0.7), dims)
-    cfg = SolverConfig(horizon=horizon, nodes=nodes)
+    cfg = SolverConfig(horizon=0.25, nodes=48)
     base_V = power_law_potential(1.0, _POWER_BETA, _POWER_P0)
     base = picard_solve(bump, [base_V], cfg, gamma, dims, sym, dims.mu)
     eps = [0.02, 0.04, 0.08, 0.16]
@@ -441,8 +453,9 @@ def check_continuous_dependence(ctx: CheckContext, n: int = 256, nodes: int = 48
                    slope=fit.slope, constants=consts, tol=tol)
 
 
-def check_omega_constant(ctx: CheckContext, n: int = 256, tol: float = 0.02) -> CheckRecord:
+def check_omega_constant(ctx: CheckContext, n: int = 256) -> CheckRecord:
     """Constant potentials: growth rate equals c, so the size exponent is 1."""
+    tol = 0.02
     dims, sym, _ = _solver_context(ctx, n)
     one = GridFunction.constant(1.0, dims.N, n, ctx.L)
     cs = [0.25, 0.5, 1.0, 2.0]
@@ -456,8 +469,9 @@ def check_omega_constant(ctx: CheckContext, n: int = 256, tol: float = 0.02) -> 
                    rates=rates, tol=tol)
 
 
-def check_omega_power(ctx: CheckContext, n: int = 512, tol: float = 0.15) -> CheckRecord:
+def check_omega_power(ctx: CheckContext) -> CheckRecord:
     """kappa = 1/4 power-law family: growth-rate exponent vs 1/(1-kappa) = 4/3."""
+    n, tol = 512, 0.15
     dims, sym, _ = _solver_context(ctx, n)
     one = GridFunction.constant(1.0, dims.N, n, ctx.L)
     amps = [0.5, 1.0, 2.0, 4.0]
@@ -510,8 +524,9 @@ def check_regions(ctx: CheckContext, count: int = 1000, density: int = 200) -> C
                    disagreements=len(disagreements))
 
 
-def check_tangent(ctx: CheckContext, tol: float = 1e-12) -> CheckRecord:
+def check_tangent(ctx: CheckContext) -> CheckRecord:
     """Analytic tangent case f = x^2 through (0, -1): x* = +-1."""
+    tol = 1e-12
     f, fp, fpp = (lambda x: x * x), (lambda x: 2.0 * x), (lambda x: 2.0)
     right = exterior_tangent(f, fp, fpp, -2.0, 2.0, 0.0, -1.0, "right")
     left = exterior_tangent(f, fp, fpp, -2.0, 2.0, 0.0, -1.0, "left")
@@ -522,27 +537,27 @@ def check_tangent(ctx: CheckContext, tol: float = 1e-12) -> CheckRecord:
 # -- pseudoresolvent -----------------------------------------------------------
 
 
-def check_pseudoresolvent_constant(ctx: CheckContext, c: float = 1.0, n: int = 256,
-                                   lams=(-4.0, -6.0), tol: float = 1e-3) -> CheckRecord:
-    dims, sym, bump = _solver_context(ctx, n)
+def check_pseudoresolvent_constant(ctx: CheckContext) -> CheckRecord:
+    tol = 1e-3
+    dims, sym, bump = _solver_context(ctx, 256)
     gamma = to_index(MorreyParams(2.0, 1.0), dims)
     cfg = SolverConfig(horizon=3.2, nodes=256, grading=1.0)
-    traj = picard_solve(bump, [constant_potential(c, N=dims.N)], cfg, gamma,
+    traj = picard_solve(bump, [constant_potential(_CONST_C, N=dims.N)], cfg, gamma,
                         dims, sym, dims.mu)
-    residuals = {str(lam): verify.pseudoresolvent_identity(traj, lam) for lam in lams}
+    residuals = {str(lam): verify.pseudoresolvent_identity(traj, lam) for lam in _LAMS}
     worst = max(residuals.values())
     return _record("pseudoresolvent_constant", worst <= tol,
                    residuals=residuals, tol=tol)
 
 
-def check_pseudoresolvent_power(ctx: CheckContext, n: int = 256,
-                                lams=(-4.0, -6.0), tol: float = 0.05) -> CheckRecord:
-    dims, sym, bump = _solver_context(ctx, n)
+def check_pseudoresolvent_power(ctx: CheckContext) -> CheckRecord:
+    tol = 0.05
+    dims, sym, bump = _solver_context(ctx, 256)
     gamma = to_index(MorreyParams(2.0, 0.7), dims)
     cfg = SolverConfig(horizon=3.2, nodes=192)
     V = power_law_potential(1.0, _POWER_BETA, _POWER_P0)
     traj = picard_solve(bump, [V], cfg, gamma, dims, sym, dims.mu)
-    residuals = {str(lam): verify.pseudoresolvent_identity(traj, lam) for lam in lams}
+    residuals = {str(lam): verify.pseudoresolvent_identity(traj, lam) for lam in _LAMS}
     worst = max(residuals.values())
     return _record("pseudoresolvent_power", worst <= tol,
                    residuals=residuals, tol=tol)

@@ -1,8 +1,9 @@
 """Experiment configuration: versioned JSON schema with strict validation.
 
 Unknown keys are errors (naming the offending field path), so tolerance
-names cannot drift silently.  A validated config is deterministic given
-its seed.
+names cannot drift silently, and a check's pinned tolerances, which are
+not parameters of the check, cannot be set at all.  A validated config
+is deterministic given its seed.
 """
 
 from __future__ import annotations
@@ -173,8 +174,6 @@ def _check_list(v, path):
                 signature.bind_partial(None, **{k: val})  # None stands for ctx
             except TypeError:
                 raise ConfigError(f"{p}.{k}: unknown parameter of check {name!r}") from None
-            if isinstance(val, list):
-                params[k] = tuple(val)
         record = record_name(name, params)
         if record in records:
             raise ConfigError(f"{p}: an earlier entry already produces record {record!r}")

@@ -1,7 +1,7 @@
 """Experiment reports: structured-text documents plus CSV roll-ups.
 
-Reports are deterministic given the config and seed; the timestamp is
-the only volatile field and is excluded from the content hash.  Numbers
+Reports are deterministic given the config and seed; the content hash
+excludes the wall-clock fields and the environment fingerprint.  Numbers
 are written with 17 significant digits so round-trips are exact.
 """
 
@@ -85,8 +85,9 @@ def report_from_json(text: str) -> dict:
 
 
 def report_hash(report: dict) -> str:
-    """Content hash ignoring wall-clock fields (timestamp, timings)."""
-    body = {k: v for k, v in report.items() if k not in ("timestamp", "timings")}
+    """Content hash of the numbers: it ignores the wall-clock fields
+    (timestamp, timings) and the environment fingerprint."""
+    body = {k: v for k, v in report.items() if k not in ("timestamp", "timings", "environment")}
     return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
 
 

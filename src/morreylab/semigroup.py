@@ -10,8 +10,8 @@ under xi -> -xi, as `_validate_symbol` makes it); anything complex takes
 the full complex transforms.  Kernels are the
 image of a unit-mass discrete Dirac, the mu = 1/2 evolution can be
 cross-checked by averaging the full-power semigroup against the
-one-sided stable density, and the Laplace transform of the evolution
-gives the numerical pseudoresolvent.
+one-sided stable density, and the pseudoresolvent, the Laplace
+transform of the evolution, is the multiplier 1/(a(xi)^mu - lam).
 """
 
 from __future__ import annotations
@@ -328,41 +328,19 @@ def subordination_apply(u0: GridFunction, t: float, symbol: SymbolSpec) -> GridF
 
 
 def pseudoresolvent(u0: GridFunction, lam: complex, mu: float, symbol: SymbolSpec) -> GridFunction:
-    """Truncated Laplace transform G(lam) u0 = integral e^{lam t} S(t) u0 dt.
-
-    Trapezoid in log-time on a geometric grid of 48 nodes per decade, with
-    the initial segment [0, t_min] integrated by one linear panel and the
-    tail cut where e^{Re lam t} drops below 1e-12.  Requires
-    Re lam <= -0.1.
+    """G(lam) u0 = integral_0^inf e^{lam t} S(t) u0 dt, exactly: the
+    multiplier 1/(a(xi)^mu - lam).  Requires Re lam <= -0.1.
     """
     lam = complex(lam)
     if lam.real > -0.1:
         raise ValueError(f"Re(lambda) = {lam.real} violates the margin -0.1")
     a_mu = symbol.power(mu)
-    sigma_max = float(np.max(np.real(a_mu))) + abs(lam.real)
-    t_min = min(1e-3, 1.0 / sigma_max) * 1e-4
-    t_max = math.log(1.0 / 1e-12) / abs(lam.real)
-    decades = math.log10(t_max / t_min)
-    k = max(2, int(math.ceil(decades * 48)) + 1)
-    tau = np.linspace(math.log(t_min), math.log(t_max), k)
-    ts = np.exp(tau)
-    dtau = tau[1] - tau[0]
-    w = np.full(k, dtau)
-    w[0] = w[-1] = 0.5 * dtau
-    weights = w * ts  # trapezoid in log-time: dt = t dtau
-
     # a real lambda keeps the multiplier real, for the half-spectrum path
     if lam.imag == 0.0:
         lam = lam.real
     else:
         a_mu = a_mu.astype(complex)
-
-    def multiplier(a):
-        mult = sum(wt * np.exp((lam - a) * t) for t, wt in zip(ts, weights))
-        # linear panel on [0, t_min]
-        yield mult + 0.5 * t_min * (1.0 + np.exp((lam - a) * t_min))
-
-    [values] = _apply_multiplier(u0.values, a_mu, multiplier)
+    [values] = _apply_multiplier(u0.values, a_mu, lambda a: [1.0 / (a - lam)])
     return GridFunction(u0.N, u0.n, u0.L, values)
 
 

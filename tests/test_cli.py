@@ -77,12 +77,12 @@ def test_config_rejects_solver_block(tmp_path):
 def test_config_rejects_duplicate_record(tmp_path, capsys):
     """Two entries producing one record name are a config error, raised
     before any check runs; selfsimilar_collapse entries differ by m."""
-    dup = {**TINY, "checks": [{"name": "tangent"}, {"name": "tangent", "tol": 0.5}]}
-    with pytest.raises(ConfigError, match=r"config\.checks\[1\]"):
+    dup = {**TINY, "checks": [{"name": "tangent"}, {"name": "tangent"}]}
+    with pytest.raises(ConfigError, match=r"config\.checks\[1\]: .* already produces record"):
         validate_config(dup)
     assert main(["run", "--config", write_cfg(tmp_path, dup)]) == 2
     err = capsys.readouterr().err
-    assert "checks[1]" in err and "[PASS]" not in err
+    assert "checks[1]" in err and "already produces record" in err and "[PASS]" not in err
     same_m = {**TINY, "checks": [{"name": "selfsimilar_collapse"},
                                  {"name": "selfsimilar_collapse", "m": 1, "tol": 1e-2}]}
     with pytest.raises(ConfigError, match=r"config\.checks\[1\]"):
@@ -108,6 +108,21 @@ def test_config_rejects_unknown_check_parameter(tmp_path, capsys):
         assert "unknown parameter" in err and "[PASS]" not in err and "[FAIL]" not in err
     ok = {**TINY, "checks": [{"name": "regions", "count": 5, "density": 60}]}
     assert validate_config(ok).checks == (("regions", {"count": 5, "density": 60}),)
+
+
+def test_config_cannot_override_a_pinned_tolerance(tmp_path, capsys):
+    """A check's tolerances and solver settings are constants of the check,
+    not parameters, so a config that sets one is refused (exit 2)."""
+    for entry in ({"name": "omega_power", "tol": 1.0},
+                  {"name": "iterated", "tol_factor": 1e6},
+                  {"name": "iterated", "horizon": 0.01}):
+        key = next(k for k in entry if k != "name")
+        bad = {**TINY, "checks": [entry]}
+        with pytest.raises(ConfigError, match=rf"config\.checks\[0\]\.{key}: unknown parameter"):
+            validate_config(bad)
+        assert main(["run", "--config", write_cfg(tmp_path, bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"config.checks[0].{key}" in err and "[PASS]" not in err
 
 
 def test_config_file_errors(tmp_path):
@@ -137,6 +152,18 @@ def test_report_roundtrip_and_hash():
     rep2 = dict(rep)
     rep2["timestamp"] = "someday"
     assert report_hash(rep2) == h1  # timestamp excluded
+
+
+def test_report_hash_ignores_environment():
+    """Two reports that differ only in the environment fingerprint (a new
+    kernel, interpreter or library version) hash equal; a number still moves it."""
+    rep = build_report(fake_records(), {"seed": 0}, 0)
+    moved = {**rep, "environment": {**rep["environment"], "platform": "Linux-9.9.9-other"}}
+    assert report_hash(moved) == report_hash(rep)
+    assert report_hash({**rep, "environment": {}}) == report_hash(rep)
+    nudged = {**rep, "checks": [{**rep["checks"][0], "details": {"value": 1.2346}},
+                                *rep["checks"][1:]]}
+    assert report_hash(nudged) != report_hash(rep)
 
 
 def test_report_rejects_duplicates():
@@ -589,18 +616,30 @@ DEFAULT_KEEPERS = {
     "cli.main.argv": "the benchmark and the tests pass the argument list",
 }
 
+# Check parameters no entry of DEFAULT_CONFIG sets: only the benchmark's
+# generated configs do, so its next change can take them out.
+CHECK_KEEPERS = {
+    "checks.check_regions.count": "bench/workloads.py: the regions workload sets 2000",
+    "checks.check_regions.density": "bench/workloads.py sets it, though nothing reads it",
+    "checks.check_iterated.n": "bench/workloads.py: the tiny registry sets 64",
+    "checks.check_iterated.nodes": "bench/workloads.py: the tiny registry sets 32",
+    "checks.check_omega_constant.n": "bench/workloads.py: the tiny registry sets 64",
+}
+
 
 def test_every_default_is_set_by_a_src_caller():
     """Every defaulted parameter of a function or method in src/ is passed,
     by keyword or by position, by some src/ call to that name, or is a
-    keeper.  The checks' parameters are the config schema, so the
-    functions in checks.CHECKS are exempt."""
+    keeper.  A parameter of a function in checks.CHECKS also counts as
+    set when an entry of DEFAULT_CONFIG sets it."""
     import ast
     from pathlib import Path
 
     from morreylab.checks import CHECKS
+    from morreylab.config import DEFAULT_CONFIG
 
-    exempt = {fn.__name__ for fn in CHECKS.values()}
+    check_of = {fn.__name__: name for name, fn in CHECKS.items()}
+    configured = {(entry["name"], k) for entry in DEFAULT_CONFIG["checks"] for k in entry}
     calls, defaults = {}, {}  # name -> [(positional count, keywords)]; key -> (name, arg, index)
 
     def collect(body, where, method):
@@ -629,8 +668,10 @@ def test_every_default_is_set_by_a_src_caller():
                 calls.setdefault(name, []).append(
                     (math.inf if starred else len(node.args), {k.arg for k in node.keywords}))
     # a keyword of None is a **mapping, which may pass anything
-    unset = {key for key, (name, arg, index) in defaults.items() if name not in exempt
+    unset = {key for key, (name, arg, index) in defaults.items()
+             if (check_of.get(name), arg) not in configured
              and not any(arg in kws or None in kws or count > index
                          for count, kws in calls.get(name, []))}
-    assert unset - set(DEFAULT_KEEPERS) == set()
-    assert set(DEFAULT_KEEPERS) == unset, "a keeper is gone or now has a src caller"
+    keepers = set(DEFAULT_KEEPERS) | set(CHECK_KEEPERS)
+    assert unset - keepers == set()
+    assert keepers == unset, "a keeper is gone or now has a src caller"
