@@ -2,14 +2,15 @@
 
 Unknown keys are errors (naming the offending field path), so tolerance
 names cannot drift silently, and a check's pinned tolerances, which are
-not parameters of the check, cannot be set at all.  A validated config
+not parameters of the check, cannot be set at all; the few check values
+a config may set are typed and ranged when it loads.  A validated config
 is deterministic given its seed.
 """
 
 from __future__ import annotations
 
-import inspect
 import json
+import math
 from dataclasses import dataclass, field
 
 from .checks import CHECKS, CheckContext, record_name
@@ -84,6 +85,34 @@ def _optional_string(v, path):
     if v is None:
         return None
     return _string(v, path)
+
+
+def _half_node_count(v, path):
+    """Time nodes of a solve the half-node estimate halves: even, at least 32."""
+    k = _integer(32)(v, path)
+    if k % 2:
+        raise ConfigError(f"{path}: {k} is odd; the half-node estimate needs an even count")
+    return k
+
+
+def _positive(v, path):
+    x = _number()(v, path)
+    if not 0.0 < x < math.inf:
+        raise ConfigError(f"{path}: expected a finite number > 0, got {v!r}")
+    return x
+
+
+# The check values a config may set, with their checks: every other key of
+# a check entry is refused, pinned tolerances and solver settings included.
+_CHECK_VALUES = {
+    ("regions", "count"): _integer(1),
+    ("regions", "density"): _integer(1),
+    ("iterated", "n"): _grid_points,
+    ("iterated", "nodes"): _half_node_count,
+    ("omega_constant", "n"): _grid_points,
+    ("selfsimilar_collapse", "m"): _integer(1),
+    ("selfsimilar_collapse", "tol"): _positive,
+}
 
 
 @dataclass(frozen=True)
@@ -167,13 +196,13 @@ def _check_list(v, path):
         name = entry["name"]
         if name not in CHECKS:
             raise ConfigError(f"{p}.name: unknown check {name!r}")
-        params = {k: val for k, val in entry.items() if k != "name"}
-        signature = inspect.signature(CHECKS[name])
-        for k, val in params.items():
-            try:
-                signature.bind_partial(None, **{k: val})  # None stands for ctx
-            except TypeError:
-                raise ConfigError(f"{p}.{k}: unknown parameter of check {name!r}") from None
+        params = {}
+        for k, val in entry.items():
+            if k == "name":
+                continue
+            if (name, k) not in _CHECK_VALUES:
+                raise ConfigError(f"{p}.{k}: unknown parameter of check {name!r}")
+            params[k] = _CHECK_VALUES[name, k](val, f"{p}.{k}")
         record = record_name(name, params)
         if record in records:
             raise ConfigError(f"{p}: an earlier entry already produces record {record!r}")

@@ -49,12 +49,13 @@ __all__ = [
     "sequential_solve",
     "evaluate",
     "time_grid",
+    "growth_bound",
 ]
 
-# the most memory the first-stage eigendecomposition may take: five real
+# the most memory an eigendecomposition of the generator may take: five real
 # n x n matrices (the generator, its eigenvectors, LAPACK's copy of the
 # generator and its 2 n^2 workspace)
-_FIRST_STAGE_MAX_BYTES = 3 * 2**30
+_GENERATOR_MAX_BYTES = 3 * 2**30
 # the most memory the march of one solve may take
 _HISTORY_MAX_BYTES = 2**30
 # the doubling ladder of choose_theta, and the nodes of evaluate's short re-solves
@@ -157,7 +158,7 @@ def choose_theta(norm_bound: float, d_list, d_gamma: float, T: float):
 def _weights(d_list, d_gamma: float, times):
     """Product weights W[i, k, j] of node k over the convolution nodes s_j,
     and those nodes, both read-only and shared by every solve on the same
-    exponents and time grid (the fixed steps of evolve_norms repeat one).
+    exponents and time grid (continuous_dependence's five solves share one).
 
     Data bounded at s = 0 (d_gamma = 0) get a node there carrying V_i u0,
     which restores second order at the initial layer.
@@ -291,33 +292,41 @@ def picard_solve(u0: GridFunction, potentials, cfg: SolverConfig, gamma: ScaleIn
 # -- sequential (iterated) perturbations --------------------------------------
 
 
-def _propagator_matrices(V: PotentialSpec, symbol: SymbolSpec, mu: float):
-    """The first stage's eigenbasis (lam, Q), 1D grids only.
-
-    With a real (even) symbol and a real potential the discrete generator
-    H = diag(V) - F^{-1} diag(a^mu) F is a real symmetric matrix, and one
-    symmetric eigendecomposition H = Q diag(lam) Q^T (of its lower
-    triangle) gives the propagator over every lag, S_V(tau) =
-    Q e^{tau lam} Q^T: exact to roundoff and well conditioned (Moler &
-    Van Loan, SIAM Rev. 45, 2003).  The working set (H, Q, and LAPACK's
-    copy of H and its 2 n^2 workspace) is checked before any n x n array
-    is built.
-    """
+def _generator(V: PotentialSpec, symbol: SymbolSpec, mu: float) -> np.ndarray:
+    """The 1D discrete generator H = diag(V) - F^{-1} diag(a^mu) F, real
+    symmetric for a real (even) symbol and a real potential: the circulant
+    -c[(i - j) mod n] of c = irfft(a^mu), plus V on the diagonal.  Its
+    bytes are checked before any n x n array is built."""
     if symbol.N != 1:
-        raise ValueError("matrix propagators are only built for 1D grids")
+        raise ValueError("the discrete generator is only built for 1D grids")
     n = symbol.n
     need = 5 * n * n * 8
-    if need > _FIRST_STAGE_MAX_BYTES:
-        raise ValueError(f"first-stage propagator at n={n} needs {need} bytes, "
-                         f"above the {_FIRST_STAGE_MAX_BYTES}-byte limit")
+    if need > _GENERATOR_MAX_BYTES:
+        raise ValueError(f"the generator at n={n} needs {need} bytes, "
+                         f"above the {_GENERATOR_MAX_BYTES}-byte limit")
     a_mu = symbol.power(mu)
     table = V.on_grid(1, n, symbol.L).values
     for name, x in (("symbol", a_mu), ("potential", table)):
         if np.iscomplexobj(x) and np.any(x.imag):
-            raise ValueError(f"the first-stage propagator needs a real {name} table")
-    H = -np.fft.irfft(a_mu.real[: n // 2 + 1, None] * np.fft.rfft(np.eye(n), axis=0), n, axis=0)
+            raise ValueError(f"the generator needs a real {name} table")
+    c = np.fft.irfft(a_mu.real[: n // 2 + 1], n)
+    H = (-c)[np.subtract.outer(np.arange(n), np.arange(n)) % n]
     H[np.diag_indices(n)] += table.real
-    return np.linalg.eigh(H)
+    return H
+
+
+def growth_bound(V: PotentialSpec, symbol: SymbolSpec, mu: float) -> float:
+    """The growth bound of the discrete semigroup e^{tH} in 1D: in finite
+    dimensions, in any norm, the spectral abscissa of H (Engel & Nagel, GTM
+    194, 2000, I.2 and IV.2), so H's largest eigenvalue, exact to roundoff."""
+    return float(np.linalg.eigvalsh(_generator(V, symbol, mu))[-1])
+
+
+def _propagator_matrices(V: PotentialSpec, symbol: SymbolSpec, mu: float):
+    """The first stage's eigenbasis (lam, Q) of the generator, from its lower
+    triangle: S_V(tau) = Q e^{tau lam} Q^T over every lag, exact to roundoff
+    and well conditioned (Moler & Van Loan, SIAM Rev. 45, 2003)."""
+    return np.linalg.eigh(_generator(V, symbol, mu))
 
 
 def sequential_solve(u0: GridFunction, order, cfg: SolverConfig, gamma: ScaleIndex,

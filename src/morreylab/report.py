@@ -15,7 +15,6 @@ import sys
 import time
 
 import numpy as np
-import scipy
 
 __all__ = ["build_report", "report_to_json", "report_from_json", "write_csv", "report_hash"]
 
@@ -44,7 +43,6 @@ def environment_fingerprint() -> dict:
     return {
         "python": sys.version.split()[0],
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "platform": platform.platform(),
     }
 

@@ -2,10 +2,12 @@
 
 Everything here is an independent cross-check of the closed-form
 machinery: decay exponents are fitted from measured norms and compared
-with the predicted smoothing rate, exponential types are fitted from
-late-window growth, and the region predicates are compared against an
-exact search, on the ray through gamma, for a working index satisfying
-the raw inequality systems.
+with the predicted smoothing rate, exact growth bounds are fitted
+against the potential size, and the region predicates are compared
+against an exact search, on the ray through gamma, for a working index
+satisfying the raw inequality systems.  `evolve_norms` and
+`growth_rate` measure a growth rate in the time domain, the reference
+the tests hold `duhamel.growth_bound` to.
 """
 
 from __future__ import annotations
@@ -103,7 +105,8 @@ def evolve_norms(u0: GridFunction, potentials, dims: ProblemDims, symbol: Symbol
 
     Each step is one short solve (16 uniform nodes) from the previous
     state (the semigroup property), which keeps long horizons cheap and
-    returns the norm history used for growth-rate fits.
+    returns the norm history `growth_rate` fits: a time-domain growth
+    rate independent of the generator's spectrum.
     """
     gamma = ScaleIndex(0.0, 0.0)
     cfg = SolverConfig(horizon=step, nodes=16, grading=1.0)
@@ -138,13 +141,13 @@ def growth_rate(times, norms) -> float:
 def omega_scaling(amplitudes, rates, kappa0: float, tolerance: float = 0.15) -> FitResult:
     """Fit of the growth rate against the potential size.
 
-    The measured rates omega(A) are fitted as a power law in the norms
+    The growth rates omega(A) are fitted as a power law in the norms
     ||A V||; the exponent is compared with 1/(1 - kappa0).
     """
     amps = np.asarray(amplitudes, dtype=float)
     r = np.asarray(rates, dtype=float)
     if np.any(r <= 0.0):
-        raise ValueError("growth not yet exponential over the window (nonpositive rate)")
+        raise ValueError("a power-law fit needs positive growth rates (nonpositive rate)")
     slope, stderr = _least_squares_loglog(amps, r)
     return FitResult(slope, stderr, (float(amps.min()), float(amps.max())),
                      1.0 / (1.0 - kappa0), tolerance)

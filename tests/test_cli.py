@@ -56,13 +56,44 @@ def test_config_unknown_check():
         validate_config(bad)
 
 
-def test_config_type_errors():
+def test_config_type_errors(tmp_path, capsys):
     with pytest.raises(ConfigError, match="config.seed"):
         validate_config({**TINY, "seed": "zero"})
     with pytest.raises(ConfigError, match="version"):
         validate_config({**TINY, "version": 99})
     with pytest.raises(ConfigError, match="mu"):
         validate_config({**TINY, "dims": {"mu": 1.5}})
+    # the settable check values are typed and ranged when the config loads
+    for entry in ({"name": "regions", "count": -5},
+                  {"name": "regions", "density": 0},
+                  {"name": "omega_constant", "n": "big"},
+                  {"name": "iterated", "n": 100},
+                  {"name": "iterated", "nodes": 30},
+                  {"name": "iterated", "nodes": 34.0},
+                  {"name": "iterated", "nodes": 33},
+                  {"name": "selfsimilar_collapse", "m": 0},
+                  {"name": "selfsimilar_collapse", "tol": 0.0},
+                  {"name": "selfsimilar_collapse", "tol": math.inf}):
+        key = next(k for k in entry if k != "name")
+        bad = {**TINY, "checks": [entry]}
+        with pytest.raises(ConfigError, match=rf"config\.checks\[0\]\.{key}: "):
+            validate_config(bad)
+        assert main(["run", "--config", write_cfg(tmp_path, bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"config.checks[0].{key}" in err and "[PASS]" not in err
+
+
+def test_config_settable_values_are_the_check_parameters():
+    """The config's table of settable check values names exactly the
+    parameters of the registered checks, all but the context."""
+    import inspect
+
+    from morreylab.checks import CHECKS
+    from morreylab.config import _CHECK_VALUES
+
+    params = {(name, p) for name, fn in CHECKS.items()
+              for p in list(inspect.signature(fn).parameters)[1:]}
+    assert set(_CHECK_VALUES) == params
 
 
 def test_config_rejects_solver_block(tmp_path):
@@ -275,13 +306,14 @@ def test_run_checks_times_each_check(monkeypatch):
 
 def test_default_run_never_loads_scipy_special(tmp_path):
     """A default `morreylab run` builds its weight tables and contraction
-    bounds without scipy.special: the module is still absent at the end,
-    so no check's timer and no run pays its import."""
+    bounds without scipy.special, and scipy is a test-only dependency:
+    neither module is loaded at the end, so no check's timer and no run
+    pays its import."""
     code = textwrap.dedent(f"""
         import sys
         from morreylab.cli import main
         status = main(["run", "--out", {str(tmp_path)!r}])
-        print(status, "scipy.special" in sys.modules)
+        print(status, "scipy" in sys.modules or "scipy.special" in sys.modules)
     """)
     src = str(Path(morreylab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -577,7 +609,31 @@ KEEPERS = {
     "lp_ball_norm": "the benchmark tracer wraps it by name",
     "report_hash": "the determinism hash the benchmark compares across runs",
     "tabulated_potential": "the route to the first stage's real-potential guard",
+    "evolve_norms": "the time-domain reference growth_bound is tested against, "
+                    "and the benchmark tracer wraps it by name",
+    "growth_rate": "the time-domain reference growth_bound is tested against, "
+                   "and the benchmark tracer wraps it by name",
 }
+
+
+def test_every_tracer_target_resolves():
+    """Every (module, attribute) the benchmark tracer wraps by name exists
+    in morreylab, so deleting one fails here, not only in a traced run."""
+    import importlib
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for modname, attr, _ in tracer.TARGETS:
+        owner = importlib.import_module(f"morreylab.{modname}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{modname}.{attr}")
+    assert tracer.TARGETS and missing == []
 
 
 def test_every_public_name_has_a_src_caller():

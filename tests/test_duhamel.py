@@ -15,6 +15,8 @@ from morreylab.checks import (
     _two_potentials,
     _weighted_norm,
     _working_norm,
+    check_omega_constant,
+    check_omega_power,
 )
 from morreylab.duhamel import (
     SolverConfig,
@@ -26,6 +28,7 @@ from morreylab.duhamel import (
     contraction_bound,
     choose_theta,
     evaluate,
+    growth_bound,
     multiply,
     picard_solve,
     sequential_solve,
@@ -38,6 +41,7 @@ from morreylab.norms import RadiusLadder, _scan, morrey_norm
 from morreylab.potentials import constant_potential, power_law_potential, tabulated_potential
 from morreylab.quadrature import product_weights
 from morreylab.semigroup import apply_semigroup, laplacian_power_symbol
+from morreylab.verify import evolve_norms, growth_rate
 
 DIMS = ProblemDims(1, 1, 1.0)
 N, L = 256, 8.0
@@ -784,6 +788,47 @@ def test_first_stage_constant_potential_closed_form(sym, bump):
     U1 = one_step(constant_potential(c), cfg, sym)
     exact = math.exp(c * t1) * apply_semigroup(bump, t1, 1.0, sym).values
     assert rel_gap(U1 @ bump.values, exact) <= 1e-12
+
+
+@pytest.mark.parametrize("m, mu", [(1, 1.0), (1, 0.75), (1, 0.5), (2, 1.0)])
+def test_growth_bound_of_a_constant_potential_is_c(m, mu):
+    """V = c shifts the generator's spectrum, whose top is c - min a^mu = c.
+    growth_bound returns it within the eigensolver's backward error, a
+    small multiple of eps ||H|| <= eps (c + max a^mu): about 1e-12 of c at
+    m = 1, but 8.5e-10 at m = 2, where max a^mu is 6.4e6 on this grid."""
+    symbol = laplacian_power_symbol(1, N, L, m)
+    spread = float(np.max(symbol.power(mu)))
+    for c in (0.25, 0.5, 1.0, 2.0):
+        bound = 1e-12 * c + 16.0 * np.finfo(float).eps * (c + spread)
+        assert abs(growth_bound(constant_potential(c), symbol, mu) - c) <= bound
+
+
+@pytest.mark.parametrize("step", [0.0625, 0.03125])
+def test_growth_bound_matches_the_time_domain_rate(step):
+    """At A = 16 (n = 512, mu = 1) the late-window rate of restarted solves
+    over T = 2 lies within 2.5e-3 of growth_bound, relative: measured
+    +1.8e-4 and -1.7e-3 against 40.255.  Below step 0.0625 the restarted
+    rate levels off about 1.7e-3 under it, so no convergence order is
+    asserted.  The second eigenvalue, 17.63, is far outside the band."""
+    symbol = laplacian_power_symbol(1, 512, L, 1)
+    V = power_law_potential(16.0, 0.5, 1.5)
+    exact = growth_bound(V, symbol, 1.0)
+    times, norms = evolve_norms(GridFunction.constant(1.0, 1, 512, L), [V], DIMS, symbol,
+                                1.0, step=step, n_steps=round(2.0 / step))
+    assert abs(growth_rate(times, norms) - exact) <= 2.5e-3 * exact
+
+
+def test_omega_checks_never_march(monkeypatch):
+    """Both 1D omega checks read growth_bound alone: with the march made to
+    raise, they still run and pass."""
+    from morreylab import duhamel
+
+    def no_march(*args, **kwargs):
+        raise AssertionError("the march ran")
+
+    monkeypatch.setattr(duhamel, "_march", no_march)
+    ctx = CheckContext(DIMS, 4096, L)
+    assert check_omega_constant(ctx).passed and check_omega_power(ctx).passed
 
 
 def test_first_stage_rejects_complex_tables(sym):

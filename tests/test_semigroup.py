@@ -393,7 +393,7 @@ def test_cli_import_skips_scipy_optimize_and_special():
     src = str(Path(morreylab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = ("import sys, morreylab.cli; "
-            "print([m in sys.modules for m in ('scipy.optimize', 'scipy.special')])")
+            "print([m in sys.modules for m in ('scipy', 'scipy.optimize', 'scipy.special')])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "[False, False]"
+    assert out.stdout.strip() == "[False, False, False]"
