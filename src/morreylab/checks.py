@@ -14,7 +14,7 @@ import functools
 import logging
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .duhamel import (
 from .fixtures import gaussian_bump, power_law
 from .grids import GridFunction
 from .indices import (
+    TOL,
     MorreyParams,
     PotentialClass,
     ProblemDims,
@@ -481,37 +482,71 @@ def check_omega_power(ctx: CheckContext) -> CheckRecord:
 # -- region calculus -----------------------------------------------------------
 
 
+# the band stratum's offsets from its boundary line, in units of TOL: both
+# sides of the line and of its band's edge at +TOL, never on either edge
+_BAND_STEPS = np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 0.9, 1.1, 1.5, 2.0])
+
+
+def _accepted(count: int, draw, keep):
+    """The first `count` candidate rows that `keep` accepts.  Each round
+    draws whole columns, `draw(size)`, of twice the rows still missing
+    plus 32, so a mask that keeps half its candidates needs one or two
+    rounds, and no round draws a scalar."""
+    parts, need = [], count
+    while need > 0:
+        cols = draw(2 * need + 32)
+        kept = np.flatnonzero(keep(*cols))[:need]
+        parts.append([c[kept] for c in cols])
+        need -= kept.size
+    return [np.concatenate(c) for c in zip(*parts)]
+
+
 def _random_queries(ctx: CheckContext, count: int):
-    rng = ctx.rng()
-    dims = ctx.dims
-    cap = dims.slope_cap
-    queries = []
-    while len(queries) < count:
-        g1 = rng.uniform(0.0, 1.0)
-        g2 = rng.uniform(0.0, cap)
-        if g2 > cap * g1 or g1 < 1e-3 or g2 < 1e-3:
-            continue
-        gamma = ScaleIndex(g1, g2)
-        n_cls = 1 if rng.uniform() < 0.5 else 2
-        classes = []
-        while len(classes) < n_cls:
-            p0 = rng.uniform(1.0, 6.0)
-            ell0 = rng.uniform(0.05, dims.N)
-            cls = PotentialClass.from_exponents(p0, ell0, dims)
-            if cls.admissible:
-                classes.append(cls)
-        queries.append((gamma, classes))
-    return queries
+    """`count` region queries as arrays: index columns gamma and the
+    (count, 4) class table p0 ell0 p1 ell1 that region_report takes, nan
+    where a row names one class.
+
+    A row names one class or two with even odds, and every class is an
+    admissible draw of p0 ~ U[1, 6], ell0 ~ U[0.05, N].  The first
+    count - count // 4 rows draw gamma uniformly on the triangle, at least
+    1e-3 from its lower edges.  The last count // 4, the band stratum,
+    put slope(gamma) where uniform draws almost never land: a
+    _BAND_STEPS multiple of TOL from the row's smaller class slope or
+    from the slope cap, clipped at the cap, with gamma1 uniform in
+    (0.01, 1] and above 2e-3 / slope, so gamma2 keeps the 1e-3 margin.
+    """
+    rng, dims = ctx.rng(), ctx.dims
+    cap, n_band = dims.slope_cap, count // 4
+    g1, g2 = _accepted(count - n_band,
+                       lambda size: (rng.uniform(0.0, 1.0, size), rng.uniform(0.0, cap, size)),
+                       lambda g1, g2: (g2 <= cap * g1) & (g1 >= 1e-3) & (g2 >= 1e-3))
+    two = rng.uniform(size=count) >= 0.5
+    p0, ell0 = _accepted(count + int(two.sum()),
+                         lambda size: (rng.uniform(1.0, 6.0, size),
+                                       rng.uniform(0.05, dims.N, size)),
+                         lambda p0, ell0: PotentialClass.from_exponents(p0, ell0, dims).admissible)
+    rows = np.full((count, 4), math.nan)
+    rows[:, 0], rows[:, 1] = p0[:count], ell0[:count]
+    rows[two, 2], rows[two, 3] = p0[count:], ell0[count:]
+    band = rows[count - n_band:]
+    pick = rng.integers(0, 2 * _BAND_STEPS.size, n_band)
+    # a class slope is ell0 / (2 m mu); fmin skips a one-class row's nan
+    line = np.where(pick < _BAND_STEPS.size, np.fmin(band[:, 1], band[:, 3]) / dims.order, cap)
+    slope = np.minimum(line + _BAND_STEPS[pick % _BAND_STEPS.size] * TOL, cap)
+    low = np.clip(2e-3 / slope, 0.01, 1.0)
+    b1 = 1.0 - (1.0 - low) * rng.uniform(size=n_band)
+    return ScaleIndex(np.concatenate([g1, b1]), np.concatenate([g2, slope * b1])), rows
 
 
 def check_regions(ctx: CheckContext, count: int = 1000, density: int = 200) -> CheckRecord:
-    """Closed-form predicates vs the exact witness oracle: any
-    disagreement fails."""
+    """Closed-form predicates vs the exact witness oracle on `count`
+    array-drawn queries, a quarter of them in the band stratum: any
+    disagreement fails, and a failing record lists the first five."""
     # density is unread: the oracle no longer samples, but configs still set it
-    queries = _random_queries(ctx, count)
-    disagreements = verify.compare_region_predicates(queries, ctx.dims)
+    disagreements = verify.compare_region_predicates(*_random_queries(ctx, count), ctx.dims)
+    first = {"first": [asdict(d) for d in disagreements[:5]]} if disagreements else {}
     return _record("regions", not disagreements, queries=count,
-                   disagreements=len(disagreements))
+                   disagreements=len(disagreements), **first)
 
 
 def check_tangent(ctx: CheckContext) -> CheckRecord:

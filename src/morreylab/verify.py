@@ -21,6 +21,7 @@ from .grids import GridFunction
 from .indices import (
     TOL,
     MorreyParams,
+    PotentialClass,
     ProblemDims,
     ScaleIndex,
     from_index,
@@ -184,7 +185,11 @@ def continuous_dependence_check(base_traj: Trajectory, perturbed, norm_gaps,
 
 @dataclass(frozen=True)
 class OracleDisagreement:
-    query: tuple
+    """A query on which the closed form and the oracle differ: gamma, the
+    exponents (p0, ell0) of each class, and the two verdicts (True is IN)."""
+
+    gamma: tuple
+    classes: tuple
     closed_form: bool
     oracle: bool
 
@@ -249,23 +254,29 @@ def region_oracle(gamma: ScaleIndex, classes, excluded, dims: ProblemDims) -> np
     return ~excluded & fixed & (lo <= hi) & (strict < hi)
 
 
-def compare_region_predicates(queries, dims: ProblemDims):
-    """Run the closed-form verdict (one indices.region_report batch, the
-    call the region protocol answers with) vs one region_oracle batch on
-    (gamma, classes) queries of one or two classes; log disagreements."""
-    gammas = ScaleIndex(np.array([g.gamma1 for g, _ in queries]),
-                        np.array([g.gamma2 for g, _ in queries]))
-    rows = np.full((len(queries), 4), math.nan)
-    slots = np.full((2, 2, len(queries)), math.nan)  # slot, coordinate, query
-    excluded = ~in_triangle(gammas, dims)
-    for i, (_, classes) in enumerate(queries):
-        rows[i, :2 * len(classes)] = [x for c in classes for x in (c.params.p, c.params.ell)]
-        slots[:len(classes), :, i] = [c.gamma0.as_tuple() for c in classes]
-        excluded[i] |= not all(c.admissible for c in classes)
+def compare_region_predicates(gammas: ScaleIndex, rows, dims: ProblemDims):
+    """The closed-form verdict (one indices.region_report batch, the call
+    the region protocol answers with) against one region_oracle batch.
+
+    gammas holds index columns and rows the (n, 4) table (p0, ell0, p1,
+    ell1), nan where a row names one class, as region_report takes them.
+    Returns an OracleDisagreement for each query whose verdicts differ,
+    in query order.
+    """
+    rows = np.asarray(rows, dtype=float)
+    two = ~np.isnan(rows[:, 2])
+    # a one-class row repeats its class in the second slot, as in region_report
+    second = np.where(two[:, None], rows[:, 2:], rows[:, :2])
+    c0 = PotentialClass.from_exponents(rows[:, 0], rows[:, 1], dims)
+    c1 = PotentialClass.from_exponents(second[:, 0], second[:, 1], dims)
+    excluded = ~in_triangle(gammas, dims) | ~c0.admissible | (two & ~c1.admissible)
+    slot1 = ScaleIndex(np.where(two, c1.gamma0.gamma1, math.nan),
+                       np.where(two, c1.gamma0.gamma2, math.nan))
     closed = np.array([reason is None for reason in region_report(gammas, rows, dims)])
-    oracle = region_oracle(gammas, [ScaleIndex(*s) for s in slots], excluded, dims)
+    oracle = region_oracle(gammas, [c0.gamma0, slot1], excluded, dims)
     return [OracleDisagreement(
-                (queries[i][0].as_tuple(), tuple((c.params.p, c.params.ell) for c in queries[i][1])),
+                (float(gammas.gamma1[i]), float(gammas.gamma2[i])),
+                tuple(map(tuple, rows[i, :4 if two[i] else 2].reshape(-1, 2).tolist())),
                 bool(closed[i]), bool(oracle[i]))
             for i in np.flatnonzero(closed != oracle).tolist()]
 

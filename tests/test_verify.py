@@ -16,6 +16,7 @@ from morreylab.indices import (
     region_report,
     to_index,
 )
+from morreylab.report import build_report, report_to_json
 from morreylab.semigroup import laplacian_power_symbol
 
 DIMS = ProblemDims(1, 1, 1.0)
@@ -78,10 +79,29 @@ def cls(p0, ell0):
     return PotentialClass.from_exponents(p0, ell0, DIMS)
 
 
-def exact(queries, dims=DIMS):
-    """The exact oracle's verdicts on (gamma, classes) queries, one batch."""
+def as_arrays(queries):
+    """(gamma, classes) queries as compare_region_predicates takes them:
+    index columns and the (n, 4) table p0 ell0 p1 ell1, nan for an absent
+    class."""
     gammas = ScaleIndex(np.array([g.gamma1 for g, _ in queries]),
                         np.array([g.gamma2 for g, _ in queries]))
+    rows = np.full((len(queries), 4), np.nan)
+    for i, (_, cs) in enumerate(queries):
+        rows[i, :2 * len(cs)] = [x for c in cs for x in (c.params.p, c.params.ell)]
+    return gammas, rows
+
+
+def as_queries(gammas, rows, dims):
+    """The inverse of as_arrays: one (gamma, classes) pair per row."""
+    return [(ScaleIndex(float(g1), float(g2)),
+             [PotentialClass.from_exponents(p, ell, dims)
+              for p, ell in np.reshape(row, (2, 2)) if not np.isnan(p)])
+            for g1, g2, row in zip(gammas.gamma1, gammas.gamma2, rows)]
+
+
+def exact(queries, dims=DIMS):
+    """The exact oracle's verdicts on (gamma, classes) queries, one batch."""
+    gammas, _ = as_arrays(queries)
     slots = np.full((2, 2, len(queries)), np.nan)
     for i, (_, cs) in enumerate(queries):
         slots[:len(cs), :, i] = [c.gamma0.as_tuple() for c in cs]
@@ -99,24 +119,12 @@ def test_region_oracle_examples():
     in_band, past_band = ScaleIndex(0.3, 0.09000000000012), ScaleIndex(0.3, 0.09000000000039)
     queries = [(g, [c]) for g in (inside, too_steep, ScaleIndex(0, 0), in_band, past_band)]
     assert exact(queries) == [True, False, True, True, False]
-    assert verify.compare_region_predicates(queries, DIMS) == []
+    assert verify.compare_region_predicates(*as_arrays(queries), DIMS) == []
 
 
-def test_region_oracle_vs_closed_form(rng):
-    queries = []
-    cap = DIMS.slope_cap
-    while len(queries) < 300:
-        g1, g2 = rng.uniform(0, 1), rng.uniform(0, cap)
-        if g2 > cap * g1 or g1 < 1e-3 or g2 < 1e-3:
-            continue
-        n_cls = 1 if rng.uniform() < 0.5 else 2
-        classes = []
-        while len(classes) < n_cls:
-            c = cls(rng.uniform(1, 6), rng.uniform(0.05, 1.0))
-            if c.admissible:
-                classes.append(c)
-        queries.append((ScaleIndex(g1, g2), classes))
-    assert verify.compare_region_predicates(queries, DIMS) == []
+def test_region_oracle_vs_closed_form():
+    ctx = checks.CheckContext(dims=DIMS, n=64, L=8.0, seed=1234)
+    assert verify.compare_region_predicates(*checks._random_queries(ctx, 300), DIMS) == []
 
 
 def test_oracle_handles_bounded_class():
@@ -199,7 +207,7 @@ def test_region_oracle_matches_reference(dims, density):
     the exact oracle says IN wherever the sampled reference finds a
     witness, and equals the closed form on every query."""
     ctx = checks.CheckContext(dims=dims, n=64, L=8.0, seed=density + dims.N)
-    queries = checks._random_queries(ctx, 150)
+    queries = as_queries(*checks._random_queries(ctx, 150), dims)  # 37 in the band stratum
     assert {len(c) for _, c in queries} == {1, 2}
     rng = np.random.default_rng(density)
     queries += band_edge_queries(dims, density, rng, 100)
@@ -222,7 +230,7 @@ def test_region_oracle_matches_reference(dims, density):
     assert any(verdicts) and not all(verdicts)
     reference = [reference_oracle(g, c, dims, density) for g, c in queries]
     assert [q for q, v, r in zip(queries, verdicts, reference) if r and not v] == []
-    assert verify.compare_region_predicates(queries, dims) == []
+    assert verify.compare_region_predicates(*as_arrays(queries), dims) == []
 
 
 @pytest.mark.parametrize("density,gamma,classes", [
@@ -263,7 +271,88 @@ def test_region_oracle_mixed_batch():
                (ScaleIndex(0.5, 0.75), [fine]),          # slope 1.5 above 1
                (ScaleIndex(1.0, 0.95), [fine, second])]  # above h(1) = 0.8
     assert exact(queries, dims) == [True] * 5 + [False] * 4
-    assert verify.compare_region_predicates(queries, dims) == []
+    assert verify.compare_region_predicates(*as_arrays(queries), dims) == []
+
+
+@pytest.mark.parametrize("dims", ORACLE_DIMS, ids=lambda d: f"N{d.N}m{d.m}mu{d.mu:g}")
+def test_random_queries_draw_the_documented_set(dims):
+    """count rows, gamma inside the triangle with the 1e-3 margins, one-
+    and two-class rows of admissible classes, a quarter of the rows within
+    2 TOL of a class slope or the slope cap, and the same arrays again for
+    the same seed."""
+    for count in (1, 7, 400):
+        gammas, rows = checks._random_queries(checks.CheckContext(dims, 64, 8.0, seed=5), count)
+        assert gammas.gamma1.shape == gammas.gamma2.shape == (count,) and rows.shape == (count, 4)
+    g1, g2 = gammas.gamma1, gammas.gamma2
+    assert np.all((g1 >= 1e-3) & (g1 <= 1.0) & (g2 >= 1e-3) & (g2 <= dims.slope_cap * g1))
+    two = ~np.isnan(rows[:, 2])
+    assert two.any() and not two.all()
+    assert not np.isnan(rows[two]).any() and np.isnan(rows[~two, 2:]).all()
+    assert not np.isnan(rows[:, :2]).any()
+    for p0, ell0 in (rows[:, :2].T, rows[two, 2:].T):
+        assert np.all(PotentialClass.from_exponents(p0, ell0, dims).admissible)
+    band = count - count // 4
+    lines = np.stack([rows[:, 1] / dims.order, rows[:, 3] / dims.order,
+                      np.full(count, dims.slope_cap)])
+    near = np.any(np.abs(gammas.slope - lines) <= 2.0 * TOL * (1.0 + lines), axis=0)
+    assert np.array_equal(near, np.arange(count) >= band)
+    again = checks._random_queries(checks.CheckContext(dims, 64, 8.0, seed=5), count)
+    np.testing.assert_array_equal(again[0].gamma1, g1)
+    np.testing.assert_array_equal(again[0].gamma2, g2)
+    np.testing.assert_array_equal(again[1], rows)
+
+
+class CountingRng:
+    """A Generator that counts the calls made to its methods."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+        return counted
+
+
+@pytest.mark.parametrize("dims", ORACLE_DIMS, ids=lambda d: f"N{d.N}m{d.m}mu{d.mu:g}")
+def test_random_queries_draw_whole_columns(dims):
+    """The sampler's rng calls do not grow with the query count: it draws
+    whole columns per rejection round, never a scalar per query."""
+    for count in (20, 2000):
+        ctx = checks.CheckContext(dims, 64, 8.0)
+        rng = CountingRng(ctx.rng())
+        ctx.rng = lambda: rng
+        checks._random_queries(ctx, count)
+        assert 0 < rng.calls <= 12, (count, rng.calls)
+
+
+def test_failing_regions_record_lists_its_first_disagreements(monkeypatch):
+    """A flipped closed-form verdict fails the check, and the record names
+    the query, its classes and both verdicts; a passing record has no
+    `first` key."""
+    ctx = checks.CheckContext(DIMS, 64, 8.0)
+    assert "first" not in checks.check_regions(ctx, count=40).details
+    closed_form = verify.region_report
+
+    def flip_row_3(gamma, classes, dims):
+        reasons = closed_form(gamma, classes, dims)
+        reasons[3] = "flipped" if reasons[3] is None else None
+        return reasons
+
+    monkeypatch.setattr(verify, "region_report", flip_row_3)
+    rec = checks.check_regions(ctx, count=40)
+    assert not rec.passed and rec.details["disagreements"] == 1
+    gammas, rows = checks._random_queries(ctx, 40)
+    [first] = rec.details["first"]
+    assert first["gamma"] == (gammas.gamma1[3], gammas.gamma2[3])
+    assert np.array_equal(np.ravel(first["classes"]), rows[3, :np.size(first["classes"])])
+    assert np.isnan(rows[3, np.size(first["classes"]):]).all()
+    assert first["closed_form"] != first["oracle"]
+    json = report_to_json(build_report([rec], {}, 0))
+    assert '"first"' in json and '"oracle"' in json
 
 
 # -- trace and pseudoresolvent -------------------------------------------------------------
