@@ -93,12 +93,7 @@ def record_name(name: str, params: dict) -> str:
 
 
 def _record(name, passed, **details) -> CheckRecord:
-    clean = {}
-    for k, v in details.items():
-        if isinstance(v, (np.floating, np.integer)):
-            v = float(v)
-        clean[k] = v
-    return CheckRecord(name, bool(passed), clean)
+    return CheckRecord(name, bool(passed), details)
 
 
 # -- kernels -------------------------------------------------------------------
@@ -287,6 +282,7 @@ _POWER_BETA = 0.5
 _POWER_P0 = 1.5
 _CONST_C = 1.0  # the constant potential of the closed-form checks
 _LAMS = (-4.0, -6.0)  # where the pseudoresolvent checks test the identity
+_HALF_NODE_MIN = 32  # the fewest (even) nodes of a solve the half-node estimate halves
 
 
 def _solver_context(ctx: CheckContext, n: int):
@@ -297,14 +293,11 @@ def _solver_context(ctx: CheckContext, n: int):
 
 
 def _power_traj(ctx: CheckContext, n: int = 512):
-    key = ("power_traj", n)
-    if key not in ctx.memo:
-        dims, sym, bump = _solver_context(ctx, n)
-        V = power_law_potential(1.0, _POWER_BETA, _POWER_P0)
-        gamma = to_index(MorreyParams(2.0, 0.7), dims)
-        cfg = SolverConfig(horizon=0.25, nodes=64)
-        ctx.memo[key] = picard_solve(bump, [V], cfg, gamma, dims, sym, dims.mu)
-    return ctx.memo[key]
+    dims, sym, bump = _solver_context(ctx, n)
+    V = power_law_potential(1.0, _POWER_BETA, _POWER_P0)
+    gamma = to_index(MorreyParams(2.0, 0.7), dims)
+    cfg = SolverConfig(horizon=0.25, nodes=64)
+    return picard_solve(bump, [V], cfg, gamma, dims, sym)
 
 
 def _const_traj(ctx: CheckContext):
@@ -313,7 +306,7 @@ def _const_traj(ctx: CheckContext):
         V = constant_potential(_CONST_C, N=dims.N)
         gamma = to_index(MorreyParams(2.0, 1.0), dims)
         cfg = SolverConfig(horizon=0.25, nodes=256, grading=1.0)
-        ctx.memo["const_traj"] = picard_solve(bump, [V], cfg, gamma, dims, sym, dims.mu)
+        ctx.memo["const_traj"] = picard_solve(bump, [V], cfg, gamma, dims, sym)
     return ctx.memo["const_traj"]
 
 
@@ -322,7 +315,7 @@ def check_constant_potential(ctx: CheckContext) -> CheckRecord:
     tol = 1e-7
     traj = _const_traj(ctx)
     worst = 0.0
-    base = apply_semigroup(traj.u0, traj.times, traj.mu, traj.symbol)
+    base = apply_semigroup(traj.u0, traj.times, traj.dims.mu, traj.symbol)
     for t, state, free in zip(traj.times, traj.states, base):
         exact = math.exp(_CONST_C * t) * free
         worst = max(worst, float(np.max(np.abs(state.values - exact.values))))
@@ -355,7 +348,8 @@ def check_contraction(ctx: CheckContext) -> CheckRecord:
             [V.potential_class(traj.dims).kappa for V in traj.potentials],
             smoothing_distance(traj.alpha, traj.gamma), traj.config.horizon)
         u = np.stack([s.values for s in traj.states])
-        base = np.stack([b.values for b in apply_semigroup(u0, traj.times, traj.mu, traj.symbol)])
+        base = np.stack([b.values for b in
+                         apply_semigroup(u0, traj.times, traj.dims.mu, traj.symbol)])
         ratio = _weighted_norm(traj, u - base, theta) / _weighted_norm(traj, u, theta)
         details[name] = {"ratio": ratio, "bound": bound, "theta": theta}
         ok = ok and ratio <= bound
@@ -371,11 +365,11 @@ def _half_node_gap(traj: Trajectory, solve, norm) -> float:
     coarse solve keeps the solver's 16 nodes.
     """
     K = traj.config.nodes
-    if K % 2 or K < 32:
+    if K % 2 or K < _HALF_NODE_MIN:
         raise ValueError(f"the half-node estimate compares with a half-node solve, which "
-                         f"needs an even node count of at least 32, got {K}")
+                         f"needs an even node count of at least {_HALF_NODE_MIN}, got {K}")
     coarse = solve(traj.u0, traj.potentials, replace(traj.config, nodes=K // 2),
-                   traj.gamma, traj.dims, traj.symbol, traj.mu)
+                   traj.gamma, traj.dims, traj.symbol)
     return max(norm(traj.states[2 * j + 1] - coarse.states[j]) for j in range(K // 2))
 
 
@@ -400,7 +394,7 @@ def check_semigroup_property(ctx: CheckContext) -> CheckRecord:
     u_comp_base = evaluate(traj, t2)
     sub_cfg = replace(traj.config, horizon=t1)
     comp = picard_solve(u_comp_base, traj.potentials, sub_cfg, traj.alpha, traj.dims,
-                        traj.symbol, traj.mu).states[-1]
+                        traj.symbol).states[-1]
     disc = _sup_norm(u_sum - comp)
     tol = 10.0 * err
     return _record("semigroup_property", disc <= tol, discrepancy=disc, tol=tol)
@@ -419,10 +413,10 @@ def check_iterated(ctx: CheckContext, n: int = 256, nodes: int = 64) -> CheckRec
     V0, V1 = _two_potentials()
     gamma = to_index(MorreyParams(2.0, 0.3), dims)
     cfg = SolverConfig(horizon=0.25, nodes=nodes, grading=1.0)
-    joint = picard_solve(bump, [V0, V1], cfg, gamma, dims, sym, dims.mu)
+    joint = picard_solve(bump, [V0, V1], cfg, gamma, dims, sym)
     joint_err = _half_node_gap(joint, picard_solve, _working_norm(joint))
-    seq01 = sequential_solve(bump, [V0, V1], cfg, gamma, dims, sym, dims.mu)
-    seq10 = sequential_solve(bump, [V1, V0], cfg, gamma, dims, sym, dims.mu)
+    seq01 = sequential_solve(bump, [V0, V1], cfg, gamma, dims, sym)
+    seq10 = sequential_solve(bump, [V1, V0], cfg, gamma, dims, sym)
     seq_err = _half_node_gap(seq01, sequential_solve, _sup_norm)
     tol = 10.0 * (joint_err + seq_err)
     d_orders = max(_sup_norm(a - b) for a, b in zip(seq01.states, seq10.states))
@@ -439,13 +433,13 @@ def check_continuous_dependence(ctx: CheckContext) -> CheckRecord:
     gamma = to_index(MorreyParams(2.0, 0.7), dims)
     cfg = SolverConfig(horizon=0.25, nodes=48)
     base_V = power_law_potential(1.0, _POWER_BETA, _POWER_P0)
-    base = picard_solve(bump, [base_V], cfg, gamma, dims, sym, dims.mu)
+    base = picard_solve(bump, [base_V], cfg, gamma, dims, sym)
     eps = [0.02, 0.04, 0.08, 0.16]
     vnorm = base_V.measured_norm(dims.N, n, ctx.L)
     trajs, gaps = [], []
     for e in eps:
         V = power_law_potential(1.0 + e, _POWER_BETA, _POWER_P0)
-        trajs.append(picard_solve(bump, [V], cfg, gamma, dims, sym, dims.mu))
+        trajs.append(picard_solve(bump, [V], cfg, gamma, dims, sym))
         gaps.append(e * vnorm)
     fit = verify.continuous_dependence_check(base, trajs, gaps,
                                              MorreyParams(2.0, 0.7), dims, tol)
@@ -568,7 +562,7 @@ def check_pseudoresolvent_constant(ctx: CheckContext) -> CheckRecord:
     gamma = to_index(MorreyParams(2.0, 1.0), dims)
     cfg = SolverConfig(horizon=3.2, nodes=256, grading=1.0)
     traj = picard_solve(bump, [constant_potential(_CONST_C, N=dims.N)], cfg, gamma,
-                        dims, sym, dims.mu)
+                        dims, sym)
     residuals = {str(lam): verify.pseudoresolvent_identity(traj, lam) for lam in _LAMS}
     worst = max(residuals.values())
     return _record("pseudoresolvent_constant", worst <= tol,
@@ -581,7 +575,7 @@ def check_pseudoresolvent_power(ctx: CheckContext) -> CheckRecord:
     gamma = to_index(MorreyParams(2.0, 0.7), dims)
     cfg = SolverConfig(horizon=3.2, nodes=192)
     V = power_law_potential(1.0, _POWER_BETA, _POWER_P0)
-    traj = picard_solve(bump, [V], cfg, gamma, dims, sym, dims.mu)
+    traj = picard_solve(bump, [V], cfg, gamma, dims, sym)
     residuals = {str(lam): verify.pseudoresolvent_identity(traj, lam) for lam in _LAMS}
     worst = max(residuals.values())
     return _record("pseudoresolvent_power", worst <= tol,

@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .checks import CHECKS, CheckContext, record_name
+from .checks import _HALF_NODE_MIN, CHECKS, CheckContext, record_name
 from .grids import _check_points
 from .indices import ProblemDims
 
@@ -89,7 +89,7 @@ def _optional_string(v, path):
 
 def _half_node_count(v, path):
     """Time nodes of a solve the half-node estimate halves: even, at least 32."""
-    k = _integer(32)(v, path)
+    k = _integer(_HALF_NODE_MIN)(v, path)
     if k % 2:
         raise ConfigError(f"{path}: {k} is odd; the half-node estimate needs an even count")
     return k
@@ -170,17 +170,16 @@ def validate_config(raw: dict) -> ExperimentConfig:
     if top["version"] != SCHEMA_VERSION:
         raise ConfigError(f"config.version: schema version {top['version']} unsupported "
                           f"(expected {SCHEMA_VERSION})")
-    dims_raw = top.get("dims", {})
-    dims = ProblemDims(dims_raw.get("N", 1), dims_raw.get("m", 1), dims_raw.get("mu", 1.0))
-    grid = top.get("grid", {})
-    checks = top.get("checks", tuple((name, {}) for name in CHECKS))
+    # an omitted key takes DEFAULT_CONFIG's value; omitted checks run each check once
+    dims = {**DEFAULT_CONFIG["dims"], **top.get("dims", {})}
+    grid = {**DEFAULT_CONFIG["grid"], **top.get("grid", {})}
     return ExperimentConfig(
         version=top["version"],
-        seed=top.get("seed", 0),
-        dims=dims,
-        n=grid.get("n", 4096),
-        L=grid.get("L", 8.0),
-        checks=tuple(checks),
+        seed=top.get("seed", DEFAULT_CONFIG["seed"]),
+        dims=ProblemDims(dims["N"], dims["m"], dims["mu"]),
+        n=grid["n"],
+        L=grid["L"],
+        checks=tuple(top.get("checks", ((name, {}) for name in CHECKS))),
         output_dir=top.get("output_dir"),
     )
 

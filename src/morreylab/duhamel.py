@@ -118,21 +118,17 @@ def contraction_bound(theta: float, T: float, d_list, d_gamma: float):
     return bounds
 
 
-@functools.lru_cache(maxsize=64)
 def _q_terms(d: float, d_gamma: float):
     """The parts of contraction_bound's log on its 96-point q grid that do not
     depend on theta or T: 1/q', 1/q - d, and -log(q')/q' + log B / q, the
-    log-Beta row from math.lgamma once per exponent pair."""
+    log-Beta row from math.lgamma.  Not cached: a call takes about 0.1 ms."""
     q_hi = min([60.0] + [1.0 / x for x in (d, d_gamma) if x > 0.0])
     qs = 1.0 + (q_hi - 1.0) * np.linspace(1e-4, 1.0 - 1e-6, 96) ** 2
     qp = qs / (qs - 1.0)
     p, r = 1.0 - qs * d, 1.0 - qs * d_gamma
     log_beta = np.array([math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y)
                          for x, y in zip(p, r)])
-    terms = (1.0 / qp, 1.0 / qs - d, -np.log(qp) / qp + log_beta / qs)
-    for x in terms:
-        x.flags.writeable = False  # shared by every call on the pair
-    return terms
+    return 1.0 / qp, 1.0 / qs - d, -np.log(qp) / qp + log_beta / qs
 
 
 def choose_theta(norm_bound: float, d_list, d_gamma: float, T: float):
@@ -229,9 +225,9 @@ def _march(u0, tables, d_list, d_gamma: float, times, basis):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-indexed approximation of the perturbed evolution of one datum."""
+    """Time-indexed approximation of the perturbed evolution of one datum.
+    Each fact is stored once: the node times are time_grid(config), mu is dims.mu."""
 
-    times: np.ndarray
     states: tuple
     gamma: ScaleIndex
     alpha: ScaleIndex
@@ -239,20 +235,14 @@ class Trajectory:
     potentials: tuple
     dims: ProblemDims
     symbol: SymbolSpec
-    mu: float
     u0: GridFunction
 
     # always empty: a march takes no sweeps (kept for readers that count them)
     residual_history = ()
 
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if t[0] <= 0.0 or np.any(np.diff(t) <= 0.0):
-            raise ValueError("trajectory times must be strictly increasing with t_1 > 0")
-
-    @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
+    @functools.cached_property
+    def times(self) -> np.ndarray:
+        return time_grid(self.config)
 
     def node_near(self, t: float) -> int | None:
         j = int(np.argmin(np.abs(self.times - t)))
@@ -270,23 +260,25 @@ def _resolve_indices(potentials, gamma, dims):
 
 
 def picard_solve(u0: GridFunction, potentials, cfg: SolverConfig, gamma: ScaleIndex,
-                 dims: ProblemDims, symbol: SymbolSpec, mu: float) -> Trajectory:
-    """The perturbed evolution on the graded grid, marched node by node in
-    the Fourier basis.  With no perturbation it is the base evolution.
-    Raises on blow-up, naming its time.
+                 dims: ProblemDims, symbol: SymbolSpec) -> Trajectory:
+    """The perturbed evolution under A^mu, mu = dims.mu, on the graded grid,
+    marched node by node in the Fourier basis.  With no perturbation it is
+    the base evolution.  A symbol off u0's grid or of another (N, m) than
+    dims is refused before any transform; a blow-up raises, naming its time.
     """
+    symbol.require_agreement(u0, dims)
     potentials = tuple(potentials)
     alpha, d_gamma, d_list = _resolve_indices(potentials, gamma, dims)
     times = time_grid(cfg)
     if potentials:
         tables = [V.on_grid(u0.N, u0.n, u0.L).values for V in potentials]
-        a_mu = symbol.power(mu)
+        a_mu = symbol.power(dims.mu)
         real = all(np.isrealobj(x) for x in [u0.values, a_mu, *tables])
         values = _march(u0.values, tables, d_list, d_gamma, times, _fourier_basis(a_mu, real))
         states = [GridFunction(u0.N, u0.n, u0.L, v) for v in values]
     else:
-        states = apply_semigroup(u0, times, mu, symbol)
-    return Trajectory(times, tuple(states), gamma, alpha, cfg, potentials, dims, symbol, mu, u0)
+        states = apply_semigroup(u0, times, dims.mu, symbol)
+    return Trajectory(tuple(states), gamma, alpha, cfg, potentials, dims, symbol, u0)
 
 
 # -- sequential (iterated) perturbations --------------------------------------
@@ -330,15 +322,18 @@ def _propagator_matrices(V: PotentialSpec, symbol: SymbolSpec, mu: float):
 
 
 def sequential_solve(u0: GridFunction, order, cfg: SolverConfig, gamma: ScaleIndex,
-                     dims: ProblemDims, symbol: SymbolSpec, mu: float) -> Trajectory:
-    """Apply two perturbations one at a time.
+                     dims: ProblemDims, symbol: SymbolSpec) -> Trajectory:
+    """Apply two perturbations one at a time, under A^mu with mu = dims.mu.
 
     The first potential's evolution becomes the base propagator for the
     second solve, on any time grid: in the first stage's eigenbasis
     e^{tau H} = Q e^{tau Lambda} Q^T serves every lag, so the march runs
     in that basis with rates -lambda, carrying Q^T u0 and the stored
-    coefficients of V2 u_j forward by e^{tau lambda}.
+    coefficients of V2 u_j forward by e^{tau lambda}.  A symbol off u0's
+    grid or of another (N, m) than dims is refused before the
+    eigendecomposition.
     """
+    symbol.require_agreement(u0, dims)
     order = tuple(order)
     if len(order) != 2:
         raise ValueError(f"sequential composition takes exactly two perturbations, "
@@ -346,12 +341,12 @@ def sequential_solve(u0: GridFunction, order, cfg: SolverConfig, gamma: ScaleInd
 
     V1, V2 = order
     alpha, d_gamma, d_list = _resolve_indices(order, gamma, dims)
-    lam, Q = _propagator_matrices(V1, symbol, mu)
+    lam, Q = _propagator_matrices(V1, symbol, dims.mu)
     times = time_grid(cfg)
     values = _march(u0.values, [V2.on_grid(u0.N, u0.n, u0.L).values], d_list[1:],
                     d_gamma, times, (-lam, lambda x: x @ Q, lambda y: y @ Q.T))
     states = tuple(GridFunction(u0.N, u0.n, u0.L, v) for v in values)
-    return Trajectory(times, states, gamma, alpha, cfg, order, dims, symbol, mu, u0)
+    return Trajectory(states, gamma, alpha, cfg, order, dims, symbol, u0)
 
 
 def evaluate(traj: Trajectory, t: float) -> GridFunction:
@@ -361,7 +356,7 @@ def evaluate(traj: Trajectory, t: float) -> GridFunction:
     preceding node (from the datum before the first one), so the check
     of the semigroup property stays independent of any interpolation.
     """
-    T = traj.horizon
+    T = traj.config.horizon
     if not 0.0 < t <= T * (1.0 + 1e-12):
         raise ValueError(f"evaluate needs 0 < t <= horizon {T:g}, got t = {t:g}")
     k = traj.node_near(t)
@@ -375,5 +370,4 @@ def evaluate(traj: Trajectory, t: float) -> GridFunction:
         datum, horizon, gamma = traj.u0, t, traj.gamma
     nodes = traj.config.nodes if horizon > 0.5 * T else _SHORT_NODES
     cfg = replace(traj.config, horizon=horizon, nodes=nodes)
-    return picard_solve(datum, traj.potentials, cfg, gamma, traj.dims,
-                        traj.symbol, traj.mu).states[-1]
+    return picard_solve(datum, traj.potentials, cfg, gamma, traj.dims, traj.symbol).states[-1]

@@ -141,15 +141,10 @@ class ScaleIndex:
         The origin encodes L^inf; giving it slope 0 makes it smooth only
         to itself under the relation below.  A point with gamma1 = 0
         (p = inf) divides by zero here, silently: the origin takes 0, and
-        any other such point lies outside the triangle.  A float point
-        with gamma1 > 0 takes the plain quotient, without the numpy calls
-        that cost the scalar predicates most of their time.
+        any other such point lies outside the triangle.
         """
-        g1, g2 = self.gamma1, self.gamma2
-        if isinstance(g1, float) and isinstance(g2, float) and g1 > 0.0:
-            return 0.0 if self.is_origin else g2 / g1
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.divide(g2, g1)
+            ratio = np.divide(self.gamma2, self.gamma1)
         return np.where(self.is_origin, 0.0, ratio)[()]
 
     def __add__(self, other: "ScaleIndex") -> "ScaleIndex":

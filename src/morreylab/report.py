@@ -19,12 +19,6 @@ import numpy as np
 __all__ = ["build_report", "report_to_json", "report_from_json", "write_csv", "report_hash"]
 
 
-def _fmt(x):
-    if isinstance(x, float):
-        return float(repr(x))
-    return x
-
-
 def _sanitize(obj):
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
@@ -58,7 +52,7 @@ def build_report(records, config_echo: dict, seed: int) -> dict:
         raise ValueError("duplicate check records in one report")
     return {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "timings": {r.name: _fmt(round(r.duration, 6)) for r in records},
+        "timings": {r.name: round(r.duration, 6) for r in records},
         "seed": seed,
         "environment": environment_fingerprint(),
         "config": _sanitize(config_echo),
@@ -90,17 +84,23 @@ def report_hash(report: dict) -> str:
 
 
 def _flatten(details: dict, prefix: str = ""):
+    """(key, value) rows: a nested dict's fields, and a list of dicts' items
+    by position, become dotted keys (`first.0.gamma`)."""
     for k, v in sorted(details.items()):
         key = f"{prefix}{k}"
+        if isinstance(v, (list, tuple)) and any(isinstance(x, dict) for x in v):
+            v = dict(enumerate(v))
         if isinstance(v, dict):
             yield from _flatten(v, key + ".")
-        elif isinstance(v, (list, tuple)):
-            yield key, ";".join(_num17(x) for x in v)
         else:
             yield key, _num17(v)
 
 
 def _num17(x):
+    """A value as CSV text: lists, nested ones too, joined in order with
+    `;`, floats at 17 significant digits, booleans as true/false."""
+    if isinstance(x, (list, tuple)):
+        return ";".join(_num17(y) for y in x)
     if isinstance(x, bool):
         return str(x).lower()
     if isinstance(x, (int,)):

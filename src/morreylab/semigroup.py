@@ -66,8 +66,16 @@ class SymbolSpec:
     def h(self) -> float:
         return 2.0 * self.L / self.n
 
-    def compatible_with(self, u: GridFunction) -> bool:
-        return (self.N, self.n) == (u.N, u.n) and abs(self.L - u.L) < 1e-12 * self.L
+    def require_agreement(self, u: GridFunction, dims=None) -> None:
+        """Raise ValueError, before any transform, unless the datum u lives on
+        this symbol's grid (N, n, L) and, given dims, the symbol has its N and m:
+        every entry that applies a symbol to a datum calls this."""
+        if (self.N, self.n) != (u.N, u.n) or abs(self.L - u.L) >= 1e-12 * self.L:
+            raise ValueError(f"grid/symbol mismatch: symbol on (N, n, L) = "
+                             f"{(self.N, self.n, self.L)}, datum on {(u.N, u.n, u.L)}")
+        if dims is not None and (self.N, self.m) != (dims.N, dims.m):
+            raise ValueError(f"symbol/dims mismatch: symbol of (N, m) = {(self.N, self.m)}, "
+                             f"dims of {(dims.N, dims.m)}")
 
     def power(self, mu: float) -> np.ndarray:
         """Principal-branch fractional power a(xi)^mu."""
@@ -193,8 +201,7 @@ def apply_semigroup(u0: GridFunction, t: float | np.ndarray, mu: float,
         raise ValueError("times must be a scalar or a 1-D array")
     if np.any(times < 0.0):
         raise ValueError("negative time")
-    if not symbol.compatible_with(u0):
-        raise ValueError("grid/symbol mismatch")
+    symbol.require_agreement(u0)
     out = [u0] * times.size
     moved = np.flatnonzero(times)
     if moved.size:
@@ -314,6 +321,7 @@ def subordination_apply(u0: GridFunction, t: float, symbol: SymbolSpec) -> GridF
     """
     if t <= 0.0:
         raise ValueError("subordination needs t > 0")
+    symbol.require_agreement(u0)
     density = SubordinatorDensity.build()
 
     def multiplier(a):
@@ -334,6 +342,7 @@ def pseudoresolvent(u0: GridFunction, lam: complex, mu: float, symbol: SymbolSpe
     lam = complex(lam)
     if lam.real > -0.1:
         raise ValueError(f"Re(lambda) = {lam.real} violates the margin -0.1")
+    symbol.require_agreement(u0)
     a_mu = symbol.power(mu)
     # a real lambda keeps the multiplier real, for the half-spectrum path
     if lam.imag == 0.0:

@@ -101,8 +101,8 @@ def predicted_rate(src: MorreyParams, dst: MorreyParams, dims: ProblemDims) -> f
 
 
 def evolve_norms(u0: GridFunction, potentials, dims: ProblemDims, symbol: SymbolSpec,
-                 mu: float, step: float, n_steps: int):
-    """Evolve in fixed steps, recording sup norms.
+                 step: float, n_steps: int):
+    """Evolve under A^mu, mu = dims.mu, in fixed steps, recording sup norms.
 
     Each step is one short solve (16 uniform nodes) from the previous
     state (the semigroup property), which keeps long horizons cheap and
@@ -115,7 +115,7 @@ def evolve_norms(u0: GridFunction, potentials, dims: ProblemDims, symbol: Symbol
     times, log_norms = [], []
     log_scale = 0.0
     for i in range(1, n_steps + 1):
-        traj = picard_solve(state, potentials, cfg, gamma, dims, symbol, mu)
+        traj = picard_solve(state, potentials, cfg, gamma, dims, symbol)
         state = traj.states[-1]
         sup = float(np.max(np.abs(state.values)))
         times.append(i * step)
@@ -331,10 +331,10 @@ def pseudoresolvent_identity(traj: Trajectory, lam: complex) -> float:
     """
     lam = complex(lam)
     F = _laplace_of_trajectory(traj, lam)
-    G = pseudoresolvent(traj.u0, lam, traj.mu, traj.symbol)
-    rhs = G
+    mu = traj.dims.mu
+    rhs = pseudoresolvent(traj.u0, lam, mu, traj.symbol)
     for V in traj.potentials:
-        rhs = rhs + pseudoresolvent(multiply(V, F), lam, traj.mu, traj.symbol)
+        rhs = rhs + pseudoresolvent(multiply(V, F), lam, mu, traj.symbol)
     num = float(np.max(np.abs(F.values - rhs.values)))
     den = float(np.max(np.abs(F.values)))
     return num / den

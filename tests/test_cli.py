@@ -731,3 +731,19 @@ def test_every_default_is_set_by_a_src_caller():
     keepers = set(DEFAULT_KEEPERS) | set(CHECK_KEEPERS)
     assert unset - keepers == set()
     assert keepers == unset, "a keeper is gone or now has a src caller"
+
+
+def test_no_function_takes_both_dims_and_mu():
+    """dims carries mu, so a function of src/ that takes dims reads mu from
+    it: no parameter list names both, and no second mu can contradict it."""
+    import ast
+
+    both = []
+    for path in sorted(Path(morreylab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                a = node.args
+                names = {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs}
+                if {"dims", "mu"} <= names:
+                    both.append(f"{path.stem}.{getattr(node, 'name', '<lambda>')}")
+    assert both == []

@@ -40,7 +40,12 @@ from morreylab.indices import MorreyParams, ProblemDims, ScaleIndex, smoothing_d
 from morreylab.norms import RadiusLadder, _scan, morrey_norm
 from morreylab.potentials import constant_potential, power_law_potential, tabulated_potential
 from morreylab.quadrature import product_weights
-from morreylab.semigroup import apply_semigroup, laplacian_power_symbol
+from morreylab.semigroup import (
+    apply_semigroup,
+    laplacian_power_symbol,
+    pseudoresolvent,
+    subordination_apply,
+)
 from morreylab.verify import evolve_norms, growth_rate
 
 DIMS = ProblemDims(1, 1, 1.0)
@@ -192,7 +197,7 @@ def test_choose_theta_gives_up_at_ladder_top():
 
 def test_no_potential_is_base_flow(sym, bump):
     cfg = SolverConfig(horizon=0.25, nodes=32)
-    traj = picard_solve(bump, [], cfg, gamma_of(2.0, 1.0), DIMS, sym, 1.0)
+    traj = picard_solve(bump, [], cfg, gamma_of(2.0, 1.0), DIMS, sym)
     for t, state in zip(traj.times, traj.states):
         exact = apply_semigroup(bump, t, 1.0, sym)
         assert np.array_equal(state.values, exact.values)
@@ -204,7 +209,7 @@ def test_constant_potential_exponential(sym, bump):
     c = 1.0
     cfg = SolverConfig(horizon=0.25, nodes=256, grading=1.0)
     traj = picard_solve(bump, [constant_potential(c)], cfg, gamma_of(2.0, 1.0),
-                        DIMS, sym, 1.0)
+                        DIMS, sym)
     worst = max(
         float(np.max(np.abs(s.values - math.exp(c * t) * apply_semigroup(bump, t, 1.0, sym).values)))
         for t, s in zip(traj.times, traj.states)
@@ -219,9 +224,9 @@ def test_linearity(sym, bump):
     gamma = gamma_of(2.0, 0.7)
     other = GridFunction(1, N, L, np.cos(np.pi * bump.axis() / L) ** 2)
     a, b = 2.0, -0.5
-    combo = picard_solve(a * bump + b * other, [V], cfg, gamma, DIMS, sym, 1.0)
-    one = picard_solve(bump, [V], cfg, gamma, DIMS, sym, 1.0)
-    two = picard_solve(other, [V], cfg, gamma, DIMS, sym, 1.0)
+    combo = picard_solve(a * bump + b * other, [V], cfg, gamma, DIMS, sym)
+    one = picard_solve(bump, [V], cfg, gamma, DIMS, sym)
+    two = picard_solve(other, [V], cfg, gamma, DIMS, sym)
     for c, u, v in zip(combo.states, one.states, two.states):
         assert rel_gap((a * u + b * v).values, c.values) <= 1e-14
 
@@ -236,8 +241,8 @@ def test_consistency_across_gamma(sym, bump):
     """
     cfg = SolverConfig(horizon=0.25, nodes=48)
     V = power_law_potential(1.0, 0.5, 1.5)
-    t1 = picard_solve(bump, [V], cfg, gamma_of(2.0, 0.7), DIMS, sym, 1.0)
-    t2 = picard_solve(bump, [V], cfg, gamma_of(4.0, 0.5), DIMS, sym, 1.0)
+    t1 = picard_solve(bump, [V], cfg, gamma_of(2.0, 0.7), DIMS, sym)
+    t2 = picard_solve(bump, [V], cfg, gamma_of(4.0, 0.5), DIMS, sym)
     worst = max(float(np.max(np.abs(a.values - b.values)))
                 for a, b in zip(t1.states, t2.states))
     assert worst <= 2e-3
@@ -256,7 +261,7 @@ def test_apriori_weighted_bound(sym, bump):
     from the base flow, at the contraction check's theta."""
     cfg = SolverConfig(horizon=0.25, nodes=48)
     V = power_law_potential(1.0, 0.5, 1.5)
-    traj = picard_solve(bump, [V], cfg, gamma_of(2.0, 0.7), DIMS, sym, 1.0)
+    traj = picard_solve(bump, [V], cfg, gamma_of(2.0, 0.7), DIMS, sym)
     theta, _ = contraction_theta(traj)
     u_norm = _weighted_norm(traj, np.stack([s.values for s in traj.states]), theta)
     base = apply_semigroup(bump, traj.times, 1.0, sym)
@@ -272,10 +277,10 @@ def test_self_convergence_within_estimate(sym, bump):
     V = power_law_potential(1.0, 0.5, 1.5)
     gamma = gamma_of(2.0, 0.7)
     cfg = SolverConfig(horizon=0.25, nodes=64)
-    traj = picard_solve(bump, [V], cfg, gamma, DIMS, sym, 1.0)
+    traj = picard_solve(bump, [V], cfg, gamma, DIMS, sym)
     estimate = _half_node_gap(traj, picard_solve, _working_norm(traj))
     ref = picard_solve(bump, [V], SolverConfig(horizon=0.25, nodes=128),
-                       gamma, DIMS, sym, 1.0)
+                       gamma, DIMS, sym)
     gap = max(
         float(np.max(np.abs(traj.states[k].values - ref.states[2 * k + 1].values)))
         for k in range(cfg.nodes)
@@ -293,7 +298,7 @@ def test_estimate_needs_even_node_count_of_32(sym, bump, nodes):
     that solve would fall below 16 nodes or would not share nodes with
     the fine one (odd)."""
     traj = picard_solve(bump, [], SolverConfig(horizon=0.25, nodes=nodes),
-                        gamma_of(2.0, 0.7), DIMS, sym, 1.0)
+                        gamma_of(2.0, 0.7), DIMS, sym)
     with pytest.raises(ValueError, match="half-node solve"):
         _half_node_gap(traj, never_called, _sup_norm)
 
@@ -303,7 +308,7 @@ def test_estimate_accepts_even_node_counts_from_32(sym, bump):
     flow, which has no discretisation error, gives a gap of exactly 0."""
     for nodes in (32, 34, 64):
         traj = picard_solve(bump, [], SolverConfig(horizon=0.25, nodes=nodes),
-                            gamma_of(2.0, 0.7), DIMS, sym, 1.0)
+                            gamma_of(2.0, 0.7), DIMS, sym)
         assert _half_node_gap(traj, picard_solve, _sup_norm) == 0.0
 
 
@@ -340,7 +345,7 @@ def test_blowup_reported(sym, bump):
     huge = constant_potential(1e6)
     cfg = SolverConfig(horizon=0.25, nodes=16)
     with pytest.raises(RuntimeError, match="blow-up at t = 0.000976562: 1 - sum_i W_i V_i"):
-        picard_solve(bump, [huge], cfg, gamma_of(2.0, 1.0), DIMS, sym, 1.0)
+        picard_solve(bump, [huge], cfg, gamma_of(2.0, 1.0), DIMS, sym)
 
 
 def test_blowup_on_a_state_that_is_not_finite():
@@ -362,7 +367,7 @@ def test_sequential_needs_two_potentials(sym, bump, count):
     cfg = SolverConfig(horizon=0.25, nodes=32, grading=1.0)
     V = power_law_potential(1.0, 0.5, 1.5)
     with pytest.raises(ValueError, match="exactly two perturbations"):
-        sequential_solve(bump, [V] * count, cfg, gamma_of(2.0, 0.7), DIMS, sym, 1.0)
+        sequential_solve(bump, [V] * count, cfg, gamma_of(2.0, 0.7), DIMS, sym)
 
 
 def test_sequential_orders_and_joint_agree(sym, bump):
@@ -370,9 +375,9 @@ def test_sequential_orders_and_joint_agree(sym, bump):
     V0 = power_law_potential(1.0, 0.3, 2.0)
     V1 = power_law_potential(1.0, 0.5, 1.5)
     gamma = gamma_of(2.0, 0.3)
-    joint = picard_solve(bump, [V0, V1], cfg, gamma, DIMS, sym, 1.0)
-    s01 = sequential_solve(bump, [V0, V1], cfg, gamma, DIMS, sym, 1.0)
-    s10 = sequential_solve(bump, [V1, V0], cfg, gamma, DIMS, sym, 1.0)
+    joint = picard_solve(bump, [V0, V1], cfg, gamma, DIMS, sym)
+    s01 = sequential_solve(bump, [V0, V1], cfg, gamma, DIMS, sym)
+    s10 = sequential_solve(bump, [V1, V0], cfg, gamma, DIMS, sym)
     d_orders = max(float(np.max(np.abs(a.values - b.values)))
                    for a, b in zip(s01.states, s10.states))
     d_joint = max(float(np.max(np.abs(a.values - b.values)))
@@ -390,8 +395,8 @@ def test_sequential_gap_to_joint_shrinks_with_nodes(sym, bump, grading):
     gaps = []
     for nodes in (32, 64):
         cfg = SolverConfig(horizon=0.25, nodes=nodes, grading=grading)
-        joint = picard_solve(bump, [V0, V1], cfg, gamma, DIMS, sym, 1.0)
-        seq = sequential_solve(bump, [V0, V1], cfg, gamma, DIMS, sym, 1.0)
+        joint = picard_solve(bump, [V0, V1], cfg, gamma, DIMS, sym)
+        seq = sequential_solve(bump, [V0, V1], cfg, gamma, DIMS, sym)
         gaps.append(max(float(np.max(np.abs(a.values - b.values)))
                         for a, b in zip(seq.states, joint.states)))
     assert gaps[1] <= 0.7 * gaps[0]
@@ -403,7 +408,7 @@ def test_sequential_predicted_ratio(sym, bump):
     potential at the contraction check's theta."""
     cfg = SolverConfig(horizon=0.25, nodes=32, grading=1.0)
     for V1, V2 in (_two_potentials(), _two_potentials()[::-1]):
-        traj = sequential_solve(bump, [V1, V2], cfg, gamma_of(2.0, 0.3), DIMS, sym, 1.0)
+        traj = sequential_solve(bump, [V1, V2], cfg, gamma_of(2.0, 0.3), DIMS, sym)
         theta, predicted = contraction_theta(traj)
         lam, Q = _propagator_matrices(V1, sym, 1.0)
         first = (np.exp(np.multiply.outer(traj.times, lam)) * (bump.values @ Q)) @ Q.T
@@ -428,6 +433,48 @@ def test_first_stage_memory_bounded_before_allocation():
     assert peak < n * n
 
 
+# -- one datum, one symbol, one dims ----------------------------------------------------
+
+# each entry applied to the datum `bump` (n = 256, L = 8) and a symbol under
+# DIMS (N = 1, m = 1, mu = 1)
+_SYMBOL_ENTRIES = {
+    "apply_semigroup": lambda u, s: apply_semigroup(u, 0.1, 1.0, s),
+    "pseudoresolvent": lambda u, s: pseudoresolvent(u, -4.0, 1.0, s),
+    "subordination_apply": lambda u, s: subordination_apply(u, 0.1, s),
+    "picard_solve": lambda u, s: picard_solve(
+        u, [power_law_potential(1.0, 0.5, 1.5)], SolverConfig(horizon=0.25, nodes=16),
+        gamma_of(2.0, 0.7), DIMS, s),
+    "sequential_solve": lambda u, s: sequential_solve(
+        u, _two_potentials(), SolverConfig(horizon=0.25, nodes=16),
+        gamma_of(2.0, 0.3), DIMS, s),
+}
+# (N, n, L, m) of symbols that contradict the datum's box or size, or the dims' order
+_MISMATCHED = {
+    "L4": ((1, N, 4.0, 1), "grid/symbol"),
+    "n128": ((1, 128, L, 1), "grid/symbol"),
+    "m2": ((1, N, L, 2), "symbol/dims"),
+}
+
+
+@pytest.mark.parametrize("entry,case", [(e, c) for c in ("L4", "n128") for e in _SYMBOL_ENTRIES]
+                         + [("picard_solve", "m2"), ("sequential_solve", "m2")])
+def test_mismatched_symbol_refused_before_any_transform(bump, monkeypatch, entry, case):
+    """A symbol from another box, size or order raises ValueError, and does so
+    before any FFT or eigendecomposition runs."""
+    grid, message = _MISMATCHED[case]
+    symbol = laplacian_power_symbol(*grid)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a transform ran before the refusal")
+
+    for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
+        monkeypatch.setattr(np.fft, name, forbidden)
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    with pytest.raises(ValueError, match=message):
+        _SYMBOL_ENTRIES[entry](bump, symbol)
+
+
 # -- pointwise evaluation ----------------------------------------------------------------
 
 
@@ -435,7 +482,7 @@ def test_first_stage_memory_bounded_before_allocation():
 def const_traj(sym, bump):
     cfg = SolverConfig(horizon=0.25, nodes=64, grading=1.0)
     return picard_solve(bump, [constant_potential(1.0)], cfg, gamma_of(2.0, 1.0),
-                        DIMS, sym, 1.0)
+                        DIMS, sym)
 
 
 def test_evaluate_at_node(const_traj):
@@ -471,7 +518,7 @@ def test_2d_constant_potential_spot_check():
     dims2 = ProblemDims(2, 1, 1.0)
     cfg = SolverConfig(horizon=0.1, nodes=32, grading=1.0)
     gamma = to_index(MorreyParams(2.0, 1.0), dims2)
-    traj = picard_solve(bump2, [constant_potential(0.5, N=2)], cfg, gamma, dims2, sym2, 1.0)
+    traj = picard_solve(bump2, [constant_potential(0.5, N=2)], cfg, gamma, dims2, sym2)
     t = traj.times[-1]
     exact = math.exp(0.5 * t) * apply_semigroup(bump2, t, 1.0, sym2)
     assert np.max(np.abs(traj.states[-1].values - exact.values)) < 1e-6
@@ -660,21 +707,21 @@ def exact_shapes():
     power = power_law_potential(1.0, 0.5, 1.5)
     uniform = SolverConfig(horizon=0.25, nodes=64, grading=1.0)
     return {
-        "joint": lambda: picard_solve(bump, [V0, V1], uniform, gamma_of(2.0, 0.3), DIMS, sym, 1.0),
+        "joint": lambda: picard_solve(bump, [V0, V1], uniform, gamma_of(2.0, 0.3), DIMS, sym),
         "sequential": lambda: sequential_solve(bump, [V0, V1], uniform, gamma_of(2.0, 0.3),
-                                               DIMS, sym, 1.0),
+                                               DIMS, sym),
         "power_law": lambda: picard_solve(bump, [power], SolverConfig(horizon=0.25, nodes=48),
-                                          gamma_of(2.0, 0.7), DIMS, sym, 1.0),
+                                          gamma_of(2.0, 0.7), DIMS, sym),
         "omega_step": lambda: picard_solve(
             GridFunction.constant(1.0, 1, 512, L), [power_law_potential(4.0, 0.5, 1.5)],
             SolverConfig(horizon=0.25, nodes=16, grading=1.0), ScaleIndex(0.0, 0.0),
-            DIMS, ctx.symbol(n=512), 1.0),
+            DIMS, ctx.symbol(n=512)),
         "constant": lambda: picard_solve(bump, [constant_potential(1.0)],
                                          SolverConfig(horizon=0.25, nodes=256, grading=1.0),
-                                         gamma_of(2.0, 1.0), DIMS, sym, 1.0),
+                                         gamma_of(2.0, 1.0), DIMS, sym),
         "pseudoresolvent_power": lambda: picard_solve(bump, [power],
                                                       SolverConfig(horizon=3.2, nodes=192),
-                                                      gamma_of(2.0, 0.7), DIMS, sym, 1.0),
+                                                      gamma_of(2.0, 0.7), DIMS, sym),
     }
 
 
@@ -716,7 +763,7 @@ def test_uniform_solve_never_holds_the_dense_operator(sym, bump):
     (68 MB): 2.3 MB measured, for its states, divisors and coefficients."""
     cfg = SolverConfig(horizon=0.25, nodes=256, grading=1.0)
     peak = peak_bytes(lambda: picard_solve(bump, [constant_potential(1.0)], cfg,
-                                           gamma_of(2.0, 1.0), DIMS, sym, 1.0))
+                                           gamma_of(2.0, 1.0), DIMS, sym))
     assert peak < 8e6
 
 
@@ -814,7 +861,7 @@ def test_growth_bound_matches_the_time_domain_rate(step):
     V = power_law_potential(16.0, 0.5, 1.5)
     exact = growth_bound(V, symbol, 1.0)
     times, norms = evolve_norms(GridFunction.constant(1.0, 1, 512, L), [V], DIMS, symbol,
-                                1.0, step=step, n_steps=round(2.0 / step))
+                                step=step, n_steps=round(2.0 / step))
     assert abs(growth_rate(times, norms) - exact) <= 2.5e-3 * exact
 
 

@@ -16,7 +16,7 @@ from morreylab.indices import (
     region_report,
     to_index,
 )
-from morreylab.report import build_report, report_to_json
+from morreylab.report import build_report, report_to_json, write_csv
 from morreylab.semigroup import laplacian_power_symbol
 
 DIMS = ProblemDims(1, 1, 1.0)
@@ -329,10 +329,11 @@ def test_random_queries_draw_whole_columns(dims):
         assert 0 < rng.calls <= 12, (count, rng.calls)
 
 
-def test_failing_regions_record_lists_its_first_disagreements(monkeypatch):
+def test_failing_regions_record_lists_its_first_disagreements(monkeypatch, tmp_path):
     """A flipped closed-form verdict fails the check, and the record names
     the query, its classes and both verdicts; a passing record has no
-    `first` key."""
+    `first` key.  summary.csv spells the record out as dotted keys, plain
+    numbers and true/false, with no Python repr in it."""
     ctx = checks.CheckContext(DIMS, 64, 8.0)
     assert "first" not in checks.check_regions(ctx, count=40).details
     closed_form = verify.region_report
@@ -351,8 +352,17 @@ def test_failing_regions_record_lists_its_first_disagreements(monkeypatch):
     assert np.array_equal(np.ravel(first["classes"]), rows[3, :np.size(first["classes"])])
     assert np.isnan(rows[3, np.size(first["classes"]):]).all()
     assert first["closed_form"] != first["oracle"]
-    json = report_to_json(build_report([rec], {}, 0))
+    report = build_report([rec], {}, 0)
+    json = report_to_json(report)
     assert '"first"' in json and '"oracle"' in json
+    write_csv(report, tmp_path / "summary.csv")
+    text = (tmp_path / "summary.csv").read_text()
+    assert not any(bad in text for bad in ("{", "'", "True", "False"))
+    csv_rows = dict(line.split(",")[2:] for line in text.splitlines()[2:])
+    assert csv_rows["first.0.gamma"] == f"{first['gamma'][0]:.17g};{first['gamma'][1]:.17g}"
+    assert csv_rows["first.0.classes"] == ";".join(f"{x:.17g}"
+                                                   for x in np.ravel(first["classes"]))
+    assert {csv_rows["first.0.closed_form"], csv_rows["first.0.oracle"]} == {"true", "false"}
 
 
 # -- trace and pseudoresolvent -------------------------------------------------------------
@@ -396,7 +406,7 @@ def test_pseudoresolvent_identity_no_potential():
     bump = gaussian_bump(1, 256, 8.0)
     cfg = SolverConfig(horizon=3.2, nodes=128, grading=1.0)
     traj = picard_solve(bump, [], cfg, to_index(MorreyParams(2.0, 1.0), DIMS),
-                        DIMS, sym, 1.0)
+                        DIMS, sym)
     resid = verify.pseudoresolvent_identity(traj, -4.0)
     assert resid <= 2e-3  # F = G up to the trajectory's Laplace quadrature
 
@@ -411,7 +421,7 @@ def test_pseudoresolvent_identity_complex_symbol():
     bump = gaussian_bump(1, 256, 8.0)
     cfg = SolverConfig(horizon=3.2, nodes=128, grading=1.0)
     traj = picard_solve(bump, [], cfg, to_index(MorreyParams(2.0, 1.0), DIMS),
-                        DIMS, sym, 1.0)
+                        DIMS, sym)
     F = verify._laplace_of_trajectory(traj, -4.0)
     G = pseudoresolvent(bump, -4.0, 1.0, sym)
     assert np.iscomplexobj(F.values) and np.iscomplexobj(G.values)
@@ -432,7 +442,7 @@ def test_pseudoresolvent_shift_for_constant_potential():
     c = 1.0
     cfg = SolverConfig(horizon=3.2, nodes=256, grading=1.0)
     traj = picard_solve(bump, [constant_potential(c)], cfg,
-                        to_index(MorreyParams(2.0, 1.0), DIMS), DIMS, sym, 1.0)
+                        to_index(MorreyParams(2.0, 1.0), DIMS), DIMS, sym)
     for lam in (-4.0, -6.0):
         F = _laplace_of_trajectory(traj, lam)
         # e^{ct} inside the transform shifts the abscissa by +c under the
