@@ -18,14 +18,16 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import verify
+from . import blas, verify
 from .duhamel import (
     SolverConfig,
     Trajectory,
+    _propagator_matrices,
     choose_theta,
     evaluate,
     growth_bound,
     picard_solve,
+    ritz_growth_bound,
     sequential_solve,
 )
 from .fixtures import gaussian_bump, power_law
@@ -406,24 +408,41 @@ def _two_potentials():
     return V0, V1
 
 
+def _first_stage_gap(V, lam: np.ndarray, sym, mu: float):
+    """The first stage's dense top eigenvalue lam[-1] against the matrix-free
+    growth_bound of the same V: their gap, and its roundoff bound
+    16 eps ||H||, with ||H|| = max |lam| for the symmetric H.  Both
+    eigensolvers are backward stable, to a small multiple of eps ||H||."""
+    gap = abs(float(lam[-1]) - growth_bound(V, sym, mu))
+    return gap, 16.0 * np.finfo(float).eps * max(abs(float(lam[0])), abs(float(lam[-1])))
+
+
 def check_iterated(ctx: CheckContext, n: int = 256, nodes: int = 64) -> CheckRecord:
     """Joint two-potential solve vs sequential composition in both orders,
-    within ten times the half-node estimates of the two solves' errors."""
+    within ten times the half-node estimates of the two solves' errors.
+    Each order's first-stage eigendecomposition, made once and shared with
+    its re-solve, must also put its top eigenvalue at the potential's
+    matrix-free growth bound, within roundoff."""
     dims, sym, bump = _solver_context(ctx, n)
     V0, V1 = _two_potentials()
     gamma = to_index(MorreyParams(2.0, 0.3), dims)
     cfg = SolverConfig(horizon=0.25, nodes=nodes, grading=1.0)
+    stages = [_propagator_matrices(V, sym, dims.mu) for V in (V0, V1)]
     joint = picard_solve(bump, [V0, V1], cfg, gamma, dims, sym)
     joint_err = _half_node_gap(joint, picard_solve, _working_norm(joint))
-    seq01 = sequential_solve(bump, [V0, V1], cfg, gamma, dims, sym)
-    seq10 = sequential_solve(bump, [V1, V0], cfg, gamma, dims, sym)
-    seq_err = _half_node_gap(seq01, sequential_solve, _sup_norm)
+    seq01 = sequential_solve(bump, [V0, V1], cfg, gamma, dims, sym, stages[0])
+    seq10 = sequential_solve(bump, [V1, V0], cfg, gamma, dims, sym, stages[1])
+    seq_err = _half_node_gap(
+        seq01, lambda *args: sequential_solve(*args, first_stage=stages[0]), _sup_norm)
     tol = 10.0 * (joint_err + seq_err)
     d_orders = max(_sup_norm(a - b) for a, b in zip(seq01.states, seq10.states))
     d_joint = max(_sup_norm(a - b) for a, b in zip(seq01.states, joint.states))
-    ok = d_orders <= tol and d_joint <= tol
+    gaps, bounds = zip(*(_first_stage_gap(V, lam, sym, dims.mu)
+                         for V, (lam, _) in zip((V0, V1), stages)))
+    ok = d_orders <= tol and d_joint <= tol and all(g <= b for g, b in zip(gaps, bounds))
     return _record("iterated", ok, order_discrepancy=d_orders,
-                   joint_discrepancy=d_joint, tol=tol)
+                   joint_discrepancy=d_joint, tol=tol, first_stage_gaps=gaps,
+                   first_stage_tols=bounds)
 
 
 def check_continuous_dependence(ctx: CheckContext) -> CheckRecord:
@@ -450,27 +469,31 @@ def check_continuous_dependence(ctx: CheckContext) -> CheckRecord:
 
 
 def check_omega_constant(ctx: CheckContext, n: int = 256) -> CheckRecord:
-    """Constant potentials: the growth bound is c, so the size exponent is 1."""
+    """Constant potentials: the growth bound is c, so the size exponent is 1.
+    Each rate's Ritz residual is its error bar (Parlett, Thm 4.5.1)."""
     tol = 0.02
     sym = ctx.symbol(n=n)
     cs = [0.25, 0.5, 1.0, 2.0]
-    rates = [growth_bound(constant_potential(c, N=ctx.dims.N), sym, ctx.dims.mu) for c in cs]
+    rates, residuals = zip(*(ritz_growth_bound(constant_potential(c, N=ctx.dims.N), sym,
+                                               ctx.dims.mu) for c in cs))
     fit = verify.omega_scaling(cs, rates, kappa0=0.0, tolerance=tol)
     return _record("omega_constant", fit.passed, exponent=fit.slope,
-                   rates=rates, tol=tol)
+                   rates=rates, residuals=residuals, tol=tol)
 
 
 def check_omega_power(ctx: CheckContext) -> CheckRecord:
-    """kappa = 1/4 power-law family: growth-bound exponent vs 1/(1-kappa) = 4/3."""
+    """kappa = 1/4 power-law family: growth-bound exponent vs 1/(1-kappa) = 4/3.
+    Each rate's Ritz residual is its error bar (Parlett, Thm 4.5.1)."""
     n, tol = 512, 0.15
     dims, sym = ctx.dims, ctx.symbol(n=n)
     kappa = power_law_potential(1.0, _POWER_BETA, _POWER_P0).potential_class(dims).kappa
     family = [power_law_potential(A, _POWER_BETA, _POWER_P0) for A in (0.5, 1.0, 2.0, 4.0)]
-    rates = [growth_bound(V, sym, dims.mu) for V in family]
+    rates, residuals = zip(*(ritz_growth_bound(V, sym, dims.mu) for V in family))
     fit = verify.omega_scaling([V.measured_norm(dims.N, n, ctx.L) for V in family], rates,
                                kappa0=kappa, tolerance=tol)
     return _record("omega_power", fit.passed, exponent=fit.slope,
-                   predicted=1.0 / (1.0 - kappa), rates=rates, tol=tol)
+                   predicted=1.0 / (1.0 - kappa), rates=rates,
+                   residuals=residuals, tol=tol)
 
 
 # -- region calculus -----------------------------------------------------------
@@ -633,8 +656,9 @@ def _guarded(ctx: CheckContext, name: str, fn, params) -> CheckRecord:
 
 
 def run_checks(ctx: CheckContext, entries):
-    """Execute configured checks in order, one at a time; `entries` are
-    (name, params) pairs.  A check that raises yields a FAIL record and
+    """Execute configured checks in order, one at a time, on one BLAS thread
+    (`blas.one_thread`), so no host's core count moves a digit; `entries`
+    are (name, params) pairs.  A check that raises yields a FAIL record and
     the others still run.
     """
     tasks = []
@@ -643,4 +667,5 @@ def run_checks(ctx: CheckContext, entries):
         if fn is None:
             raise KeyError(f"unknown check {name!r}")
         tasks.append((name, fn, params))
-    return [_guarded(ctx, *task) for task in tasks]
+    with blas.one_thread():
+        return [_guarded(ctx, *task) for task in tasks]

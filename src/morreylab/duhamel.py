@@ -23,6 +23,12 @@ The paper builds the solution as the fixed point of a map contracting
 in the weighted norm sup_t e^{-theta t} t^{d(alpha, gamma)} ||.||_alpha;
 `contraction_bound` and `choose_theta` give that factor and its theta
 for the contraction check.  The solver needs neither.
+
+The growth bound of the perturbed semigroup, the top of the spectrum of
+H = V - A^mu, comes from a matrix-free iteration on the same real
+transforms, in any dimension (`growth_bound`).  Only the sequential
+solve's first stage builds the dense n x n generator, in 1D, for its
+eigendecomposition.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ __all__ = [
     "evaluate",
     "time_grid",
     "growth_bound",
+    "ritz_growth_bound",
 ]
 
 # the most memory an eigendecomposition of the generator may take: five real
@@ -62,6 +69,12 @@ _HISTORY_MAX_BYTES = 2**30
 _THETA_MIN = 1.0
 _THETA_MAX = 2.0**24
 _SHORT_NODES = 24
+# ritz_growth_bound: its most Rayleigh-Ritz steps, the Gram eigenvalues
+# (over the largest) whose directions it drops, and the rise of theta, in
+# eps |theta|, at or below which a step counts as roundoff and it stops
+_RITZ_MAX_STEPS = 200
+_GRAM_DROP = 1e-14
+_RISE_EPS = 4.0
 
 
 @dataclass(frozen=True)
@@ -296,22 +309,79 @@ def _generator(V: PotentialSpec, symbol: SymbolSpec, mu: float) -> np.ndarray:
     if need > _GENERATOR_MAX_BYTES:
         raise ValueError(f"the generator at n={n} needs {need} bytes, "
                          f"above the {_GENERATOR_MAX_BYTES}-byte limit")
-    a_mu = symbol.power(mu)
-    table = V.on_grid(1, n, symbol.L).values
-    for name, x in (("symbol", a_mu), ("potential", table)):
-        if np.iscomplexobj(x) and np.any(x.imag):
-            raise ValueError(f"the generator needs a real {name} table")
-    c = np.fft.irfft(a_mu.real[: n // 2 + 1], n)
+    a_mu = _real_table("symbol", symbol.power(mu))
+    table = _real_table("potential", V.on_grid(1, n, symbol.L).values)
+    c = np.fft.irfft(a_mu[: n // 2 + 1], n)
     H = (-c)[np.subtract.outer(np.arange(n), np.arange(n)) % n]
-    H[np.diag_indices(n)] += table.real
+    H[np.diag_indices(n)] += table
     return H
 
 
 def growth_bound(V: PotentialSpec, symbol: SymbolSpec, mu: float) -> float:
-    """The growth bound of the discrete semigroup e^{tH} in 1D: in finite
-    dimensions, in any norm, the spectral abscissa of H (Engel & Nagel, GTM
-    194, 2000, I.2 and IV.2), so H's largest eigenvalue, exact to roundoff."""
-    return float(np.linalg.eigvalsh(_generator(V, symbol, mu))[-1])
+    """The growth bound of the discrete semigroup e^{tH}, H = V - A^mu, on any
+    grid: in finite dimensions, in any norm, the spectral abscissa of H
+    (Engel & Nagel, GTM 194, 2000, I.2 and IV.2), so H's largest eigenvalue,
+    the Ritz value of `ritz_growth_bound`, exact to roundoff."""
+    return ritz_growth_bound(V, symbol, mu)[0]
+
+
+def ritz_growth_bound(V: PotentialSpec, symbol: SymbolSpec, mu: float):
+    """(theta, ||H x - theta x||): the top Ritz pair (theta, x) of the
+    symmetric H = V - A^mu, |x| = 1, and its residual, which bounds
+    |theta - lambda| for an eigenvalue lambda of H (Parlett, The Symmetric
+    Eigenvalue Problem, Thm 4.5.1), with no n^N x n^N matrix.
+
+    Single-vector LOBPCG (Knyazev, SIAM J. Sci. Comput. 23(2), 2001): H
+    acts by one pointwise product and one real-transform multiplier in
+    `_fourier_basis`.  From x = e^{-|x|^2}, each step runs Rayleigh-Ritz
+    on span{x, w, p}: w is the residual under (a^mu + s)^{-1}, s = max(1,
+    |theta|) (Teter, Payne & Allan, Phys. Rev. B 40, 1989), p the last
+    update.  The three are scaled to unit length and orthonormalised
+    through their Gram matrix, dropping directions below _GRAM_DROP of the
+    largest.  Ritz values only rise, so the iteration stops at the first
+    step that lifts theta by at most _RISE_EPS eps |theta|, which is
+    roundoff; theta is then exact to about eps ||H|| while the residual,
+    whose square theta's error follows, levels off near sqrt(eps).
+    """
+    N, n, L = symbol.N, symbol.n, symbol.L
+    table = _real_table("potential", V.on_grid(N, n, L).values)
+    rates, forward, inverse = _fourier_basis(_real_table("symbol", symbol.power(mu)), True)
+    shape = (-1,) + table.shape
+
+    def H(X):  # each row of X a flattened state
+        grids = X.reshape(shape)
+        return (table * grids - inverse(rates * forward(grids))).reshape(len(X), -1)
+
+    x = np.exp(-GridFunction.constant(0.0, N, n, L).radii() ** 2).reshape(1, -1)
+    x /= np.linalg.norm(x)
+    Hx = H(x)
+    theta = float(x[0] @ Hx[0])
+    p = Hp = x[:0]
+    for _ in range(_RITZ_MAX_STEPS):
+        spec = forward((Hx - theta * x).reshape(shape))
+        w = inverse(spec / (rates + max(1.0, abs(theta)))).reshape(1, -1)
+        S, HS = np.concatenate([x, w, p]), np.concatenate([Hx, H(w), Hp])
+        unit = 1.0 / np.linalg.norm(S, axis=1)[:, None]
+        S, HS = S * unit, HS * unit
+        g, U = np.linalg.eigh(S @ S.T)
+        keep = g > _GRAM_DROP * g[-1]
+        B = U[:, keep] / np.sqrt(g[keep])
+        vals, Y = np.linalg.eigh(B.T @ (S @ HS.T) @ B)
+        c = (B @ Y[:, -1])[None]
+        x, Hx = c @ S, c @ HS
+        p, Hp = c[:, 1:] @ S[1:], c[:, 1:] @ HS[1:]
+        rise, theta = float(vals[-1]) - theta, float(vals[-1])
+        if rise <= _RISE_EPS * np.finfo(float).eps * abs(theta):
+            scale = np.linalg.norm(x)
+            return theta, float(np.linalg.norm(Hx - theta * x) / scale)
+    raise RuntimeError(f"no growth bound within {_RITZ_MAX_STEPS} Rayleigh-Ritz steps")
+
+
+def _real_table(name: str, x: np.ndarray) -> np.ndarray:
+    """x's real part; a symmetric generator needs a real symbol and potential."""
+    if np.iscomplexobj(x) and np.any(x.imag):
+        raise ValueError(f"the generator needs a real {name} table")
+    return x.real
 
 
 def _propagator_matrices(V: PotentialSpec, symbol: SymbolSpec, mu: float):
@@ -322,15 +392,17 @@ def _propagator_matrices(V: PotentialSpec, symbol: SymbolSpec, mu: float):
 
 
 def sequential_solve(u0: GridFunction, order, cfg: SolverConfig, gamma: ScaleIndex,
-                     dims: ProblemDims, symbol: SymbolSpec) -> Trajectory:
+                     dims: ProblemDims, symbol: SymbolSpec, first_stage=None) -> Trajectory:
     """Apply two perturbations one at a time, under A^mu with mu = dims.mu.
 
     The first potential's evolution becomes the base propagator for the
     second solve, on any time grid: in the first stage's eigenbasis
     e^{tau H} = Q e^{tau Lambda} Q^T serves every lag, so the march runs
     in that basis with rates -lambda, carrying Q^T u0 and the stored
-    coefficients of V2 u_j forward by e^{tau lambda}.  A symbol off u0's
-    grid or of another (N, m) than dims is refused before the
+    coefficients of V2 u_j forward by e^{tau lambda}.  `first_stage` is
+    that (lam, Q), `_propagator_matrices` of order[0] on this symbol, for
+    a caller that already has it; otherwise it is computed here.  A symbol
+    off u0's grid or of another (N, m) than dims is refused before the
     eigendecomposition.
     """
     symbol.require_agreement(u0, dims)
@@ -341,7 +413,7 @@ def sequential_solve(u0: GridFunction, order, cfg: SolverConfig, gamma: ScaleInd
 
     V1, V2 = order
     alpha, d_gamma, d_list = _resolve_indices(order, gamma, dims)
-    lam, Q = _propagator_matrices(V1, symbol, dims.mu)
+    lam, Q = _propagator_matrices(V1, symbol, dims.mu) if first_stage is None else first_stage
     times = time_grid(cfg)
     values = _march(u0.values, [V2.on_grid(u0.N, u0.n, u0.L).values], d_list[1:],
                     d_gamma, times, (-lam, lambda x: x @ Q, lambda y: y @ Q.T))

@@ -16,6 +16,8 @@ import time
 
 import numpy as np
 
+from . import blas
+
 __all__ = ["build_report", "report_to_json", "report_from_json", "write_csv", "report_hash"]
 
 
@@ -38,6 +40,7 @@ def environment_fingerprint() -> dict:
         "python": sys.version.split()[0],
         "numpy": np.__version__,
         "platform": platform.platform(),
+        "blas_threads": blas.status(),
     }
 
 

@@ -15,6 +15,7 @@ from morreylab.checks import (
     _two_potentials,
     _weighted_norm,
     _working_norm,
+    check_iterated,
     check_omega_constant,
     check_omega_power,
 )
@@ -22,6 +23,7 @@ from morreylab.duhamel import (
     SolverConfig,
     _HISTORY_MAX_BYTES,
     _fourier_basis,
+    _generator,
     _march,
     _propagator_matrices,
     _weights,
@@ -31,6 +33,7 @@ from morreylab.duhamel import (
     growth_bound,
     multiply,
     picard_solve,
+    ritz_growth_bound,
     sequential_solve,
     time_grid,
 )
@@ -876,6 +879,121 @@ def test_omega_checks_never_march(monkeypatch):
     monkeypatch.setattr(duhamel, "_march", no_march)
     ctx = CheckContext(DIMS, 4096, L)
     assert check_omega_constant(ctx).passed and check_omega_power(ctx).passed
+
+
+# potential, n, m, mu of each comparison with the dense generator
+_DENSE_CASES = {
+    **{f"omega_power A={A}": (lambda A=A: power_law_potential(A, 0.5, 1.5), 512, 1, 1.0)
+       for A in (0.5, 1.0, 2.0, 4.0)},
+    **{f"iterated V{i}": (lambda i=i: _two_potentials()[i], 256, 1, 1.0) for i in (0, 1)},
+    "m=2 mu=1": (lambda: power_law_potential(1.0, 0.5, 1.5), 128, 2, 1.0),
+    "m=1 mu=1/2": (lambda: power_law_potential(1.0, 0.5, 1.5), 256, 1, 0.5),
+}
+
+
+@pytest.mark.parametrize("case", list(_DENSE_CASES))
+def test_growth_bound_matches_the_dense_eigenvalue(case):
+    """The matrix-free growth bound is the top eigenvalue of the dense
+    generator to 1e-11 relative (measured: at most 1.4e-12).  At m = 2 the
+    comparison runs at n = 128: at n = 256 max a^mu is 6.4e6, and the dense
+    eigensolver's own backward error eps ||H|| = 1.4e-9 exceeds 1e-11."""
+    make, n, m, mu = _DENSE_CASES[case]
+    V, symbol = make(), laplacian_power_symbol(1, n, L, m)
+    dense = np.linalg.eigvalsh(_generator(V, symbol, mu))[-1]
+    theta, residual = ritz_growth_bound(V, symbol, mu)
+    assert theta == growth_bound(V, symbol, mu)
+    assert abs(theta - dense) <= 1e-11 * abs(dense)
+    assert 0.0 < residual <= 1e-6
+
+
+def test_growth_bound_in_2d_matches_a_dense_generator():
+    """At N = 2, n = 32, the growth bound is the top eigenvalue of the
+    1024 x 1024 generator diag(V) - F^{-1} diag(a) F, built here column by
+    column from the 2D transforms of the unit vectors."""
+    n = 32
+    symbol = laplacian_power_symbol(2, n, L, 1)
+    V = power_law_potential(1.0, 0.5, 1.5)
+    units = np.eye(n * n).reshape(n * n, n, n)
+    A = np.fft.ifft2(symbol.power(1.0) * np.fft.fft2(units)).real.reshape(n * n, n * n)
+    H = np.diag(V.on_grid(2, n, L).values.ravel()) - A
+    dense = np.linalg.eigvalsh(0.5 * (H + H.T))[-1]
+    assert abs(growth_bound(V, symbol, 1.0) - dense) <= 1e-11 * abs(dense)
+
+
+def _no_large_eigensolve(monkeypatch, limit: int, calls: list | None = None):
+    """np.linalg.eigh and eigvalsh raise on a matrix of more than `limit`
+    rows; `calls` collects the row counts of the ones that run."""
+    for name in ("eigh", "eigvalsh"):
+        def guarded(a, *args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+            if len(a) > limit:
+                raise AssertionError(f"{_name} of a {len(a)} x {len(a)} matrix")
+            if calls is not None:
+                calls.append(len(a))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, guarded)
+
+
+@pytest.mark.parametrize("N_dim, n, checks", [(1, 4096, (check_omega_constant, check_omega_power)),
+                                              (2, 64, (check_omega_constant,))])
+def test_omega_checks_never_decompose_the_generator(monkeypatch, N_dim, n, checks):
+    """The omega checks pass with every eigendecomposition larger than the
+    3 x 3 Rayleigh-Ritz problems of the matrix-free growth bound made to
+    raise, at N = 2 too (omega_power, at n = 512, takes about a second
+    there), and each rate carries its Ritz residual."""
+    _no_large_eigensolve(monkeypatch, 3)
+    ctx = CheckContext(ProblemDims(N_dim, 1, 1.0), n, L)
+    for check in checks:
+        rec = check(ctx)
+        assert rec.passed
+        assert len(rec.details["residuals"]) == len(rec.details["rates"]) == 4
+        assert max(rec.details["residuals"]) <= 1e-6
+
+
+def test_iterated_decomposes_each_first_stage_once(monkeypatch):
+    """check_iterated makes one n x n eigendecomposition per order: the
+    first order's is shared by its half-node re-solve, and neither cross-
+    check of the first stages against growth_bound adds one."""
+    sizes = []
+    _no_large_eigensolve(monkeypatch, 64, sizes)
+    rec = check_iterated(CheckContext(DIMS, 64, L), n=64, nodes=32)
+    assert rec.passed
+    assert [s for s in sizes if s == 64] == [64, 64]
+    assert all(g <= t for g, t in zip(rec.details["first_stage_gaps"],
+                                      rec.details["first_stage_tols"]))
+
+
+def _scaled_symbol(real):
+    """a^mu x 1.01 in the generator: diag(V) - 1.01 C = 1.01 H - 0.01 diag(V)."""
+    def mutant(V, symbol, mu):
+        H = real(V, symbol, mu)
+        return 1.01 * H - 0.01 * np.diag(V.on_grid(1, symbol.n, symbol.L).values)
+    return mutant
+
+
+def _half_potential(real):
+    """H[diag] += 0.5 V in place of V."""
+    def mutant(V, symbol, mu):
+        return real(V, symbol, mu) - 0.5 * np.diag(V.on_grid(1, symbol.n, symbol.L).values)
+    return mutant
+
+
+@pytest.mark.parametrize("mutate", [_scaled_symbol, _half_potential])
+def test_iterated_fails_on_a_wrong_generator(monkeypatch, mutate):
+    """A generator with a^mu scaled by 1.01, or with half of V on its
+    diagonal, moves the first stage's top eigenvalue off the matrix-free
+    growth bound by far more than the cross-check's roundoff bound
+    (measured at n = 256: 1.5e-3 and 0.55 against 9e-12), so the check
+    fails, although the order and joint discrepancies stay within tol."""
+    from morreylab import duhamel
+
+    monkeypatch.setattr(duhamel, "_generator", mutate(duhamel._generator))
+    rec = check_iterated(CheckContext(DIMS, 64, L), n=64, nodes=32)
+    assert not rec.passed
+    tol = rec.details["tol"]
+    assert max(rec.details["order_discrepancy"], rec.details["joint_discrepancy"]) <= tol
+    assert all(g > 1e3 * t for g, t in zip(rec.details["first_stage_gaps"],
+                                           rec.details["first_stage_tols"]))
 
 
 def test_first_stage_rejects_complex_tables(sym):
