@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .checks import _HALF_NODE_MIN, CHECKS, CheckContext, record_name
+from .checks import _COLLAPSE_TOLS, _HALF_NODE_MIN, CHECKS, CheckContext, record_name
 from .grids import _check_points
 from .indices import ProblemDims
 
@@ -202,12 +202,28 @@ def _check_list(v, path):
             if (name, k) not in _CHECK_VALUES:
                 raise ConfigError(f"{p}.{k}: unknown parameter of check {name!r}")
             params[k] = _CHECK_VALUES[name, k](val, f"{p}.{k}")
+        if name == "selfsimilar_collapse":
+            _collapse_tolerance(params, p)
         record = record_name(name, params)
         if record in records:
             raise ConfigError(f"{p}: an earlier entry already produces record {record!r}")
         records.add(record)
         out.append((name, params))
     return tuple(out)
+
+
+def _collapse_tolerance(params: dict, path: str) -> None:
+    """A collapse entry runs at an order with a pinned tolerance, and its
+    tol, if any, may tighten that tolerance but not loosen it."""
+    m = params.get("m", 1)
+    pinned = _COLLAPSE_TOLS.get(m)
+    if pinned is None:
+        key = "tol" if "tol" in params else "m"
+        raise ConfigError(f"{path}.{key}: no pinned collapse tolerance at m={m}; "
+                          f"orders: {sorted(_COLLAPSE_TOLS)}")
+    if params.get("tol", pinned) > pinned:
+        raise ConfigError(f"{path}.tol: {params['tol']} above the pinned collapse "
+                          f"tolerance {pinned} at m={m}")
 
 
 def load_config(path) -> ExperimentConfig:

@@ -285,9 +285,9 @@ def picard_solve(u0: GridFunction, potentials, cfg: SolverConfig, gamma: ScaleIn
     times = time_grid(cfg)
     if potentials:
         tables = [V.on_grid(u0.N, u0.n, u0.L).values for V in potentials]
-        a_mu = symbol.power(dims.mu)
-        real = all(np.isrealobj(x) for x in [u0.values, a_mu, *tables])
-        values = _march(u0.values, tables, d_list, d_gamma, times, _fourier_basis(a_mu, real))
+        real = all(np.isrealobj(x) for x in [u0.values, symbol.table, *tables])
+        values = _march(u0.values, tables, d_list, d_gamma, times,
+                        _fourier_basis(symbol.table, real, dims.mu))
         states = [GridFunction(u0.N, u0.n, u0.L, v) for v in values]
     else:
         states = apply_semigroup(u0, times, dims.mu, symbol)
@@ -345,7 +345,7 @@ def ritz_growth_bound(V: PotentialSpec, symbol: SymbolSpec, mu: float):
     """
     N, n, L = symbol.N, symbol.n, symbol.L
     table = _real_table("potential", V.on_grid(N, n, L).values)
-    rates, forward, inverse = _fourier_basis(_real_table("symbol", symbol.power(mu)), True)
+    rates, forward, inverse = _fourier_basis(_real_table("symbol", symbol.table), True, mu)
     shape = (-1,) + table.shape
 
     def H(X):  # each row of X a flattened state

@@ -7,17 +7,23 @@ serves every multiplier here and the march in `duhamel`: real data under
 a real symbol take the real transforms, with every multiplier built on
 the half spectrum a[..., : n//2 + 1] (which needs a real table even
 under xi -> -xi, as `_validate_symbol` makes it); anything complex takes
-the full complex transforms.  Kernels are the
-image of a unit-mass discrete Dirac, the mu = 1/2 evolution can be
-cross-checked by averaging the full-power semigroup against the
-one-sided stable density, and the pseudoresolvent, the Laplace
-transform of the evolution, is the multiplier 1/(a(xi)^mu - lam).
+the full complex transforms.  The power a^mu is taken only on the part
+of the table the transforms read.  Given an array of times,
+`apply_semigroup` returns an iterator: one forward transform of u0 at
+the call, then one inverse transform per state as the caller asks for
+it, so a caller that reduces each state as it arrives holds one
+grid-sized state at a time.  Kernels are the image of a unit-mass
+discrete Dirac, the mu = 1/2 evolution can be cross-checked by averaging
+the full-power semigroup against the one-sided stable density, and the
+pseudoresolvent, the Laplace transform of the evolution, is the
+multiplier 1/(a(xi)^mu - lam).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,9 +85,12 @@ class SymbolSpec:
 
     def power(self, mu: float) -> np.ndarray:
         """Principal-branch fractional power a(xi)^mu."""
-        if np.isrealobj(self.table):
-            return self.table**mu
-        return np.power(self.table.astype(complex), mu)
+        return _power(self.table, mu)
+
+
+def _power(a: np.ndarray, mu: float) -> np.ndarray:
+    """Principal-branch fractional power of a symbol table, or of a slice of one."""
+    return a**mu if np.isrealobj(a) else np.power(a.astype(complex), mu)
 
 
 def _validate_symbol(N, n, L, m, table, is_preset) -> SymbolSpec:
@@ -156,12 +165,13 @@ def symbol_from_coefficients(N: int, n: int, L: float, m: int, coeffs: dict) -> 
     return _validate_symbol(N, n, L, m, table, False)
 
 
-def _fourier_basis(a: np.ndarray, real: bool):
+def _fourier_basis(a: np.ndarray, real: bool, mu: float = 1.0):
     """The basis where the symbol table a acts pointwise, as (rates, forward,
     inverse): `forward` maps a stack (m, n, ..., n) of states to (m, F)
-    coefficients, `inverse` maps them back, and rates is a on those F.
+    coefficients, `inverse` maps them back, and rates is a^mu on those F.
     `real` data and table take the real transforms on the half spectrum
-    (one-axis ones in 1D); otherwise every transform is complex."""
+    (one-axis ones in 1D), and the power is taken after the table is cut to
+    it; otherwise every transform is complex."""
     N, shape = a.ndim, a.shape
     kw = {"axes": tuple(range(1, N + 1))}
     if real:
@@ -172,27 +182,36 @@ def _fourier_basis(a: np.ndarray, real: bool):
     else:
         forward, inverse = np.fft.fftn, np.fft.ifftn
     spec = a.shape
-    return (a.ravel(),
+    return (_power(a, mu).ravel(),
             lambda x: forward(x, **kw).reshape(len(x), -1),
             lambda y: inverse(y.reshape((len(y),) + spec), **kw))
 
 
-def _apply_multiplier(values: np.ndarray, a: np.ndarray, multipliers) -> list[np.ndarray]:
-    """The grid values under each multiplier that multipliers(rates) yields,
-    all from one forward transform in `_fourier_basis`, real when values
-    and table both are.  Multipliers and inverses run one at a time."""
-    rates, forward, inverse = _fourier_basis(a, np.isrealobj(values) and np.isrealobj(a))
+def _apply_multiplier(values: np.ndarray, a: np.ndarray, multipliers, mu: float = 1.0):
+    """An iterator over the grid values under each multiplier that
+    multipliers(rates) yields, rates being a^mu in `_fourier_basis`, real
+    when values and table both are.  The one forward transform runs at the
+    call; each multiplier and its inverse transform run only when the
+    iterator reaches them.  Every product of a multiplier with the spectrum
+    is formed in one buffer, and only the yielded states are new arrays:
+    a sweep that frees each state as it arrives would otherwise free and
+    fault in fresh pages for every temporary of every state."""
+    rates, forward, inverse = _fourier_basis(a, np.isrealobj(values) and np.isrealobj(a), mu)
     spec = forward(values[None])
-    return [inverse(mult * spec)[0] for mult in multipliers(rates)]
+    product = np.empty_like(spec)
+    return map(lambda mult: inverse(np.multiply(mult, spec, out=product))[0], multipliers(rates))
 
 
 def apply_semigroup(u0: GridFunction, t: float | np.ndarray, mu: float,
-                    symbol: SymbolSpec) -> GridFunction | list[GridFunction]:
+                    symbol: SymbolSpec) -> GridFunction | Iterator[GridFunction]:
     """e^{-t a(xi)^mu} acting on u0; t = 0 returns u0 unchanged.
 
-    A 1-D array of times gives a list with one state per time, each equal
-    to its scalar call, from one power of the symbol and one forward
-    transform of u0.
+    A 1-D array of times gives an iterator over the states in the order of
+    the times, each equal to its scalar call; a zero time yields u0 itself.
+    mu, the times and the symbol are checked, and the one forward transform
+    of u0 is taken, at the call.  Each state's inverse transform runs only
+    when the iterator reaches it, and the iterator keeps no state it has
+    yielded: a caller that needs them all builds the list.
     """
     if not (0.0 < mu <= 1.0):
         raise ValueError("mu must lie in (0, 1]")
@@ -202,14 +221,17 @@ def apply_semigroup(u0: GridFunction, t: float | np.ndarray, mu: float,
     if np.any(times < 0.0):
         raise ValueError("negative time")
     symbol.require_agreement(u0)
-    out = [u0] * times.size
-    moved = np.flatnonzero(times)
+    moved, values = times[times > 0.0], iter(())
+
+    def decays(a):  # e^{-s a}, each in the one buffer the product reads before the next
+        buf = np.empty_like(a)
+        for s in moved:
+            yield np.exp(np.multiply(-s, a, out=buf), out=buf)
+
     if moved.size:
-        states = _apply_multiplier(u0.values, symbol.power(mu),
-                                   lambda a: (np.exp(-s * a) for s in times[moved]))
-        for k, values in zip(moved, states):
-            out[k] = GridFunction(u0.N, u0.n, u0.L, values)
-    return out if np.ndim(t) else out[0]
+        values = _apply_multiplier(u0.values, symbol.table, decays, mu)
+    states = (GridFunction(u0.N, u0.n, u0.L, next(values)) if s > 0.0 else u0 for s in times)
+    return states if np.ndim(t) else next(states)
 
 
 @dataclass(frozen=True)
@@ -227,16 +249,13 @@ class KernelTable:
         return self.t ** (1.0 / (2.0 * self.m * self.mu))
 
     def profile(self) -> tuple[np.ndarray, np.ndarray]:
-        """Rescaled profile K(y) = t^{N/(2 m mu)} k(t, y * scale), as (y, K)."""
+        """Rescaled profile K(y) = t^{N/(2 m mu)} k(t, y * scale), as (y, K),
+        y increasing as the grid axis is."""
         g = self.grid
         amp = self.t ** (g.N / (2.0 * self.m * self.mu))
-        if g.N == 1:
-            order = np.argsort(g.axis())
-            return g.axis()[order] / self.scale, amp * np.real(g.values)[order]
-        # 2D: profile along the first axis through the origin
-        row = np.real(g.values[:, g.n // 2])
-        order = np.argsort(g.axis())
-        return g.axis()[order] / self.scale, amp * row[order]
+        # 2D: the profile along the first axis through the origin
+        values = g.values if g.N == 1 else g.values[:, g.n // 2]
+        return g.axis() / self.scale, amp * np.real(values)
 
 
 def kernel(t: float, mu: float, symbol: SymbolSpec) -> KernelTable:
@@ -256,22 +275,24 @@ def selfsimilar_collapse(kernels) -> float:
     """Max pairwise relative L^1 discrepancy of the rescaled kernel profiles.
 
     Profiles are linearly resampled onto the abscissae of the coarsest
-    (largest-t) kernel, restricted to the range every profile covers.
+    (largest-t) kernel, restricted to the range every profile covers.  A
+    profile's range is the ends of its increasing abscissae, so each
+    profile is made only when it is resampled and dropped after.
     """
     kernels = list(kernels)
     if not kernels:
         raise ValueError("no kernels")
     if len(kernels) == 1:
         return 0.0
-    profiles = [k.profile() for k in kernels]
-    ref_y = profiles[int(np.argmax([k.t for k in kernels]))][0]
-    lo = max(y.min() for y, _ in profiles)
-    hi = min(y.max() for y, _ in profiles)
-    sel = (ref_y >= lo) & (ref_y <= hi)
-    if not np.any(sel):
+    ends = [k.grid.axis()[[0, -1]] / k.scale for k in kernels]
+    lo = max(e[0] for e in ends)
+    hi = min(e[1] for e in ends)
+    ref_y = kernels[int(np.argmax([k.t for k in kernels]))].profile()[0]
+    ys = ref_y[(ref_y >= lo) & (ref_y <= hi)]
+    del ref_y
+    if not ys.size:
         raise ValueError("profiles share no resolved range")
-    ys = ref_y[sel]
-    resampled = [np.interp(ys, y, K) for y, K in profiles]
+    resampled = [np.interp(ys, *k.profile()) for k in kernels]
     worst = 0.0
     for i in range(len(resampled)):
         for j in range(i + 1, len(resampled)):
@@ -331,7 +352,7 @@ def subordination_apply(u0: GridFunction, t: float, symbol: SymbolSpec) -> GridF
                          for s, w in zip(density.nodes, density.weights))
         yield mult
 
-    [values] = _apply_multiplier(u0.values, symbol.power(1.0), multiplier)
+    [values] = _apply_multiplier(u0.values, symbol.table, multiplier)
     return GridFunction(u0.N, u0.n, u0.L, values)
 
 
@@ -343,13 +364,13 @@ def pseudoresolvent(u0: GridFunction, lam: complex, mu: float, symbol: SymbolSpe
     if lam.real > -0.1:
         raise ValueError(f"Re(lambda) = {lam.real} violates the margin -0.1")
     symbol.require_agreement(u0)
-    a_mu = symbol.power(mu)
+    values = u0.values
     # a real lambda keeps the multiplier real, for the half-spectrum path
     if lam.imag == 0.0:
         lam = lam.real
     else:
-        a_mu = a_mu.astype(complex)
-    [values] = _apply_multiplier(u0.values, a_mu, lambda a: [1.0 / (a - lam)])
+        values = values.astype(complex)
+    [values] = _apply_multiplier(values, symbol.table, lambda a: [1.0 / (a - lam)], mu)
     return GridFunction(u0.N, u0.n, u0.L, values)
 
 

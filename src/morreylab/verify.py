@@ -290,14 +290,20 @@ def trace_check(u0: GridFunction, p: float, window: float, mu: float,
     k = 4..12.
 
     Passes when the distances decrease and end below threshold * ||u0||.
+    Each state is reduced to its distance as it arrives.
     """
     sel = u0.radii() <= window
-    hN = u0.h**u0.N
-    ref = float(np.sum(np.abs(u0.values[sel]) ** p) * hN) ** (1.0 / p)
-    dists = []
-    for state in apply_semigroup(u0, np.array([2.0**-k for k in range(4, 13)]), mu, symbol):
-        diff = state - u0
-        dists.append(float(np.sum(np.abs(diff.values[sel]) ** p) * hN) ** (1.0 / p))
+    inside = u0.values[sel]
+
+    def norm(x):  # overwrites x, a fresh array
+        np.abs(x, out=x)
+        x **= p
+        return float(np.sum(x) * u0.h**u0.N) ** (1.0 / p)
+
+    ref = norm(u0.values[sel])
+    # map, unlike a loop variable, keeps no state while the next one is made
+    dists = list(map(lambda state: norm(state.values[sel] - inside),
+                     apply_semigroup(u0, np.array([2.0**-k for k in range(4, 13)]), mu, symbol)))
     decreasing = all(b <= a * (1.0 + 1e-9) for a, b in zip(dists, dists[1:]))
     return decreasing and dists[-1] < threshold * ref, dists
 

@@ -83,6 +83,37 @@ def test_config_type_errors(tmp_path, capsys):
         assert f"config.checks[0].{key}" in err and "[PASS]" not in err
 
 
+def test_collapse_tolerance_pinned_per_order(tmp_path, capsys):
+    """The collapse tolerance is pinned per order (1e-3 at m = 1, 1e-2 at
+    m = 2): a config may tighten it, but a looser tol, or any tol or order
+    without a pinned value, is a config error naming its path (exit 2), and
+    the check itself refuses the same values."""
+    from morreylab.checks import CheckContext, check_selfsimilar_collapse
+    from morreylab.config import DEFAULT_CONFIG
+
+    for entry, key in (({"name": "selfsimilar_collapse", "tol": 1.0}, "tol"),
+                       ({"name": "selfsimilar_collapse", "tol": 2e-3}, "tol"),
+                       ({"name": "selfsimilar_collapse", "m": 2, "tol": 0.05}, "tol"),
+                       ({"name": "selfsimilar_collapse", "m": 3, "tol": 1e-3}, "tol"),
+                       ({"name": "selfsimilar_collapse", "m": 3}, "m")):
+        bad = {**TINY, "checks": [entry]}
+        with pytest.raises(ConfigError, match=rf"config\.checks\[0\]\.{key}: "):
+            validate_config(bad)
+        assert main(["run", "--config", write_cfg(tmp_path, bad)]) == 2
+        err = capsys.readouterr().err
+        assert f"config.checks[0].{key}" in err and "[PASS]" not in err
+    ok = {**TINY, "checks": [{"name": "selfsimilar_collapse", "tol": 1e-4},
+                             {"name": "selfsimilar_collapse", "m": 2, "tol": 1e-2}]}
+    assert [params for _, params in validate_config(ok).checks] == [
+        {"tol": 1e-4}, {"m": 2, "tol": 1e-2}]
+    assert validate_config(DEFAULT_CONFIG).checks[-1] == (
+        "selfsimilar_collapse", {"m": 2, "tol": 1e-2})
+    ctx = validate_config(TINY).context()
+    for params in ({"tol": 1.0}, {"m": 3}):
+        with pytest.raises(ValueError, match="collapse tolerance"):
+            check_selfsimilar_collapse(ctx, **params)
+
+
 def test_config_settable_values_are_the_check_parameters():
     """The config's table of settable check values names exactly the
     parameters of the registered checks, all but the context."""
