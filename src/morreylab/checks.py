@@ -143,16 +143,24 @@ def check_kernel_positivity(ctx: CheckContext) -> CheckRecord:
                    defects={str(k): v for k, v in defects.items()}, tol=tol)
 
 
+def _closed_form_record(ctx: CheckContext, name: str, t: float, mu: float, exact,
+                        tol: float) -> CheckRecord:
+    """The m=1 kernel of order mu at time t against its closed form exact(x),
+    evaluated only on the window |x| <= L/2 it is compared on."""
+    k = kernel(t, mu, ctx.symbol(m=1)).grid
+    x = k.axis()
+    sel = np.abs(x) <= ctx.L / 2.0
+    truth = exact(x[sel])
+    err = float(np.max(np.abs(k.values[sel] - truth) / truth))
+    return _record(name, err <= tol, rel_sup_error=err, t=t, tol=tol)
+
+
 def check_kernel_gaussian(ctx: CheckContext) -> CheckRecord:
     """m=1, mu=1 kernel against the closed-form heat kernel on |x| <= L/2."""
-    t, tol = 0.25, 1e-6
-    sym = ctx.symbol(m=1)
-    k = kernel(t, 1.0, sym).grid
-    x = k.axis()
-    exact = np.exp(-(x**2) / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
-    sel = np.abs(x) <= ctx.L / 2.0
-    err = float(np.max(np.abs(k.values[sel] - exact[sel]) / exact[sel]))
-    return _record("kernel_gaussian", err <= tol, rel_sup_error=err, t=t, tol=tol)
+    t = 0.25
+    return _closed_form_record(
+        ctx, "kernel_gaussian", t, 1.0,
+        lambda x: np.exp(-(x**2) / (4.0 * t)) / math.sqrt(4.0 * math.pi * t), 1e-6)
 
 
 def wrapped_poisson(x: np.ndarray, t: float, L: float) -> np.ndarray:
@@ -167,14 +175,9 @@ def check_kernel_poisson(ctx: CheckContext) -> CheckRecord:
     The torus realization periodizes the heavy Cauchy tails, so the
     honest closed-form oracle is the lattice sum (in its sinh/cosh form).
     """
-    t, tol = 0.5, 1e-4
-    sym = ctx.symbol(m=1)
-    k = kernel(t, 0.5, sym).grid
-    x = k.axis()
-    exact = wrapped_poisson(x, t, ctx.L)
-    sel = np.abs(x) <= ctx.L / 2.0
-    err = float(np.max(np.abs(k.values[sel] - exact[sel]) / exact[sel]))
-    return _record("kernel_poisson", err <= tol, rel_sup_error=err, t=t, tol=tol)
+    t = 0.5
+    return _closed_form_record(ctx, "kernel_poisson", t, 0.5,
+                               lambda x: wrapped_poisson(x, t, ctx.L), 1e-4)
 
 
 # the collapse tolerance of each order the check runs at; a config may
@@ -182,14 +185,19 @@ def check_kernel_poisson(ctx: CheckContext) -> CheckRecord:
 _COLLAPSE_TOLS = {1: 1e-3, 2: 1e-2}
 
 
-def check_selfsimilar_collapse(ctx: CheckContext, m: int = 1,
-                               tol: float | None = None) -> CheckRecord:
+def _collapse_tolerance(m: int, tol: float | None) -> float:
+    """The collapse tolerance at order m: tol, which may tighten the pinned
+    value but not loosen it, or the pinned value itself."""
     if m not in _COLLAPSE_TOLS:
         raise ValueError(f"no collapse tolerance at order m={m}; orders: {sorted(_COLLAPSE_TOLS)}")
-    if tol is None:
-        tol = _COLLAPSE_TOLS[m]
-    elif tol > _COLLAPSE_TOLS[m]:
+    if tol is not None and tol > _COLLAPSE_TOLS[m]:
         raise ValueError(f"collapse tolerance {tol} above the order-{m} value {_COLLAPSE_TOLS[m]}")
+    return _COLLAPSE_TOLS[m] if tol is None else tol
+
+
+def check_selfsimilar_collapse(ctx: CheckContext, m: int = 1,
+                               tol: float | None = None) -> CheckRecord:
+    tol = _collapse_tolerance(m, tol)
     ts = (0.01, 0.04)
     sym = ctx.symbol(m=m)
     resid = selfsimilar_collapse([kernel(t, 1.0, sym) for t in ts])
@@ -308,28 +316,24 @@ _LAMS = (-4.0, -6.0)  # where the pseudoresolvent checks test the identity
 _HALF_NODE_MIN = 32  # the fewest (even) nodes of a solve the half-node estimate halves
 
 
-def _solver_context(ctx: CheckContext, n: int):
+def _fixture(ctx: CheckContext, n: int, potentials, ell: float, horizon: float,
+             nodes: int, grading: float = 2.0) -> Trajectory:
+    """The Gaussian bump on the n-point grid, as data of class M^{2,ell},
+    solved under the potentials on `nodes` nodes up to `horizon`."""
     dims = ctx.dims
-    sym = ctx.symbol(n=n)
-    bump = gaussian_bump(dims.N, n, ctx.L)
-    return dims, sym, bump
+    return picard_solve(gaussian_bump(dims.N, n, ctx.L), potentials,
+                        SolverConfig(horizon, nodes, grading),
+                        to_index(MorreyParams(2.0, ell), dims), dims, ctx.symbol(n=n))
 
 
 def _power_traj(ctx: CheckContext, n: int = 512):
-    dims, sym, bump = _solver_context(ctx, n)
-    V = power_law_potential(1.0, _POWER_BETA, _POWER_P0)
-    gamma = to_index(MorreyParams(2.0, 0.7), dims)
-    cfg = SolverConfig(horizon=0.25, nodes=64)
-    return picard_solve(bump, [V], cfg, gamma, dims, sym)
+    return _fixture(ctx, n, [power_law_potential(1.0, _POWER_BETA, _POWER_P0)], 0.7, 0.25, 64)
 
 
 def _const_traj(ctx: CheckContext):
     if "const_traj" not in ctx.memo:
-        dims, sym, bump = _solver_context(ctx, 256)
-        V = constant_potential(_CONST_C, N=dims.N)
-        gamma = to_index(MorreyParams(2.0, 1.0), dims)
-        cfg = SolverConfig(horizon=0.25, nodes=256, grading=1.0)
-        ctx.memo["const_traj"] = picard_solve(bump, [V], cfg, gamma, dims, sym)
+        ctx.memo["const_traj"] = _fixture(ctx, 256, [constant_potential(_CONST_C, N=ctx.dims.N)],
+                                          1.0, 0.25, 256, grading=1.0)
     return ctx.memo["const_traj"]
 
 
@@ -337,21 +341,24 @@ def check_constant_potential(ctx: CheckContext) -> CheckRecord:
     """Solve with a constant potential against e^{c t} times the base flow."""
     tol = 1e-7
     traj = _const_traj(ctx)
-    worst = 0.0
     base = apply_semigroup(traj.u0, traj.times, traj.dims.mu, traj.symbol)
-    for t, state, free in zip(traj.times, traj.states, base):
-        exact = math.exp(_CONST_C * t) * free
-        worst = max(worst, float(np.max(np.abs(state.values - exact.values))))
+    worst = max(float(np.max(np.abs(state.values - (math.exp(_CONST_C * t) * free).values)))
+                for t, state, free in zip(traj.times, traj.states, base))
     return _record("constant_potential", worst <= tol, sup_error=worst, tol=tol)
+
+
+def _node_norms(traj: Trajectory, stack: np.ndarray) -> np.ndarray:
+    """The norms in traj's working space X^alpha of a (K, n, ...) stack of
+    node states, all from one stacked scan."""
+    mp = from_index(traj.alpha, traj.dims)
+    return _scan(traj.u0, stack, mp.p, mp.ell, RadiusLadder.for_grid(traj.u0))
 
 
 def _weighted_norm(traj: Trajectory, stack: np.ndarray, theta: float) -> float:
     """sup_k e^{-theta t_k} t_k^d ||stack_k||_alpha, the norm the Duhamel map
-    contracts in (d = d(alpha, gamma)), all K nodes from one stacked scan."""
-    mp = from_index(traj.alpha, traj.dims)
+    contracts in (d = d(alpha, gamma))."""
     d = smoothing_distance(traj.alpha, traj.gamma)
-    per_node = _scan(traj.u0, stack, mp.p, mp.ell, RadiusLadder.for_grid(traj.u0))
-    return float(np.max(np.exp(-theta * traj.times) * traj.times**d * per_node))
+    return float(np.max(np.exp(-theta * traj.times) * traj.times**d * _node_norms(traj, stack)))
 
 
 def check_contraction(ctx: CheckContext) -> CheckRecord:
@@ -370,55 +377,50 @@ def check_contraction(ctx: CheckContext) -> CheckRecord:
             max(V.measured_norm(u0.N, u0.n, u0.L) for V in traj.potentials),
             [V.potential_class(traj.dims).kappa for V in traj.potentials],
             smoothing_distance(traj.alpha, traj.gamma), traj.config.horizon)
-        u = np.stack([s.values for s in traj.states])
-        base = np.stack([b.values for b in
-                         apply_semigroup(u0, traj.times, traj.dims.mu, traj.symbol)])
+        u = _stack(traj.states)
+        base = _stack(apply_semigroup(u0, traj.times, traj.dims.mu, traj.symbol))
         ratio = _weighted_norm(traj, u - base, theta) / _weighted_norm(traj, u, theta)
         details[name] = {"ratio": ratio, "bound": bound, "theta": theta}
         ok = ok and ratio <= bound
     return _record("contraction", ok, fixtures=details)
 
 
+def _half_node_count(K: int) -> None:
+    """The node count of a solve the half-node estimate halves: even, so the
+    two grids share nodes, and at least 32, so the coarse solve keeps the
+    solver's 16 nodes."""
+    if K % 2 or K < _HALF_NODE_MIN:
+        raise ValueError(f"the half-node estimate compares with a half-node solve, which "
+                         f"needs an even node count of at least {_HALF_NODE_MIN}, got {K}")
+
+
+def _stack(states) -> np.ndarray:
+    """A sequence of grid functions as one (K, n, ...) stack of their values."""
+    return np.stack([s.values for s in states])
+
+
 def _half_node_gap(traj: Trajectory, solve, norm) -> float:
     """Discretisation error estimate of a trajectory: max_j ||u_{2j+1} - v_j||
     against v, the same problem re-solved by `solve` on K/2 nodes, whose
     node j is the trajectory's node 2j + 1 (t = T ((2j + 2)/K)^g).
-
-    K must be even, so the two grids share nodes, and at least 32, so the
-    coarse solve keeps the solver's 16 nodes.
-    """
+    norm(traj, stack) gives the norm of each state of a stack, or any array
+    whose max is their max (np.abs of the stack for the sup norm)."""
     K = traj.config.nodes
-    if K % 2 or K < _HALF_NODE_MIN:
-        raise ValueError(f"the half-node estimate compares with a half-node solve, which "
-                         f"needs an even node count of at least {_HALF_NODE_MIN}, got {K}")
+    _half_node_count(K)
     coarse = solve(traj.u0, traj.potentials, replace(traj.config, nodes=K // 2),
                    traj.gamma, traj.dims, traj.symbol)
-    return max(norm(traj.states[2 * j + 1] - coarse.states[j]) for j in range(K // 2))
-
-
-def _working_norm(traj: Trajectory):
-    """The norm of the trajectory's working space X^alpha, its ladder built once."""
-    mp = from_index(traj.alpha, traj.dims)
-    return functools.partial(morrey_norm, p=mp.p, ell=mp.ell,
-                             ladder=RadiusLadder.for_grid(traj.u0))
-
-
-def _sup_norm(g: GridFunction) -> float:
-    return float(np.max(np.abs(g.values)))
+    return float(np.max(norm(traj, _stack(traj.states[1::2]) - _stack(coarse.states))))
 
 
 def check_semigroup_property(ctx: CheckContext) -> CheckRecord:
     """evaluate(t1+t2) against re-propagating evaluate(t2) by t1, within
     ten times the half-node estimate of the solve's error."""
     traj = _power_traj(ctx, n=256)
-    err = _half_node_gap(traj, picard_solve, _working_norm(traj))
+    err = _half_node_gap(traj, picard_solve, _node_norms)
     t1, t2 = 0.125, 0.125
-    u_sum = evaluate(traj, t1 + t2)
-    u_comp_base = evaluate(traj, t2)
-    sub_cfg = replace(traj.config, horizon=t1)
-    comp = picard_solve(u_comp_base, traj.potentials, sub_cfg, traj.alpha, traj.dims,
-                        traj.symbol).states[-1]
-    disc = _sup_norm(u_sum - comp)
+    comp = picard_solve(evaluate(traj, t2), traj.potentials, replace(traj.config, horizon=t1),
+                        traj.alpha, traj.dims, traj.symbol).states[-1]
+    disc = float(np.max(np.abs(evaluate(traj, t1 + t2).values - comp.values)))
     tol = 10.0 * err
     return _record("semigroup_property", disc <= tol, discrepancy=disc, tol=tol)
 
@@ -444,20 +446,19 @@ def check_iterated(ctx: CheckContext, n: int = 256, nodes: int = 64) -> CheckRec
     Each order's first-stage eigendecomposition, made once and shared with
     its re-solve, must also put its top eigenvalue at the potential's
     matrix-free growth bound, within roundoff."""
-    dims, sym, bump = _solver_context(ctx, n)
+    dims, sym = ctx.dims, ctx.symbol(n=n)
     V0, V1 = _two_potentials()
-    gamma = to_index(MorreyParams(2.0, 0.3), dims)
-    cfg = SolverConfig(horizon=0.25, nodes=nodes, grading=1.0)
     stages = [_propagator_matrices(V, sym, dims.mu) for V in (V0, V1)]
-    joint = picard_solve(bump, [V0, V1], cfg, gamma, dims, sym)
-    joint_err = _half_node_gap(joint, picard_solve, _working_norm(joint))
+    joint = _fixture(ctx, n, [V0, V1], 0.3, 0.25, nodes, grading=1.0)
+    joint_err = _half_node_gap(joint, picard_solve, _node_norms)
+    bump, cfg, gamma = joint.u0, joint.config, joint.gamma
     seq01 = sequential_solve(bump, [V0, V1], cfg, gamma, dims, sym, stages[0])
     seq10 = sequential_solve(bump, [V1, V0], cfg, gamma, dims, sym, stages[1])
-    seq_err = _half_node_gap(
-        seq01, lambda *args: sequential_solve(*args, first_stage=stages[0]), _sup_norm)
+    seq_err = _half_node_gap(seq01, lambda *args: sequential_solve(*args, first_stage=stages[0]),
+                             lambda _, stack: np.abs(stack))
     tol = 10.0 * (joint_err + seq_err)
-    d_orders = max(_sup_norm(a - b) for a, b in zip(seq01.states, seq10.states))
-    d_joint = max(_sup_norm(a - b) for a, b in zip(seq01.states, joint.states))
+    u01 = _stack(seq01.states)
+    d_orders, d_joint = (float(np.max(np.abs(u01 - _stack(t.states)))) for t in (seq10, joint))
     gaps, bounds = zip(*(_first_stage_gap(V, lam, sym, dims.mu)
                          for V, (lam, _) in zip((V0, V1), stages)))
     ok = d_orders <= tol and d_joint <= tol and all(g <= b for g, b in zip(gaps, bounds))
@@ -469,52 +470,44 @@ def check_iterated(ctx: CheckContext, n: int = 256, nodes: int = 64) -> CheckRec
 def check_continuous_dependence(ctx: CheckContext) -> CheckRecord:
     """Difference norms scale linearly in the potential gap (slope 1)."""
     n, tol = 256, 0.10
-    dims, sym, bump = _solver_context(ctx, n)
-    gamma = to_index(MorreyParams(2.0, 0.7), dims)
-    cfg = SolverConfig(horizon=0.25, nodes=48)
-    base_V = power_law_potential(1.0, _POWER_BETA, _POWER_P0)
-    base = picard_solve(bump, [base_V], cfg, gamma, dims, sym)
     eps = [0.02, 0.04, 0.08, 0.16]
-    vnorm = base_V.measured_norm(dims.N, n, ctx.L)
-    trajs, gaps = [], []
-    for e in eps:
-        V = power_law_potential(1.0 + e, _POWER_BETA, _POWER_P0)
-        trajs.append(picard_solve(bump, [V], cfg, gamma, dims, sym))
-        gaps.append(e * vnorm)
-    fit = verify.continuous_dependence_check(base, trajs, gaps,
-                                             MorreyParams(2.0, 0.7), dims, tol)
-    consts = fit.extra["weighted_constants"]
+    base, *trajs = (_fixture(ctx, n, [power_law_potential(1.0 + e, _POWER_BETA, _POWER_P0)],
+                             0.7, 0.25, 48) for e in [0.0] + eps)
+    vnorm = base.potentials[0].measured_norm(ctx.dims.N, n, ctx.L)
+    fit, consts = verify.continuous_dependence_check(
+        base, trajs, [e * vnorm for e in eps], MorreyParams(2.0, 0.7), ctx.dims, tol)
     bounded = max(consts) <= 2.0 * min(consts)
     return _record("continuous_dependence", fit.passed and bounded,
                    slope=fit.slope, constants=consts, tol=tol)
 
 
-def check_omega_constant(ctx: CheckContext, n: int = 256) -> CheckRecord:
-    """Constant potentials: the growth bound is c, so the size exponent is 1.
+def _omega_record(ctx: CheckContext, name: str, n: int, family, sizes, kappa: float,
+                  tol: float, **details) -> CheckRecord:
+    """The growth bounds of a potential family on the n-point grid, fitted as
+    a power of the potentials' sizes, against the exponent 1/(1 - kappa).
     Each rate's Ritz residual is its error bar (Parlett, Thm 4.5.1)."""
-    tol = 0.02
     sym = ctx.symbol(n=n)
+    rates, residuals = zip(*(ritz_growth_bound(V, sym, ctx.dims.mu) for V in family))
+    fit = verify.omega_scaling(sizes, rates, kappa0=kappa, tolerance=tol)
+    return _record(name, fit.passed, exponent=fit.slope, rates=rates,
+                   residuals=residuals, tol=tol, **details)
+
+
+def check_omega_constant(ctx: CheckContext, n: int = 256) -> CheckRecord:
+    """Constant potentials: the growth bound is c, so the size exponent is 1."""
     cs = [0.25, 0.5, 1.0, 2.0]
-    rates, residuals = zip(*(ritz_growth_bound(constant_potential(c, N=ctx.dims.N), sym,
-                                               ctx.dims.mu) for c in cs))
-    fit = verify.omega_scaling(cs, rates, kappa0=0.0, tolerance=tol)
-    return _record("omega_constant", fit.passed, exponent=fit.slope,
-                   rates=rates, residuals=residuals, tol=tol)
+    return _omega_record(ctx, "omega_constant", n,
+                         [constant_potential(c, N=ctx.dims.N) for c in cs], cs, 0.0, 0.02)
 
 
 def check_omega_power(ctx: CheckContext) -> CheckRecord:
-    """kappa = 1/4 power-law family: growth-bound exponent vs 1/(1-kappa) = 4/3.
-    Each rate's Ritz residual is its error bar (Parlett, Thm 4.5.1)."""
-    n, tol = 512, 0.15
-    dims, sym = ctx.dims, ctx.symbol(n=n)
-    kappa = power_law_potential(1.0, _POWER_BETA, _POWER_P0).potential_class(dims).kappa
+    """kappa = 1/4 power-law family: growth-bound exponent vs 1/(1-kappa) = 4/3."""
+    n = 512
     family = [power_law_potential(A, _POWER_BETA, _POWER_P0) for A in (0.5, 1.0, 2.0, 4.0)]
-    rates, residuals = zip(*(ritz_growth_bound(V, sym, dims.mu) for V in family))
-    fit = verify.omega_scaling([V.measured_norm(dims.N, n, ctx.L) for V in family], rates,
-                               kappa0=kappa, tolerance=tol)
-    return _record("omega_power", fit.passed, exponent=fit.slope,
-                   predicted=1.0 / (1.0 - kappa), rates=rates,
-                   residuals=residuals, tol=tol)
+    kappa = family[1].potential_class(ctx.dims).kappa
+    return _omega_record(ctx, "omega_power", n, family,
+                         [V.measured_norm(ctx.dims.N, n, ctx.L) for V in family], kappa, 0.15,
+                         predicted=1.0 / (1.0 - kappa))
 
 
 # -- region calculus -----------------------------------------------------------
@@ -600,30 +593,22 @@ def check_tangent(ctx: CheckContext) -> CheckRecord:
 # -- pseudoresolvent -----------------------------------------------------------
 
 
-def check_pseudoresolvent_constant(ctx: CheckContext) -> CheckRecord:
-    tol = 1e-3
-    dims, sym, bump = _solver_context(ctx, 256)
-    gamma = to_index(MorreyParams(2.0, 1.0), dims)
-    cfg = SolverConfig(horizon=3.2, nodes=256, grading=1.0)
-    traj = picard_solve(bump, [constant_potential(_CONST_C, N=dims.N)], cfg, gamma,
-                        dims, sym)
+def _pseudoresolvent_record(name: str, traj: Trajectory, tol: float) -> CheckRecord:
+    """The resolvent identity's relative residual on a long solve at each
+    of _LAMS; the worst must stay within tol."""
     residuals = {str(lam): verify.pseudoresolvent_identity(traj, lam) for lam in _LAMS}
-    worst = max(residuals.values())
-    return _record("pseudoresolvent_constant", worst <= tol,
-                   residuals=residuals, tol=tol)
+    return _record(name, max(residuals.values()) <= tol, residuals=residuals, tol=tol)
+
+
+def check_pseudoresolvent_constant(ctx: CheckContext) -> CheckRecord:
+    traj = _fixture(ctx, 256, [constant_potential(_CONST_C, N=ctx.dims.N)], 1.0, 3.2, 256,
+                    grading=1.0)
+    return _pseudoresolvent_record("pseudoresolvent_constant", traj, 1e-3)
 
 
 def check_pseudoresolvent_power(ctx: CheckContext) -> CheckRecord:
-    tol = 0.05
-    dims, sym, bump = _solver_context(ctx, 256)
-    gamma = to_index(MorreyParams(2.0, 0.7), dims)
-    cfg = SolverConfig(horizon=3.2, nodes=192)
-    V = power_law_potential(1.0, _POWER_BETA, _POWER_P0)
-    traj = picard_solve(bump, [V], cfg, gamma, dims, sym)
-    residuals = {str(lam): verify.pseudoresolvent_identity(traj, lam) for lam in _LAMS}
-    worst = max(residuals.values())
-    return _record("pseudoresolvent_power", worst <= tol,
-                   residuals=residuals, tol=tol)
+    traj = _fixture(ctx, 256, [power_law_potential(1.0, _POWER_BETA, _POWER_P0)], 0.7, 3.2, 192)
+    return _pseudoresolvent_record("pseudoresolvent_power", traj, 0.05)
 
 
 CHECKS = {

@@ -13,7 +13,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .checks import _COLLAPSE_TOLS, _HALF_NODE_MIN, CHECKS, CheckContext, record_name
+from .checks import (CHECKS, CheckContext, _collapse_tolerance, _half_node_count,
+                     record_name)
 from .grids import _check_points
 from .indices import ProblemDims
 
@@ -71,28 +72,27 @@ def _string(v, path):
     return v
 
 
-def _grid_points(v, path):
-    """Points per grid axis, by the rule every GridFunction enforces."""
-    n = _integer()(v, path)
-    try:
-        _check_points(n)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-    return n
+def _ruled(rule):
+    """An integer checked by the rule of the code that reads it, whose
+    ValueError becomes a ConfigError naming the path."""
+    def check(v, path):
+        k = _integer()(v, path)
+        try:
+            rule(k)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+        return k
+
+    return check
+
+
+_grid_points = _ruled(_check_points)  # points per grid axis, as every GridFunction takes
 
 
 def _optional_string(v, path):
     if v is None:
         return None
     return _string(v, path)
-
-
-def _half_node_count(v, path):
-    """Time nodes of a solve the half-node estimate halves: even, at least 32."""
-    k = _integer(_HALF_NODE_MIN)(v, path)
-    if k % 2:
-        raise ConfigError(f"{path}: {k} is odd; the half-node estimate needs an even count")
-    return k
 
 
 def _positive(v, path):
@@ -108,7 +108,7 @@ _CHECK_VALUES = {
     ("regions", "count"): _integer(1),
     ("regions", "density"): _integer(1),
     ("iterated", "n"): _grid_points,
-    ("iterated", "nodes"): _half_node_count,
+    ("iterated", "nodes"): _ruled(_half_node_count),
     ("omega_constant", "n"): _grid_points,
     ("selfsimilar_collapse", "m"): _integer(1),
     ("selfsimilar_collapse", "tol"): _positive,
@@ -203,27 +203,16 @@ def _check_list(v, path):
                 raise ConfigError(f"{p}.{k}: unknown parameter of check {name!r}")
             params[k] = _CHECK_VALUES[name, k](val, f"{p}.{k}")
         if name == "selfsimilar_collapse":
-            _collapse_tolerance(params, p)
+            try:
+                _collapse_tolerance(params.get("m", 1), params.get("tol"))
+            except ValueError as exc:
+                raise ConfigError(f"{p}.{'tol' if 'tol' in params else 'm'}: {exc}") from None
         record = record_name(name, params)
         if record in records:
             raise ConfigError(f"{p}: an earlier entry already produces record {record!r}")
         records.add(record)
         out.append((name, params))
     return tuple(out)
-
-
-def _collapse_tolerance(params: dict, path: str) -> None:
-    """A collapse entry runs at an order with a pinned tolerance, and its
-    tol, if any, may tighten that tolerance but not loosen it."""
-    m = params.get("m", 1)
-    pinned = _COLLAPSE_TOLS.get(m)
-    if pinned is None:
-        key = "tol" if "tol" in params else "m"
-        raise ConfigError(f"{path}.{key}: no pinned collapse tolerance at m={m}; "
-                          f"orders: {sorted(_COLLAPSE_TOLS)}")
-    if params.get("tol", pinned) > pinned:
-        raise ConfigError(f"{path}.tol: {params['tol']} above the pinned collapse "
-                          f"tolerance {pinned} at m={m}")
 
 
 def load_config(path) -> ExperimentConfig:

@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grids import GridFunction
+from .grids import GridFunction, grid_radii
 from .indices import ScaleIndex, ProblemDims, choose_alpha, smoothing_distance
 from .potentials import PotentialSpec
 from .quadrature import product_weights
@@ -352,7 +352,7 @@ def ritz_growth_bound(V: PotentialSpec, symbol: SymbolSpec, mu: float):
         grids = X.reshape(shape)
         return (table * grids - inverse(rates * forward(grids))).reshape(len(X), -1)
 
-    x = np.exp(-GridFunction.constant(0.0, N, n, L).radii() ** 2).reshape(1, -1)
+    x = np.exp(-grid_radii(N, n, L) ** 2).reshape(1, -1)
     x /= np.linalg.norm(x)
     Hx = H(x)
     theta = float(x[0] @ Hx[0])

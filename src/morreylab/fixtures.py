@@ -8,15 +8,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import GridFunction
+from .grids import GridFunction, grid_radii
 
 __all__ = ["gaussian_bump", "power_law"]
 
 
 def gaussian_bump(N: int, n: int, L: float) -> GridFunction:
     """exp(-|x|^2)."""
-    g = GridFunction.constant(0.0, N, n, L)
-    return GridFunction(N, n, L, np.exp(-(g.radii() ** 2)))
+    return GridFunction(N, n, L, np.exp(-(grid_radii(N, n, L) ** 2)))
 
 
 def power_law(N: int, n: int, L: float, beta: float = 0.5,
@@ -30,16 +29,15 @@ def power_law(N: int, n: int, L: float, beta: float = 0.5,
     carries the right mass; otherwise the singular mass lost to the cap
     evolves like an extra point source and flattens small-time fits.
     """
-    g = GridFunction.constant(0.0, N, n, L)
-    cap = 2.0 * g.h
-    vals = np.maximum(g.radii(), cap) ** (-beta)
+    h = 2.0 * L / n
+    cap = 2.0 * h
+    r = grid_radii(N, n, L)
+    vals = np.maximum(r, cap) ** (-beta)
     if mass_faithful:
         if N != 1 or beta >= 1.0:
             raise ValueError("mass-faithful realization needs N = 1 and beta < 1")
-        h = g.h
-        core = np.where(g.radii() <= cap + 1e-12 * cap)
-        x = g.axis()[core]
-        lo, hi = np.abs(x) - 0.5 * h, np.abs(x) + 0.5 * h
+        core = np.where(r <= cap + 1e-12 * cap)
+        lo, hi = r[core] - 0.5 * h, r[core] + 0.5 * h  # in 1D r is |x|
 
         def anti(s):  # integral of |x|^{-beta} from 0 to s >= 0
             return s ** (1.0 - beta) / (1.0 - beta)
@@ -50,5 +48,5 @@ def power_law(N: int, n: int, L: float, beta: float = 0.5,
         vals = vals.copy()
         vals[core] = cell / h
     if support_radius is not None:
-        vals = np.where(g.radii() <= support_radius, vals, 0.0)
+        vals = np.where(r <= support_radius, vals, 0.0)
     return GridFunction(N, n, L, vals)

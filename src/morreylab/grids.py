@@ -12,13 +12,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["GridFunction", "wrap_offsets"]
+__all__ = ["GridFunction", "grid_radii", "same_grid", "wrap_offsets"]
 
 
 def _check_points(n: int) -> None:
     """The size rule of every grid axis: a power of two, at least 8."""
     if n < 8 or n & (n - 1):
         raise ValueError(f"n must be a power of two >= 8, got {n}")
+
+
+def same_grid(N: int, n: int, L: float, other) -> bool:
+    """Whether `other` (anything with N, n and L) lives on the (N, n, L)
+    grid, its L equal to within 1e-12 L: the one grid-agreement rule of
+    grid arithmetic, potential tables and symbols."""
+    return (N, n) == (other.N, other.n) and abs(L - other.L) <= 1e-12 * L
+
+
+def grid_radii(N: int, n: int, L: float) -> np.ndarray:
+    """Distance from the origin of every sample of the (N, n, L) grid.  The
+    samples lie in [-L, L), so this is also their torus distance."""
+    ax = np.abs(-L + 2.0 * L / n * np.arange(n))
+    if N == 1:
+        return ax
+    return np.sqrt(ax[:, None] ** 2 + ax[None, :] ** 2)
 
 
 def wrap_offsets(delta: np.ndarray, L: float) -> np.ndarray:
@@ -66,10 +82,7 @@ class GridFunction:
 
     def radii(self) -> np.ndarray:
         """Torus distance of every sample from the origin."""
-        ax = np.minimum(np.abs(self.axis()), 2.0 * self.L - np.abs(self.axis()))
-        if self.N == 1:
-            return ax
-        return np.sqrt(ax[:, None] ** 2 + ax[None, :] ** 2)
+        return grid_radii(self.N, self.n, self.L)
 
     # -- constructors -------------------------------------------------------
 
@@ -92,7 +105,7 @@ class GridFunction:
         return float(np.sum(self.values).real * self.h**self.N)
 
     def is_compatible(self, other: "GridFunction") -> bool:
-        return (self.N, self.n) == (other.N, other.n) and abs(self.L - other.L) < 1e-14 * self.L
+        return same_grid(self.N, self.n, self.L, other)
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grids import GridFunction, wrap_offsets
+from .grids import GridFunction, grid_radii, wrap_offsets
 
 __all__ = [
     "RadiusLadder",
@@ -83,7 +83,7 @@ def _windows(n: int, L: float, radii: tuple) -> tuple:
     """The 1D balls of the ladder as windows: (before, after) when the ball
     around center c holds the points c - before .. c + after (cyclically),
     None when it holds the whole torus."""
-    r = GridFunction.constant(0.0, 1, n, L).radii()
+    r = grid_radii(1, n, L)
     windows = []
     for radius in radii:
         inside = np.flatnonzero(_ball_mask(r, radius))

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import GridFunction
+from .grids import GridFunction, grid_radii, same_grid
 from .indices import MorreyParams, PotentialClass, ProblemDims
 from .norms import morrey_norm
 
@@ -55,11 +55,10 @@ class PotentialSpec:
         if self.kind == "tabulated":
             if self.table is None:
                 raise ValueError("tabulated potential without a table")
-            if (self.table.N, self.table.n) != (N, n) or abs(self.table.L - L) > 1e-12 * L:
+            if not same_grid(N, n, L, self.table):
                 raise ValueError("tabulated potential on an incompatible grid")
             return self.table
-        probe = GridFunction.constant(0.0, N, n, L)
-        r = np.maximum(probe.radii(), 2.0 * probe.h)
+        r = np.maximum(grid_radii(N, n, L), 4.0 * L / n)  # the cap at 2h
         return GridFunction(N, n, L, self.amplitude * r ** (-self.beta))
 
     def measured_norm(self, N: int, n: int, L: float) -> float:

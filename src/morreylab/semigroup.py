@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .grids import GridFunction, _check_points
+from .grids import GridFunction, _check_points, same_grid
 
 __all__ = [
     "SymbolSpec",
@@ -76,7 +76,7 @@ class SymbolSpec:
         """Raise ValueError, before any transform, unless the datum u lives on
         this symbol's grid (N, n, L) and, given dims, the symbol has its N and m:
         every entry that applies a symbol to a datum calls this."""
-        if (self.N, self.n) != (u.N, u.n) or abs(self.L - u.L) >= 1e-12 * self.L:
+        if not same_grid(self.N, self.n, self.L, u):
             raise ValueError(f"grid/symbol mismatch: symbol on (N, n, L) = "
                              f"{(self.N, self.n, self.L)}, datum on {(u.N, u.n, u.L)}")
         if dims is not None and (self.N, self.m) != (dims.N, dims.m):

@@ -13,7 +13,7 @@ the tests hold `duhamel.growth_bound` to.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .indices import (
     in_triangle,
     region_report,
 )
-from .norms import RadiusLadder, morrey_norm
+from .norms import RadiusLadder, _scan
 from .duhamel import SolverConfig, Trajectory, picard_solve, multiply
 from .semigroup import SymbolSpec, apply_semigroup, pseudoresolvent
 
@@ -52,11 +52,8 @@ class FitResult:
     """A fitted exponent against its prediction."""
 
     slope: float
-    stderr: float
-    t_range: tuple
     predicted: float
     tolerance: float
-    extra: dict = field(default_factory=dict)
 
     @property
     def rel_deviation(self) -> float:
@@ -68,15 +65,11 @@ class FitResult:
         return abs(self.slope - self.predicted) <= self.tolerance * max(abs(self.predicted), 1e-300)
 
 
-def _least_squares_loglog(x: np.ndarray, y: np.ndarray):
-    lx, ly = np.log(x), np.log(y)
-    A = np.vstack([lx, np.ones_like(lx)]).T
-    coef, res, *_ = np.linalg.lstsq(A, ly, rcond=None)
-    slope = float(coef[0])
-    dof = max(1, lx.size - 2)
-    sse = float(res[0]) if res.size else float(np.sum((A @ coef - ly) ** 2))
-    var = sse / dof / max(float(np.sum((lx - lx.mean()) ** 2)), 1e-300)
-    return slope, math.sqrt(var)
+def _loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Least-squares slope of log(y) against log(x)."""
+    lx = np.log(x)
+    coef, *_ = np.linalg.lstsq(np.vstack([lx, np.ones_like(lx)]).T, np.log(y), rcond=None)
+    return float(coef[0])
 
 
 def fit_decay(times, norms, predicted: float, tolerance: float = 0.03) -> FitResult:
@@ -89,8 +82,7 @@ def fit_decay(times, norms, predicted: float, tolerance: float = 0.03) -> FitRes
         raise ValueError("samples must span at least 1.5 decades")
     if np.any(v <= 0.0):
         raise ValueError("norms must be positive for a log-log fit")
-    slope, stderr = _least_squares_loglog(t, v)
-    return FitResult(slope, stderr, (float(t.min()), float(t.max())), predicted, tolerance)
+    return FitResult(_loglog_slope(t, v), predicted, tolerance)
 
 
 def predicted_rate(src: MorreyParams, dst: MorreyParams, dims: ProblemDims) -> float:
@@ -149,35 +141,27 @@ def omega_scaling(amplitudes, rates, kappa0: float, tolerance: float = 0.15) -> 
     r = np.asarray(rates, dtype=float)
     if np.any(r <= 0.0):
         raise ValueError("a power-law fit needs positive growth rates (nonpositive rate)")
-    slope, stderr = _least_squares_loglog(amps, r)
-    return FitResult(slope, stderr, (float(amps.min()), float(amps.max())),
-                     1.0 / (1.0 - kappa0), tolerance)
+    return FitResult(_loglog_slope(amps, r), 1.0 / (1.0 - kappa0), tolerance)
 
 
 def continuous_dependence_check(base_traj: Trajectory, perturbed, norm_gaps,
                                 dst: MorreyParams, dims: ProblemDims,
-                                tolerance: float = 0.10) -> FitResult:
+                                tolerance: float = 0.10) -> tuple[FitResult, list]:
     """Scaling of sup_t t^d ||u_V(t) - u_W(t)||_dst in the perturbation gap.
 
     perturbed: trajectories for the family W -> V; norm_gaps: measured
-    ||V - W|| per family member.  The fitted log-log slope should be 1.
+    ||V - W|| per family member.  Returns the log-log fit, whose slope
+    should be 1, and the weighted constants sup / gap per member; each
+    member's node differences are normed in one stacked scan.
     """
-    src = from_index(base_traj.gamma, dims)
-    d = -predicted_rate(src, dst, dims)
+    d = -predicted_rate(from_index(base_traj.gamma, dims), dst, dims)
     ladder = RadiusLadder.for_grid(base_traj.u0)
-    sups = []
-    for traj in perturbed:
-        diffs = [
-            morrey_norm(a - b, dst.p, dst.ell, ladder)
-            for a, b in zip(traj.states, base_traj.states)
-        ]
-        w = np.asarray(base_traj.times) ** d * np.asarray(diffs)
-        sups.append(float(w.max()))
+    base = np.stack([s.values for s in base_traj.states])
+    node_norms = (_scan(base_traj.u0, np.stack([s.values for s in traj.states]) - base,
+                        dst.p, dst.ell, ladder) for traj in perturbed)
+    sups = np.array([float(np.max(base_traj.times**d * x)) for x in node_norms])
     gaps = np.asarray(norm_gaps, dtype=float)
-    sups = np.asarray(sups)
-    slope, stderr = _least_squares_loglog(gaps, sups)
-    fit = FitResult(slope, stderr, (float(gaps.min()), float(gaps.max())), 1.0, tolerance)
-    return replace(fit, extra={"weighted_constants": (sups / gaps).tolist()})
+    return FitResult(_loglog_slope(gaps, sups), 1.0, tolerance), (sups / gaps).tolist()
 
 
 # -- exact region oracle -------------------------------------------------------

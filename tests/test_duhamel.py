@@ -11,10 +11,9 @@ import pytest
 from morreylab.checks import (
     CheckContext,
     _half_node_gap,
-    _sup_norm,
+    _node_norms,
     _two_potentials,
     _weighted_norm,
-    _working_norm,
     check_iterated,
     check_omega_constant,
     check_omega_power,
@@ -39,7 +38,14 @@ from morreylab.duhamel import (
 )
 from morreylab.fixtures import gaussian_bump
 from morreylab.grids import GridFunction
-from morreylab.indices import MorreyParams, ProblemDims, ScaleIndex, smoothing_distance, to_index
+from morreylab.indices import (
+    MorreyParams,
+    ProblemDims,
+    ScaleIndex,
+    from_index,
+    smoothing_distance,
+    to_index,
+)
 from morreylab.norms import RadiusLadder, _scan, morrey_norm
 from morreylab.potentials import constant_potential, power_law_potential, tabulated_potential
 from morreylab.quadrature import product_weights
@@ -49,7 +55,13 @@ from morreylab.semigroup import (
     pseudoresolvent,
     subordination_apply,
 )
-from morreylab.verify import evolve_norms, growth_rate
+from morreylab.verify import (
+    continuous_dependence_check,
+    evolve_norms,
+    growth_rate,
+    predicted_rate,
+    pseudoresolvent_identity,
+)
 
 DIMS = ProblemDims(1, 1, 1.0)
 N, L = 256, 8.0
@@ -281,7 +293,7 @@ def test_self_convergence_within_estimate(sym, bump):
     gamma = gamma_of(2.0, 0.7)
     cfg = SolverConfig(horizon=0.25, nodes=64)
     traj = picard_solve(bump, [V], cfg, gamma, DIMS, sym)
-    estimate = _half_node_gap(traj, picard_solve, _working_norm(traj))
+    estimate = _half_node_gap(traj, picard_solve, _node_norms)
     ref = picard_solve(bump, [V], SolverConfig(horizon=0.25, nodes=128),
                        gamma, DIMS, sym)
     gap = max(
@@ -289,6 +301,11 @@ def test_self_convergence_within_estimate(sym, bump):
         for k in range(cfg.nodes)
     )
     assert 0.0 < gap <= 5.0 * estimate
+
+
+def sup_norms(traj, stack):
+    """The sup norm of each state of a stack, as _half_node_gap takes it."""
+    return np.abs(stack).max(axis=tuple(range(1, stack.ndim)))
 
 
 def never_called(*args):
@@ -303,7 +320,7 @@ def test_estimate_needs_even_node_count_of_32(sym, bump, nodes):
     traj = picard_solve(bump, [], SolverConfig(horizon=0.25, nodes=nodes),
                         gamma_of(2.0, 0.7), DIMS, sym)
     with pytest.raises(ValueError, match="half-node solve"):
-        _half_node_gap(traj, never_called, _sup_norm)
+        _half_node_gap(traj, never_called, sup_norms)
 
 
 def test_estimate_accepts_even_node_counts_from_32(sym, bump):
@@ -312,7 +329,80 @@ def test_estimate_accepts_even_node_counts_from_32(sym, bump):
     for nodes in (32, 34, 64):
         traj = picard_solve(bump, [], SolverConfig(horizon=0.25, nodes=nodes),
                             gamma_of(2.0, 0.7), DIMS, sym)
-        assert _half_node_gap(traj, picard_solve, _sup_norm) == 0.0
+        assert _half_node_gap(traj, picard_solve, sup_norms) == 0.0
+
+
+@pytest.mark.parametrize("dims, n", [(DIMS, 256), (ProblemDims(2, 1, 1.0), 32)])
+def test_node_norms_match_per_state_norms(dims, n):
+    """_node_norms' one stacked scan against one morrey_norm per state of a
+    trajectory: bit for bit on the 1D window path, to roundoff on the 2D
+    Fourier path."""
+    u0 = gaussian_bump(dims.N, n, L)
+    traj = picard_solve(u0, [power_law_potential(1.0, 0.5, 1.5)],
+                        SolverConfig(horizon=0.25, nodes=16),
+                        to_index(MorreyParams(2.0, 0.7), dims), dims,
+                        laplacian_power_symbol(dims.N, n, L, 1))
+    mp = from_index(traj.alpha, dims)
+    ladder = RadiusLadder.for_grid(u0)
+    per_state = np.array([morrey_norm(s, mp.p, mp.ell, ladder) for s in traj.states])
+    stacked = _node_norms(traj, np.stack([s.values for s in traj.states]))
+    if dims.N == 1:
+        assert np.array_equal(stacked, per_state)
+    else:
+        np.testing.assert_allclose(stacked, per_state, rtol=1e-13, atol=0.0)
+
+
+def test_stacked_gaps_match_per_state_reference(sym, bump):
+    """The half-node estimate and the continuous-dependence constants, each
+    from stacked scans, equal their per-state morrey_norm references on
+    the same solves, bit for bit."""
+    V = power_law_potential(1.0, 0.5, 1.5)
+    cfg = SolverConfig(horizon=0.25, nodes=32)
+    traj = picard_solve(bump, [V], cfg, gamma_of(2.0, 0.7), DIMS, sym)
+    coarse = picard_solve(bump, [V], replace(cfg, nodes=16), gamma_of(2.0, 0.7), DIMS, sym)
+    mp = from_index(traj.alpha, DIMS)
+    ladder = RadiusLadder.for_grid(bump)
+    assert _half_node_gap(traj, picard_solve, _node_norms) == max(
+        morrey_norm(traj.states[2 * j + 1] - coarse.states[j], mp.p, mp.ell, ladder)
+        for j in range(16))
+
+    dst, eps = MorreyParams(2.0, 0.7), (0.05, 0.1, 0.2)
+    perturbed = [picard_solve(bump, [power_law_potential(1.0 + e, 0.5, 1.5)], cfg,
+                              gamma_of(2.0, 0.7), DIMS, sym) for e in eps]
+    gaps = np.array(eps) * V.measured_norm(1, N, L)
+    _, consts = continuous_dependence_check(traj, perturbed, gaps, dst, DIMS)
+    d = -predicted_rate(from_index(traj.gamma, DIMS), dst, DIMS)
+    sups = np.array([float((traj.times**d * np.array([
+        morrey_norm(a - b, dst.p, dst.ell, ladder)
+        for a, b in zip(p.states, traj.states)])).max()) for p in perturbed])
+    assert consts == (sups / gaps).tolist()
+
+
+def test_one_grid_agreement_rule(sym, bump):
+    """A potential table, grid arithmetic and a symbol accept the same box
+    half-widths: within 1e-12 L of the datum's, and no further.  So a
+    potential the solver accepts is also one the resolvent identity's
+    products accept."""
+    def table_on(L2):
+        return tabulated_potential(power_law_potential(1.0, 0.5, 1.5).on_grid(1, N, L2),
+                                   1.5, 0.75)
+
+    for offset, agrees in ((5e-13, True), (1e-11, False)):
+        L2 = L * (1.0 + offset)
+        V = table_on(L2)
+        outcomes = []
+        for attempt in (lambda: V.on_grid(1, N, L), lambda: multiply(V, bump),
+                        lambda: bump + V.table,
+                        lambda: laplacian_power_symbol(1, N, L2, 1).require_agreement(bump)):
+            try:
+                attempt()
+                outcomes.append(True)
+            except ValueError:
+                outcomes.append(False)
+        assert outcomes == [agrees] * 4, (offset, outcomes)
+    traj = picard_solve(bump, [table_on(L * (1.0 + 5e-13))], SolverConfig(horizon=0.5, nodes=16),
+                        gamma_of(2.0, 0.7), DIMS, sym)
+    assert 0.0 <= pseudoresolvent_identity(traj, -4.0) < 1.0
 
 
 def test_weights_built_once_per_grid(monkeypatch):

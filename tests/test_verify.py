@@ -30,7 +30,7 @@ def test_fit_decay_exact_power_law():
     fit = verify.fit_decay(ts, ts**-0.5, predicted=-0.5, tolerance=1e-9)
     assert fit.slope == pytest.approx(-0.5, abs=1e-10)
     assert fit.passed
-    assert fit.stderr < 1e-10
+    assert fit.rel_deviation < 1e-10
 
 
 def test_fit_decay_validation():
