@@ -113,7 +113,7 @@ def _kernel(ctx: CheckContext, t: float, mu: float, sym) -> tuple[float, float]:
     m = 1 the mass and positivity checks ask for the same kernels."""
     key = ("kernel", t, mu, sym.N, sym.n, sym.L, sym.m)
     if key not in ctx.memo:
-        grid = kernel(t, mu, sym).grid
+        grid = kernel(t, mu, sym)
         ctx.memo[key] = grid.mass(), positivity_defect(grid)
     return ctx.memo[key]
 
@@ -145,22 +145,25 @@ def check_kernel_positivity(ctx: CheckContext) -> CheckRecord:
 
 def _closed_form_record(ctx: CheckContext, name: str, t: float, mu: float, exact,
                         tol: float) -> CheckRecord:
-    """The m=1 kernel of order mu at time t against its closed form exact(x),
-    evaluated only on the window |x| <= L/2 it is compared on."""
-    k = kernel(t, mu, ctx.symbol(m=1)).grid
-    x = k.axis()
-    sel = np.abs(x) <= ctx.L / 2.0
-    truth = exact(x[sel])
+    """The m=1 kernel of order mu at time t against its closed form exact(r)
+    in the distance r from the origin, evaluated only on the ball r <= L/2
+    it is compared on."""
+    k = kernel(t, mu, ctx.symbol(m=1))
+    r = k.radii()
+    sel = r <= ctx.L / 2.0
+    truth = exact(r[sel])
     err = float(np.max(np.abs(k.values[sel] - truth) / truth))
     return _record(name, err <= tol, rel_sup_error=err, t=t, tol=tol)
 
 
 def check_kernel_gaussian(ctx: CheckContext) -> CheckRecord:
-    """m=1, mu=1 kernel against the closed-form heat kernel on |x| <= L/2."""
+    """m=1, mu=1 kernel against the closed-form heat kernel
+    (4 pi t)^{-N/2} e^{-|x|^2/(4t)} on |x| <= L/2."""
     t = 0.25
     return _closed_form_record(
         ctx, "kernel_gaussian", t, 1.0,
-        lambda x: np.exp(-(x**2) / (4.0 * t)) / math.sqrt(4.0 * math.pi * t), 1e-6)
+        lambda r: np.exp(-(r**2) / (4.0 * t)) / math.sqrt(4.0 * math.pi * t) ** ctx.dims.N,
+        1e-6)
 
 
 def wrapped_poisson(x: np.ndarray, t: float, L: float) -> np.ndarray:
@@ -173,11 +176,15 @@ def check_kernel_poisson(ctx: CheckContext) -> CheckRecord:
     """m=1, mu=1/2 kernel against the wrapped Poisson kernel on |x| <= L/2.
 
     The torus realization periodizes the heavy Cauchy tails, so the
-    honest closed-form oracle is the lattice sum (in its sinh/cosh form).
+    honest closed-form oracle is the lattice sum (in its sinh/cosh form),
+    which is one-dimensional.
     """
+    if ctx.dims.N != 1:
+        raise ValueError(f"the closed form is the 1D wrapped Poisson kernel; "
+                         f"there is none at N = {ctx.dims.N}")
     t = 0.5
     return _closed_form_record(ctx, "kernel_poisson", t, 0.5,
-                               lambda x: wrapped_poisson(x, t, ctx.L), 1e-4)
+                               lambda r: wrapped_poisson(r, t, ctx.L), 1e-4)
 
 
 # the collapse tolerance of each order the check runs at; a config may
@@ -200,7 +207,7 @@ def check_selfsimilar_collapse(ctx: CheckContext, m: int = 1,
     tol = _collapse_tolerance(m, tol)
     ts = (0.01, 0.04)
     sym = ctx.symbol(m=m)
-    resid = selfsimilar_collapse([kernel(t, 1.0, sym) for t in ts])
+    resid = selfsimilar_collapse(ts, 1.0, sym)
     return _record(record_name("selfsimilar_collapse", {"m": m}), resid <= tol,
                    residual=resid, ts=list(ts), tol=tol)
 
@@ -209,7 +216,7 @@ def check_kernel_2d(ctx: CheckContext) -> CheckRecord:
     """Two-dimensional spot check: mass, positivity, closed-form kernel."""
     t = 0.25
     sym = ctx.symbol(N=2, n=256, m=1)
-    k = kernel(t, 1.0, sym).grid
+    k = kernel(t, 1.0, sym)
     m = k.mass()
     defect = positivity_defect(k)
     ax = k.axis()

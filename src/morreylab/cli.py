@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from .checks import CHECK_GROUPS, CHECKS, run_checks
+from .checks import CHECK_GROUPS, run_checks
 from .config import ConfigError, DEFAULT_CONFIG, ExperimentConfig, load_config, validate_config
 from .indices import MorreyParams, region_report, to_index
 from .report import build_report, report_from_json, report_to_json, write_csv
@@ -65,13 +65,12 @@ def _load(args) -> ExperimentConfig:
     return cfg
 
 
-def _group_entries(cfg: ExperimentConfig, group: str, selected):
+def _group_entries(cfg: ExperimentConfig, group: str):
     """Every configured entry of each check in the group, in config order;
     a check the config does not list runs with its defaults."""
     entries = []
     for name in CHECK_GROUPS[group]:
-        if not selected or name in selected:
-            entries += [e for e in cfg.checks if e[0] == name] or [(name, {})]
+        entries += [e for e in cfg.checks if e[0] == name] or [(name, {})]
     return entries
 
 
@@ -193,15 +192,17 @@ def main(argv=None) -> int:
         if protocol:
             return _regions_protocol(args, cfg)
 
-        if args.command == "run":
-            entries = list(cfg.checks)
-            if args.check:
-                unknown = [c for c in args.check if c not in CHECKS]
-                if unknown:
-                    raise ConfigError(f"--check: unknown checks {unknown}")
-                entries = [(n, p) for n, p in entries if n in set(args.check)]
-        else:
-            entries = _group_entries(cfg, args.command, args.check)
+        run = args.command == "run"
+        entries = list(cfg.checks) if run else _group_entries(cfg, args.command)
+        if args.check:
+            listed = {name for name, _ in entries}
+            unlisted = [c for c in args.check if c not in listed]
+            if unlisted:
+                where = "the config" if run else f"the {args.command} group"
+                raise ConfigError(f"--check: {unlisted} not listed by {where}")
+            entries = [e for e in entries if e[0] in args.check]
+        if not entries:
+            raise ConfigError("no check to run: the config lists none")
         return _run_entries(cfg, entries, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

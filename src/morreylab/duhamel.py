@@ -202,7 +202,9 @@ def _march(u0, tables, d_list, d_gamma: float, times, basis):
     rates, forward, inverse = basis
     K, F = times.size, rates.size
     J = K + (d_gamma == 0.0)
-    need = len(d_list) * J * F * 16  # the coefficients
+    # the coefficients, then the K states: complex when the data or the rates
+    # are, as only then do the callers take the complex transforms
+    need = len(d_list) * J * F * 16 + K * u0.size * np.result_type(u0, *tables, rates).itemsize
     if need > _HISTORY_MAX_BYTES:
         raise ValueError(f"the march over {K} nodes needs {need} bytes, "
                          f"above the {_HISTORY_MAX_BYTES}-byte limit")

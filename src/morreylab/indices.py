@@ -4,25 +4,30 @@ A space M^{p,l} is encoded by the planar index
 
     gamma(p, l) = (1/p, l / (2 m mu p)),
 
-which lives in the triangle J with vertices (0,0), (0,1)... more
-precisely J = {(0,0)} union {(g1, g2) in (0,1] x (0, N/(2 m mu)] :
-g2/g1 <= N/(2 m mu)}.  The regularity height r(gamma) = -gamma2 orders
-the spaces; smoothing from gamma to gamma' costs a factor
-t^{-(gamma2 - gamma'2)}.  This module implements the exact membership
-predicates for the admissible-data and reachable-target sets of the
-perturbed evolution, the canonical choice of the working index alpha,
-the two-potential continuous-dependence region with its star-shaped
-joint-admissibility region, and the convex exterior-tangent
-construction.
+which lives in the triangle with vertices (0,0), (1,0) and
+(1, N/(2 m mu)), taken as the set
+
+    J = {(0,0)} union {(g1, g2) in (0,1] x (0, N/(2 m mu)] : g2/g1 <= N/(2 m mu)}.
+
+The regularity height r(gamma) = -gamma2 orders the spaces; smoothing
+from gamma to gamma' costs a factor t^{-(gamma2 - gamma'2)}.  This
+module implements the exact membership predicates for the
+admissible-data and reachable-target sets of the perturbed evolution,
+the canonical choice of the working index alpha, the two-potential
+continuous-dependence region with its star-shaped joint-admissibility
+region, and the convex exterior-tangent construction.
 
 All comparisons use an absolute tolerance band of 1e-12 per inequality
 so that queries sitting exactly on a region boundary do not flip with
 rounding noise.
 
-The region predicates are written once and evaluate elementwise: the
-coordinates of a ScaleIndex and the exponents of a MorreyParams may be
-floats or equal-length numpy columns, and region_report decides a whole
-block of queries in one pass.
+The predicates region_report is built on evaluate elementwise
+(in_triangle, sub_triangle_contains, star_region_contains, boundary_h):
+the coordinates of a ScaleIndex and the exponents of a MorreyParams may
+be floats or equal-length numpy columns, and region_report decides a
+whole block of queries in one pass.  existence_set_contains,
+regularity_set_contains, sigma_contains, choose_alpha and
+cd2_region_contains join their tests with `and` and take scalars only.
 """
 
 from __future__ import annotations

@@ -12,11 +12,13 @@ of the table the transforms read.  Given an array of times,
 `apply_semigroup` returns an iterator: one forward transform of u0 at
 the call, then one inverse transform per state as the caller asks for
 it, so a caller that reduces each state as it arrives holds one
-grid-sized state at a time.  Kernels are the image of a unit-mass
-discrete Dirac, the mu = 1/2 evolution can be cross-checked by averaging
-the full-power semigroup against the one-sided stable density, and the
-pseudoresolvent, the Laplace transform of the evolution, is the
-multiplier 1/(a(xi)^mu - lam).
+grid-sized state at a time.  A kernel is the grid function that the
+semigroup makes of a unit-mass discrete Dirac, and `selfsimilar_collapse`
+builds its own kernels and rescales each to its profile.  The mu = 1/2
+evolution can be cross-checked by averaging the full-power semigroup
+over the nodes and weights of `subordinator_rule`, a quadrature for the
+one-sided stable density, and the pseudoresolvent, the Laplace transform
+of the evolution, is the multiplier 1/(a(xi)^mu - lam).
 """
 
 from __future__ import annotations
@@ -35,10 +37,9 @@ __all__ = [
     "SymbolSpec",
     "laplacian_power_symbol",
     "apply_semigroup",
-    "KernelTable",
     "kernel",
     "selfsimilar_collapse",
-    "SubordinatorDensity",
+    "subordinator_rule",
     "subordination_apply",
     "pseudoresolvent",
     "positivity_defect",
@@ -65,7 +66,6 @@ class SymbolSpec:
     L: float
     m: int
     table: np.ndarray
-    is_preset: bool
     c_ell: float
 
     @property
@@ -93,7 +93,7 @@ def _power(a: np.ndarray, mu: float) -> np.ndarray:
     return a**mu if np.isrealobj(a) else np.power(a.astype(complex), mu)
 
 
-def _validate_symbol(N, n, L, m, table, is_preset) -> SymbolSpec:
+def _validate_symbol(N, n, L, m, table) -> SymbolSpec:
     _check_points(n)
     if np.isrealobj(table) or np.max(np.abs(np.imag(table))) == 0.0:
         table = _even_part(np.real(table))
@@ -107,10 +107,8 @@ def _validate_symbol(N, n, L, m, table, is_preset) -> SymbolSpec:
     c_ell = float(ratio.min()) if ratio.size else 0.0
     if c_ell <= 0.0:
         raise ValueError(f"symbol is not uniformly elliptic on the grid (c_ell={c_ell:.3e})")
-    if is_preset and abs(complex(table[(0,) * N])) > 1e-14:
-        raise ValueError("preset symbol must vanish at zero frequency")
     table.setflags(write=False)
-    return SymbolSpec(N, n, L, m, table, is_preset, c_ell)
+    return SymbolSpec(N, n, L, m, table, c_ell)
 
 
 def _even_part(table: np.ndarray) -> np.ndarray:
@@ -140,7 +138,7 @@ def laplacian_power_symbol(N: int, n: int, L: float, m: int = 1) -> SymbolSpec:
         table = np.abs(xi) ** (2 * m)
     else:
         table = (xi[:, None] ** 2 + xi[None, :] ** 2) ** m
-    return _validate_symbol(N, n, L, m, table, True)
+    return _validate_symbol(N, n, L, m, table)
 
 
 def symbol_from_coefficients(N: int, n: int, L: float, m: int, coeffs: dict) -> SymbolSpec:
@@ -162,7 +160,7 @@ def symbol_from_coefficients(N: int, n: int, L: float, m: int, coeffs: dict) -> 
         for ax, z in zip(axes, zeta):
             mono = mono * (1j * ax) ** z
         table = table + a * mono
-    return _validate_symbol(N, n, L, m, table, False)
+    return _validate_symbol(N, n, L, m, table)
 
 
 def _fourier_basis(a: np.ndarray, real: bool, mu: float = 1.0):
@@ -234,102 +232,68 @@ def apply_semigroup(u0: GridFunction, t: float | np.ndarray, mu: float,
     return states if np.ndim(t) else next(states)
 
 
-@dataclass(frozen=True)
-class KernelTable:
-    """Kernel slice k(t, ., 0) with its scaling metadata."""
-
-    grid: GridFunction
-    t: float
-    mu: float
-    m: int
-
-    @property
-    def scale(self) -> float:
-        """Self-similar length t^{1/(2 m mu)}."""
-        return self.t ** (1.0 / (2.0 * self.m * self.mu))
-
-    def profile(self) -> tuple[np.ndarray, np.ndarray]:
-        """Rescaled profile K(y) = t^{N/(2 m mu)} k(t, y * scale), as (y, K),
-        y increasing as the grid axis is."""
-        g = self.grid
-        amp = self.t ** (g.N / (2.0 * self.m * self.mu))
-        # 2D: the profile along the first axis through the origin
-        values = g.values if g.N == 1 else g.values[:, g.n // 2]
-        return g.axis() / self.scale, amp * np.real(values)
-
-
-def kernel(t: float, mu: float, symbol: SymbolSpec) -> KernelTable:
-    """Semigroup kernel as the image of the unit-mass discrete Dirac."""
+def kernel(t: float, mu: float, symbol: SymbolSpec) -> GridFunction:
+    """Semigroup kernel k(t, .) as the image of the unit-mass discrete Dirac;
+    refused unless its scale t^{1/(2 m mu)} clears 4h."""
     if t <= 0.0:
         raise ValueError("kernel needs t > 0")
-    if t ** (1.0 / (2.0 * symbol.m * mu)) < 4.0 * symbol.h:
-        raise ValueError(
-            f"kernel under-resolved: t^(1/2m mu) = {t ** (1.0 / (2.0 * symbol.m * mu)):.3e} "
-            f"below 4h = {4.0 * symbol.h:.3e}"
-        )
-    delta = GridFunction.dirac(symbol.N, symbol.n, symbol.L)
-    return KernelTable(apply_semigroup(delta, t, mu, symbol), t, mu, symbol.m)
+    scale = t ** (1.0 / (2.0 * symbol.m * mu))
+    if scale < 4.0 * symbol.h:
+        raise ValueError(f"kernel under-resolved: t^(1/2m mu) = {scale:.3e} "
+                         f"below 4h = {4.0 * symbol.h:.3e}")
+    return apply_semigroup(GridFunction.dirac(symbol.N, symbol.n, symbol.L), t, mu, symbol)
 
 
-def selfsimilar_collapse(kernels) -> float:
-    """Max pairwise relative L^1 discrepancy of the rescaled kernel profiles.
+def selfsimilar_collapse(ts, mu: float, symbol: SymbolSpec) -> float:
+    """Max pairwise relative L^1 discrepancy of the kernels at the times ts,
+    each rescaled to its profile K(y) = t^{N/(2 m mu)} k(t, y t^{1/(2 m mu)})
+    (in 2D along the first axis through the origin).
 
-    Profiles are linearly resampled onto the abscissae of the coarsest
-    (largest-t) kernel, restricted to the range every profile covers.  A
-    profile's range is the ends of its increasing abscissae, so each
-    profile is made only when it is resampled and dropped after.
+    Profiles are linearly resampled onto the abscissae of the largest-t
+    profile, the narrowest range, which every other profile covers.  Each
+    profile is formed only when it is resampled and dropped after.
     """
-    kernels = list(kernels)
+    kernels = [kernel(t, mu, symbol) for t in ts]
     if not kernels:
-        raise ValueError("no kernels")
-    if len(kernels) == 1:
-        return 0.0
-    ends = [k.grid.axis()[[0, -1]] / k.scale for k in kernels]
-    lo = max(e[0] for e in ends)
-    hi = min(e[1] for e in ends)
-    ref_y = kernels[int(np.argmax([k.t for k in kernels]))].profile()[0]
-    ys = ref_y[(ref_y >= lo) & (ref_y <= hi)]
-    del ref_y
-    if not ys.size:
-        raise ValueError("profiles share no resolved range")
-    resampled = [np.interp(ys, *k.profile()) for k in kernels]
+        raise ValueError("no times")
+    power = 1.0 / (2.0 * symbol.m * mu)
+    ys = kernels[0].axis() / max(ts) ** power
+
+    def resample(t, k):
+        values = k.values if k.N == 1 else k.values[:, k.n // 2]
+        amp = t ** (k.N / (2.0 * symbol.m * mu))
+        return np.interp(ys, k.axis() / t**power, amp * np.real(values))
+
+    resampled = [resample(t, k) for t, k in zip(ts, kernels)]
     worst = 0.0
     for i in range(len(resampled)):
+        denom = np.trapezoid(np.abs(resampled[i]), ys)
         for j in range(i + 1, len(resampled)):
-            denom = np.trapezoid(np.abs(resampled[i]), ys)
             disc = np.trapezoid(np.abs(resampled[i] - resampled[j]), ys) / denom
             worst = max(worst, float(disc))
     return worst
 
 
-@dataclass(frozen=True)
-class SubordinatorDensity:
-    """Quadrature for the one-sided stable density at power one half,
+def subordinator_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature (nodes, weights) for the one-sided stable density at
+    power one half,
 
-        f(s) = (1/(2 sqrt(pi))) s^{-3/2} exp(-1/(4 s)).
+        f(s) = (1/(2 sqrt(pi))) s^{-3/2} exp(-1/(4 s)),
 
-    Nodes and weights realize integral f(s) F(s) ds ~ sum w_j F(s_j);
-    the substitution u = 1/(2 sqrt(s)) turns the heavy tail into a
-    Gaussian integral, so Gauss-Legendre in u converges fast.
+    so that integral f(s) F(s) ds ~ sum w_j F(s_j).  The substitution
+    u = 1/(2 sqrt(s)) turns the heavy tail into a Gaussian integral, so
+    200 Gauss-Legendre nodes on u in [0, 8] converge fast.
     """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    @classmethod
-    def build(cls) -> "SubordinatorDensity":
-        """200 Gauss-Legendre nodes on u in [0, 8]."""
-        x, w = leggauss(200)
-        u = 4.0 * (x + 1.0)
-        wu = 4.0 * w
-        nodes = 0.25 / u**2
-        weights = 2.0 / math.sqrt(math.pi) * np.exp(-(u**2)) * wu
-        total = float(weights.sum())
-        if abs(total - 1.0) > 1e-6:
-            raise ValueError(f"truncated density mass {total} off unity by more than 1e-6")
-        nodes.setflags(write=False)
-        weights.setflags(write=False)
-        return cls(nodes, weights)
+    x, w = leggauss(200)
+    u = 4.0 * (x + 1.0)
+    nodes = 0.25 / u**2
+    weights = 2.0 / math.sqrt(math.pi) * np.exp(-(u**2)) * (4.0 * w)
+    total = float(weights.sum())
+    if abs(total - 1.0) > 1e-6:
+        raise ValueError(f"truncated density mass {total} off unity by more than 1e-6")
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def subordination_apply(u0: GridFunction, t: float, symbol: SymbolSpec) -> GridFunction:
@@ -337,19 +301,18 @@ def subordination_apply(u0: GridFunction, t: float, symbol: SymbolSpec) -> GridF
 
         S_{1/2}(t) u0 = integral f(s) S_1(s t^2) u0 ds,
 
-    on the nodes of SubordinatorDensity.build(), summed only where
+    on the nodes of subordinator_rule(), summed only where
     min(s) t^2 Re a <= 746: elsewhere every term is 0.
     """
     if t <= 0.0:
         raise ValueError("subordination needs t > 0")
     symbol.require_agreement(u0)
-    density = SubordinatorDensity.build()
+    nodes, weights = subordinator_rule()
 
     def multiplier(a):
-        live = density.nodes.min() * t * t * np.real(a) <= 746.0
+        live = nodes.min() * t * t * np.real(a) <= 746.0
         mult = np.zeros_like(a)
-        mult[live] = sum(w * np.exp(-s * t * t * a[live])
-                         for s, w in zip(density.nodes, density.weights))
+        mult[live] = sum(w * np.exp(-s * t * t * a[live]) for s, w in zip(nodes, weights))
         yield mult
 
     [values] = _apply_multiplier(u0.values, symbol.table, multiplier)

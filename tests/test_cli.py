@@ -270,6 +270,32 @@ def test_cli_check_filter(tmp_path):
     assert [c["name"] for c in report["checks"]] == ["tangent"]
 
 
+def test_cli_check_not_in_the_config_is_a_config_error(tmp_path, capsys):
+    """--check names each entry the config (or the group) does not list,
+    exit 2 before any check runs and with no report written."""
+    cfg = write_cfg(tmp_path, {**TINY, "checks": [{"name": "tangent"}]})
+    out = tmp_path / "out"
+    for argv, named in (
+            (["run", "--check", "regions", "--check", "tangent", "--check", "not_a_check"],
+             "['regions', 'not_a_check'] not listed by the config"),
+            (["kernel", "--check", "tangent"], "['tangent'] not listed by the kernel group")):
+        assert main(argv + ["--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert named in err and "[PASS]" not in err and "[FAIL]" not in err
+        assert not out.exists()
+
+
+def test_cli_run_with_no_checks_is_a_config_error(tmp_path, capsys):
+    """A config that lists no checks gives a zero-record run: refused,
+    exit 2, with no report written."""
+    out = tmp_path / "out"
+    code = main(["run", "--config", write_cfg(tmp_path, {**TINY, "checks": []}),
+                 "--out", str(out)])
+    assert code == 2
+    assert "no check to run" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_config_error_exit_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({**TINY, "bogus": 1}))
@@ -665,6 +691,18 @@ def test_every_tracer_target_resolves():
         if not callable(owner):
             missing.append(f"{modname}.{attr}")
     assert tracer.TARGETS and missing == []
+
+
+def test_every_all_entry_is_defined():
+    """Every name in the __all__ of morreylab and of each of its modules is
+    defined there, so a stale entry fails here, not only a star import."""
+    import importlib
+
+    # the glob skips __init__ (the package itself) and __main__, which runs the CLI
+    modules = [morreylab] + [importlib.import_module(f"morreylab.{path.stem}")
+                             for path in sorted(Path(morreylab.__file__).parent.glob("[!_]*.py"))]
+    missing = [f"{m.__name__}.{x}" for m in modules for x in m.__all__ if not hasattr(m, x)]
+    assert len(modules) > 1 and missing == []
 
 
 def test_every_public_name_has_a_src_caller():

@@ -875,6 +875,26 @@ def test_uniform_history_at_large_n_in_bounded_memory():
     assert peak < 40e6
 
 
+def test_march_byte_guard_counts_coefficients_and_states(monkeypatch):
+    """The limit covers the stored coefficients (J x F complex) and the K
+    real states (K x n float64) together: one byte under their sum refuses
+    the march before it allocates, and their sum lets it run."""
+    n, K = 64, 16
+    a_mu = laplacian_power_symbol(1, n, L, 1).power(1.0)
+    times = time_grid(SolverConfig(horizon=0.25, nodes=K, grading=1.0))
+    coefficients, states = (K + 1) * (n // 2 + 1) * 16, K * n * 8
+
+    def march():
+        return _march(np.ones(n), [np.ones(n)], [0.0], 0.0, times,
+                      _fourier_basis(a_mu, real=True))
+
+    monkeypatch.setattr("morreylab.duhamel._HISTORY_MAX_BYTES", coefficients + states - 1)
+    with pytest.raises(ValueError, match=f"needs {coefficients + states} bytes"):
+        march()
+    monkeypatch.setattr("morreylab.duhamel._HISTORY_MAX_BYTES", coefficients + states)
+    assert len(march()) == K
+
+
 @pytest.mark.parametrize("N_dim,n,p", [(1, 128, 2.0), (1, 128, math.inf),
                                        (2, 32, 1.5), (2, 32, math.inf)])
 def test_stacked_scan_matches_per_state_norms(N_dim, n, p):
@@ -1100,15 +1120,15 @@ def test_first_stage_rejects_complex_tables(sym):
 
 def test_history_operator_bytes_guarded_before_allocation():
     """At 2^20 frequencies and 256 nodes the march's coefficients would take
-    I J F 16 = 4 GiB: graded and uniform grids alike refuse before
-    allocating anything of that size."""
-    zero = np.zeros(2**20)
+    I J F 16 = 4 GiB and its complex states K n 16 = 4 GiB more: graded and
+    uniform grids alike refuse before allocating anything of that size."""
+    zero = np.zeros(2**20, complex)
     basis = _fourier_basis(np.ones(2**20), real=False)
     for grading, d_gamma, J in ((2.0, 0.1, 256), (1.0, 0.0, 257)):
         times = time_grid(SolverConfig(horizon=0.25, nodes=256, grading=grading))
 
         def refused():
-            with pytest.raises(ValueError, match=f"needs {J * 2**20 * 16} bytes"):
+            with pytest.raises(ValueError, match=f"needs {(J + 256) * 2**20 * 16} bytes"):
                 _march(zero, [zero], [0.25], d_gamma, times, basis)
 
         assert peak_bytes(refused) < 2**20 * 256
