@@ -205,8 +205,10 @@ def _collapse_tolerance(m: int, tol: float | None) -> float:
 def check_selfsimilar_collapse(ctx: CheckContext, m: int = 1,
                                tol: float | None = None) -> CheckRecord:
     tol = _collapse_tolerance(m, tol)
-    ts = (0.01, 0.04)
     sym = ctx.symbol(m=m)
+    # the linear resampling needs the kernel scale clear of 8h, not 4h
+    t0 = _resolved_t(0.01, 2.0 * sym.h, m, [1.0])
+    ts = (t0, 4.0 * t0)
     resid = selfsimilar_collapse(ts, 1.0, sym)
     return _record(record_name("selfsimilar_collapse", {"m": m}), resid <= tol,
                    residual=resid, ts=list(ts), tol=tol)

@@ -18,6 +18,14 @@ time, the eigenbasis H = Q Lambda Q^T of the first one's symmetric
 discrete generator (r = -lambda), which reaches every lag exactly.  Either
 way the coefficients of u0 and of each V_i u_j go from node to node by one
 factor e^{-(t_k - t_{k-1}) r} (Hochbruck & Ostermann, Acta Numerica 2010).
+Only the coefficients of the last ceil(sqrt(K)) nodes take that factor
+in place at every node.  Older ones keep their value at a checkpoint
+time tau: their weighted sum takes the product of the factors since tau,
+and they take it in place once per checkpoint.  So the decays cost
+O(K^{3/2} F) multiplies per solve, and each node's history is two real
+matrix-vector products, over the recent and over the older nodes (old
+history terms are not touched at every step, as in the fast convolution
+of Schaedle, Lopez-Fernandez & Lubich, SIAM J. Sci. Comput. 28, 2006).
 
 The paper builds the solution as the fixed point of a map contracting
 in the weighted norm sup_t e^{-theta t} t^{d(alpha, gamma)} ||.||_alpha;
@@ -168,6 +176,8 @@ def _weights(d_list, d_gamma: float, times):
     """Product weights W[i, k, j] of node k over the convolution nodes s_j,
     and those nodes, both read-only and shared by every solve on the same
     exponents and time grid (continuous_dependence's five solves share one).
+    W is a view of a node-major (K, J, I) table, the layout of the march's
+    stored coefficients.
 
     Data bounded at s = 0 (d_gamma = 0) get a node there carrying V_i u0,
     which restores second order at the initial layer.
@@ -179,9 +189,9 @@ def _weights(d_list, d_gamma: float, times):
 def _weight_table(d_list, d_gamma: float, times_bytes: bytes):
     times = np.frombuffer(times_bytes)
     conv = np.concatenate([[0.0], times]) if d_gamma == 0.0 else times
-    W = np.stack([product_weights(conv, a, d_gamma) for a in d_list])
+    W = np.stack([product_weights(conv, a, d_gamma) for a in d_list], axis=-1)
     W.flags.writeable = conv.flags.writeable = False
-    return W, conv
+    return W.transpose(2, 0, 1), conv
 
 
 def _march(u0, tables, d_list, d_gamma: float, times, basis):
@@ -191,9 +201,15 @@ def _march(u0, tables, d_list, d_gamma: float, times, basis):
     `basis` is (rates, forward, inverse): `forward` maps (m, ...) stacked
     states to (m, F) coefficients, `inverse` maps them back, and the base
     propagator over tau multiplies coefficient f by e^{-tau rates[f]}.
-    The coefficients of u0 (the base) and of every V_i u_j, stored as they
-    are made, are decayed in place by e^{-(t_k - t_{k-1}) rates} at each
-    node, so node k's history over s_j < t_k is one weighted sum of them.
+    The coefficients of u0 (the base) and of every V_i u_j are stored as
+    they are made, node-major, so the nodes before s_j form one (j I, F)
+    block.  The ones stored since the last checkpoint tau are decayed in
+    place by e^{-(t_k - t_{k-1}) rates} at each node; the older ones keep
+    their value at tau and take the running product E = e^{-(t_k - tau)
+    rates} only through their weighted sum.  Every B = ceil(sqrt(K)) nodes
+    E is folded into the old block and tau moves to t_k, so decaying costs
+    O(K^{3/2} F) per solve and node k's history is two real matrix-vector
+    products (complex rows read as interleaved reals: W is real).
     P(0) = I makes node k's own term pointwise, so u_k = inverse(base_k +
     history_k) / (1 - sum_i W_i[k, k'] V_i).  The bytes are checked first;
     a divisor that is not finite or has real part <= 0, or a state that is
@@ -201,22 +217,25 @@ def _march(u0, tables, d_list, d_gamma: float, times, basis):
     """
     rates, forward, inverse = basis
     K, F = times.size, rates.size
-    J = K + (d_gamma == 0.0)
+    I, J = len(d_list), K + (d_gamma == 0.0)
     # the coefficients, then the K states: complex when the data or the rates
     # are, as only then do the callers take the complex transforms
-    need = len(d_list) * J * F * 16 + K * u0.size * np.result_type(u0, *tables, rates).itemsize
+    need = I * J * F * 16 + K * u0.size * np.result_type(u0, *tables, rates).itemsize
     if need > _HISTORY_MAX_BYTES:
         raise ValueError(f"the march over {K} nodes needs {need} bytes, "
                          f"above the {_HISTORY_MAX_BYTES}-byte limit")
-    W, conv = _weights(d_list, d_gamma, times)
+    W, _ = _weights(d_list, d_gamma, times)
+    Wn = W.transpose(1, 2, 0).reshape(K, J * I)  # Wn[k, j I + i] = W_i[k, j], no copy
     off = J - K
     tables = np.stack(tables)
     X = forward(tables * u0)  # the s = 0 node's data, and the coefficients' type
-    coef = np.empty((X.shape[0], J, F), X.dtype)
-    coef[:, :off] = X[:, None]
+    coef = np.empty((J, I, F), X.dtype)
+    coef[:off] = X
+    rows = coef.reshape(J * I, F).view(float)  # complex rows as interleaved reals
     base = forward(u0[None])[0].astype(X.dtype)
     divisors = 1.0 - np.tensordot(np.diagonal(W, off, 1, 2).T, tables, 1)
     positive = (np.isfinite(divisors) & (divisors.real > 0.0)).reshape(K, -1).all(axis=1)
+    B, ref, E = math.isqrt(K - 1) + 1, 0, np.ones_like(rates)
     states = []
     for k, step in enumerate(np.diff(times, prepend=0.0)):
         j = k + off
@@ -225,13 +244,18 @@ def _march(u0, tables, d_list, d_gamma: float, times, basis):
                                f"is not positive there")
         decay = np.exp(-step * rates)
         base *= decay
-        coef[:, :j] *= decay
-        history = (W[:, k, :j, None] * coef[:, :j]).sum((0, 1))
+        E *= decay
+        coef[ref:j] *= decay
+        w, a, b = Wn[k], ref * I, j * I
+        history = (w[a:b] @ rows[a:b]).view(X.dtype) + E * (w[:a] @ rows[:a]).view(X.dtype)
         u = inverse((base + history)[None])[0] / divisors[k]
         if not np.isfinite(u).all():
             raise RuntimeError(f"blow-up at t = {times[k]:.6g}: the state is not finite")
         states.append(u)
-        coef[:, j] = forward(tables * u)
+        coef[j] = forward(tables * u)
+        if j + 1 - ref >= B:  # checkpoint: every stored node now at t_k
+            coef[:ref] *= E
+            ref, E = j + 1, np.ones_like(rates)
     return states
 
 

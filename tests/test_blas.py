@@ -21,7 +21,8 @@ def _seed0_hash(tmp_path, threads: str) -> str:
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-m", "morreylab", "run", "--check", "iterated",
-                           "--check", "omega_power", "--seed", "0", "--out", str(out)],
+                           "--check", "omega_power", "--check", "pseudoresolvent_constant",
+                           "--seed", "0", "--out", str(out)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return report_hash(json.loads((out / "report.json").read_text()))
@@ -29,8 +30,10 @@ def _seed0_hash(tmp_path, threads: str) -> str:
 
 def test_report_hash_does_not_follow_the_blas_thread_count(tmp_path):
     """The checks run on one BLAS thread whatever OpenBLAS starts with, so
-    the eigendecomposition behind `iterated` and the least-squares fits give
-    the same digits, and the same hash, under one thread and under two."""
+    the eigendecomposition behind `iterated`, the least-squares fits and
+    the march's per-node matrix-vector products (the longest, K = 256 at
+    T = 3.2, in `pseudoresolvent_constant`) give the same digits, and the
+    same hash, under one thread and under two."""
     assert _seed0_hash(tmp_path, "1") == _seed0_hash(tmp_path, "2")
 
 

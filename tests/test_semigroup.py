@@ -314,6 +314,19 @@ def test_closed_form_kernel_checks_in_2d():
         check_kernel_poisson(ctx)
 
 
+@pytest.mark.parametrize("dims,n,m", [((2, 1, 1.0), 256, 1), ((1, 1, 1.0), 512, 1),
+                                      ((1, 1, 1.0), 256, 2)])
+def test_collapse_times_resolved_on_coarse_grids(dims, n, m):
+    """On coarse grids the collapse lifts its first time until the kernel
+    scale clears 8h, and passes within its pinned tolerance (3.8e-4 at
+    m = 1, 1.4e-3 at m = 2 measured); the kernels' own 4h lift leaves
+    1.5e-3 at m = 1, above 1e-3.  Where 8h is resolved at t = 0.01, as at
+    the default n = 4096, the times stay (0.01, 0.04) (test_acceptance)."""
+    rec = check_selfsimilar_collapse(CheckContext(ProblemDims(*dims), n, 8.0), m=m)
+    t0, t1 = rec.details["ts"]
+    assert rec.passed and t0 > 0.01 and t1 == 4.0 * t0
+
+
 def test_gaussian_decay_envelope(sym2m):
     """Fitted c > 0 with |K(y)| <= exp(-c |y|^{2m/(2m-1)}) on the resolved range."""
     t, m = 0.04, 2
