@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from . import blas, verify
+from . import blas, heap, verify
 from .duhamel import (
     SolverConfig,
     Trajectory,
@@ -671,10 +671,12 @@ def _guarded(ctx: CheckContext, name: str, fn, params) -> CheckRecord:
 
 
 def run_checks(ctx: CheckContext, entries):
-    """Execute configured checks in order, one at a time, on one BLAS thread
-    (`blas.one_thread`), so no host's core count moves a digit; `entries`
-    are (name, params) pairs.  A check that raises yields a FAIL record and
-    the others still run.
+    """Execute configured checks in order, one at a time, under two process
+    settings: one BLAS thread (`blas.one_thread`), so no host's core count
+    moves a digit, and a heap that keeps freed grid-sized arrays for reuse
+    (`heap.keep_freed_pages`), so a transform does not fault in the pages
+    the last one freed.  `entries` are (name, params) pairs.  A check that
+    raises yields a FAIL record and the others still run.
     """
     tasks = []
     for name, params in entries:
@@ -682,5 +684,6 @@ def run_checks(ctx: CheckContext, entries):
         if fn is None:
             raise KeyError(f"unknown check {name!r}")
         tasks.append((name, fn, params))
+    heap.keep_freed_pages()
     with blas.one_thread():
         return [_guarded(ctx, *task) for task in tasks]

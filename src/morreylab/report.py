@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from . import blas
+from . import blas, heap
 
 __all__ = ["build_report", "report_to_json", "report_from_json", "write_csv", "report_hash"]
 
@@ -41,6 +41,7 @@ def environment_fingerprint() -> dict:
         "numpy": np.__version__,
         "platform": platform.platform(),
         "blas_threads": blas.status(),
+        "heap": heap.status(),
     }
 
 
