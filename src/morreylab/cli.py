@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import itertools
 import math
+import operator
 import os
 import sys
 
@@ -103,10 +104,10 @@ def _bad_exponents(rows, counts, dims) -> dict:
     return errors
 
 
-def _answer_block(lines, dims) -> str:
-    """Answers to query lines 'p ell p0 ell0 [p1 ell1]', one line each:
-    'IN admissible', 'OUT reason', or 'ERR message' for a line that
-    cannot be answered."""
+def _replay(lines):
+    """A block parsed line by line: rows, counts and places of the lines
+    that parse, and answers with 'ERR message' at the rest.  A line is
+    converted whole before it is kept; a float error outranks a count."""
     answers, rows, counts, at = [None] * len(lines), [], [], []
     for i, line in enumerate(lines):
         try:
@@ -120,16 +121,37 @@ def _answer_block(lines, dims) -> str:
         counts.append(len(fields))
         rows.append(fields + [math.nan] * (6 - len(fields)))
         at.append(i)
-    rows, counts = np.array(rows).reshape(-1, 6), np.array(counts, dtype=int)
+    return np.array(rows).reshape(-1, 6), np.array(counts, dtype=int), at, answers
+
+
+def _answer_block(lines, dims) -> str:
+    """Answers to query lines 'p ell p0 ell0 [p1 ell1]', one line each:
+    'IN admissible', 'OUT reason', or 'ERR message' for a line that
+    cannot be answered.  The block is parsed in C-level passes (float()
+    on each token) into nan-padded rows; a block with a token float()
+    refuses or a line of other than 4 or 6 fields goes to _replay."""
+    fields = list(map(str.split, lines))
+    counts = np.fromiter(map(len, fields), int, len(fields))
+    try:
+        values = np.fromiter(map(float, itertools.chain.from_iterable(fields)), float)
+    except ValueError:
+        values = None
+    if values is None or not ((counts == 4) | (counts == 6)).all():
+        rows, counts, at, answers = _replay(lines)
+    else:
+        rows = np.full((len(lines), 6), math.nan)
+        rows[np.arange(6) < counts[:, None]] = values
+        at, answers = range(len(lines)), [None] * len(lines)
     errors = _bad_exponents(rows, counts, dims)
-    keep = [k for k in range(len(at)) if k not in errors]
+    keep = np.delete(np.arange(len(rows)), list(errors))
     q = rows[keep]
     reasons = region_report(to_index(MorreyParams(q[:, 0], q[:, 1]), dims), q[:, 2:], dims)
-    for k, reason in zip(keep, reasons):
-        answers[at[k]] = "IN admissible" if reason is None else f"OUT {reason}"
-    for k, err in errors.items():
-        answers[at[k]] = err
-    return "".join(a + "\n" for a in answers)
+    verdicts = ["IN admissible" if r is None else f"OUT {r}" for r in reasons]
+    if len(verdicts) < len(lines):
+        for k, answer in (errors | dict(zip(keep.tolist(), verdicts))).items():
+            answers[at[k]] = answer
+        verdicts = answers
+    return "\n".join(verdicts) + "\n"
 
 
 def _regions_protocol(args, cfg: ExperimentConfig) -> int:
@@ -138,8 +160,8 @@ def _regions_protocol(args, cfg: ExperimentConfig) -> int:
     'ERR message' and the stream goes on."""
     stream = open(args.queries) if args.queries != "-" else sys.stdin
     try:
-        queries = (line for line in map(str.strip, stream)
-                   if line and not line.startswith("#"))
+        queries = itertools.filterfalse(operator.methodcaller("startswith", "#"),
+                                        filter(None, map(str.strip, stream)))
         while block := list(itertools.islice(queries, BLOCK)):
             sys.stdout.write(_answer_block(block, cfg.dims))
     finally:

@@ -462,6 +462,56 @@ def test_cli_regions_protocol_answers_across_blocks(tmp_path, monkeypatch, capsy
     assert answers[0].count("\n") == 19 * 7
 
 
+def test_cli_regions_protocol_replays_a_bad_block_line_by_line(tmp_path, monkeypatch, capsys):
+    """Lines whose bad token is not the first, among clean 4- and 6-field
+    lines of one block: each answer is the one its line gets alone, and
+    each ERR names its token as float() does."""
+    from morreylab import cli
+
+    lines = ["2 0.5 2 1", "2 0.5 foo 1", "1.5 0.5 2 1 1 0.9", "2 0.5 2 1 x 0.5",
+             "2 0.9 1.5 0.6", "1 2 3 4 # note", "2 0.5 2 1 1 0.9", "2 1.5 2 1",
+             "2 0.5 2 1 1 0.4", "2 0.5 2 1"]
+    queries = tmp_path / "q.txt"
+    queries.write_text("\n".join(lines) + "\n")
+    answers = []
+    for block in (cli.BLOCK, 1):
+        monkeypatch.setattr(cli, "BLOCK", block)
+        assert main(["regions", "--queries", str(queries)]) == 0
+        answers.append(capsys.readouterr().out.splitlines())
+    assert answers[0] == answers[1]
+    for at, token in ((1, "foo"), (3, "x"), (5, "#")):
+        with pytest.raises(ValueError) as exc:
+            float(token)
+        assert answers[0][at] == f"ERR {exc.value}"
+    assert [a.split(" ", 1)[0] for a in answers[0]] == [
+        "IN", "ERR", "IN", "ERR", "OUT", "ERR", "IN", "ERR", "OUT", "IN"]
+
+
+def test_cli_regions_protocol_array_parse_reads_what_float_reads(monkeypatch, capsys):
+    """Tabs, runs of spaces, CRLF line ends and the spellings 1_0, .5,
+    +1e0 and -INF are answered on the array parse, with no replay, as
+    the same lines written in single-space canonical form."""
+    import io
+
+    from morreylab import cli
+
+    lines = ["2\t0.5\t2\t1", "2   0.5  2     1 \t", "1_0 0.5 2 1", "2 .5 2 1",
+             "+1e0 0.5 2 1 1.5 .5", "2 0.5 2 -INF", "\t1.5  0.5 +1e0 .5 2 1"]
+    canonical = [" ".join(repr(float(t)) for t in line.split()) for line in lines]
+    monkeypatch.setattr(cli, "_replay", _no_replay)
+    answers = []
+    for text in ("\r\n".join(lines) + "\r\n", "\n".join(canonical) + "\n"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        assert main(["regions", "--queries", "-"]) == 0
+        answers.append(capsys.readouterr().out)
+    assert answers[0] == answers[1]
+    assert answers[0].count("\n") == len(lines) and "ERR ell must be positive" in answers[0]
+
+
+def _no_replay(lines):
+    raise AssertionError(f"a block of {len(lines)} lines was replayed line by line")
+
+
 def test_cli_regions_protocol_rejects_unread_flags(tmp_path, capsys):
     """--out and --check do nothing in the protocol, so they are config
     errors there; --seed is accepted."""
@@ -622,6 +672,45 @@ def test_cli_regions_protocol_golden(tmp_path, capsys):
         pairs = zip(fresh.splitlines(), golden.splitlines())
         first = next((i for i, (a, b) in enumerate(pairs, 1) if a != b), None)
         pytest.fail(f"protocol output differs from the golden file (first at line {first})")
+
+
+def test_cli_regions_protocol_clean_blocks_skip_the_replay(tmp_path, monkeypatch, capsys):
+    """Clean traffic never pays the line-by-line replay: more than BLOCK
+    clean query lines are answered with the replay raising."""
+    from morreylab import cli
+
+    dims = PROTOCOL_DIMS[1]
+    lines = [line for line in _protocol_stream(11, dims, cli.BLOCK + 200) if line != "1 2 3"]
+    queries = tmp_path / "q.txt"
+    queries.write_text("\n".join(lines) + "\n")
+    cfg = write_cfg(tmp_path, {"version": 1, "dims": dims})
+    monkeypatch.setattr(cli, "_replay", _no_replay)
+    assert main(["regions", "--config", cfg, "--queries", str(queries)]) == 0
+    answers = capsys.readouterr().out.splitlines()
+    assert len(answers) == len(lines) - 2 > cli.BLOCK
+    assert {a.split(" ", 1)[0] for a in answers} == {"IN", "OUT"}
+
+
+@pytest.mark.parametrize("bad", ["2 0.5 2", "2 0.5 2 1 1 x"])
+def test_cli_regions_protocol_bad_line_reaches_the_replay(tmp_path, monkeypatch, capsys, bad):
+    """A block holding one malformed line, by field count or by token, is
+    the one that is replayed."""
+    from morreylab import cli
+
+    replayed = []
+
+    def spy(lines):
+        replayed.append(list(lines))
+        return replay(lines)
+
+    replay = cli._replay
+    monkeypatch.setattr(cli, "_replay", spy)
+    lines = ["2 0.5 2 1", "2 0.5 2 1 1 0.9", bad, "2 0.9 1.5 0.6"]
+    queries = tmp_path / "q.txt"
+    queries.write_text("\n".join(lines) + "\n")
+    assert main(["regions", "--queries", str(queries)]) == 0
+    assert capsys.readouterr().out.splitlines()[2].startswith("ERR ")
+    assert replayed == [lines]
 
 
 # -- surface hygiene ------------------------------------------------------------------
