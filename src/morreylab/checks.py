@@ -43,7 +43,7 @@ from .indices import (
     smoothing_distance,
     to_index,
 )
-from .norms import RadiusLadder, _scan, morrey_norm
+from .norms import RadiusLadder, _scan, holder_product_check, morrey_norm, uniform_norm
 from .potentials import constant_potential, power_law_potential
 from .semigroup import (
     apply_semigroup,
@@ -291,8 +291,6 @@ def check_smoothing_morrey(ctx: CheckContext) -> CheckRecord:
 def check_norm_fixtures(ctx: CheckContext) -> CheckRecord:
     """Morrey estimator against the analytic value of a homogeneous fixture,
     plus the product inequality and the uniform-space embedding."""
-    from morreylab.norms import holder_product_check, uniform_norm
-
     tol = 0.10
     pl = power_law(1, min(ctx.n, 4096), 1.0, beta=0.5)
     val = morrey_norm(pl, 1.0, 0.5)
@@ -350,9 +348,9 @@ def check_constant_potential(ctx: CheckContext) -> CheckRecord:
     """Solve with a constant potential against e^{c t} times the base flow."""
     tol = 1e-7
     traj = _const_traj(ctx)
-    base = apply_semigroup(traj.u0, traj.times, traj.dims.mu, traj.symbol)
-    worst = max(float(np.max(np.abs(state.values - (math.exp(_CONST_C * t) * free).values)))
-                for t, state, free in zip(traj.times, traj.states, base))
+    base = picard_solve(traj.u0, (), traj.config, traj.gamma, traj.dims, traj.symbol).values
+    scaled = [math.exp(_CONST_C * t) * free for t, free in zip(traj.times, base)]
+    worst = float(np.max(np.abs(traj.values - scaled)))
     return _record("constant_potential", worst <= tol, sup_error=worst, tol=tol)
 
 
@@ -386,9 +384,9 @@ def check_contraction(ctx: CheckContext) -> CheckRecord:
             max(V.measured_norm(u0.N, u0.n, u0.L) for V in traj.potentials),
             [V.potential_class(traj.dims).kappa for V in traj.potentials],
             smoothing_distance(traj.alpha, traj.gamma), traj.config.horizon)
-        u = _stack(traj.states)
-        base = _stack(apply_semigroup(u0, traj.times, traj.dims.mu, traj.symbol))
-        ratio = _weighted_norm(traj, u - base, theta) / _weighted_norm(traj, u, theta)
+        base = picard_solve(u0, (), traj.config, traj.gamma, traj.dims, traj.symbol).values
+        gap = _weighted_norm(traj, traj.values - base, theta)
+        ratio = gap / _weighted_norm(traj, traj.values, theta)
         details[name] = {"ratio": ratio, "bound": bound, "theta": theta}
         ok = ok and ratio <= bound
     return _record("contraction", ok, fixtures=details)
@@ -403,11 +401,6 @@ def _half_node_count(K: int) -> None:
                          f"needs an even node count of at least {_HALF_NODE_MIN}, got {K}")
 
 
-def _stack(states) -> np.ndarray:
-    """A sequence of grid functions as one (K, n, ...) stack of their values."""
-    return np.stack([s.values for s in states])
-
-
 def _half_node_gap(traj: Trajectory, solve, norm) -> float:
     """Discretisation error estimate of a trajectory: max_j ||u_{2j+1} - v_j||
     against v, the same problem re-solved by `solve` on K/2 nodes, whose
@@ -418,7 +411,7 @@ def _half_node_gap(traj: Trajectory, solve, norm) -> float:
     _half_node_count(K)
     coarse = solve(traj.u0, traj.potentials, replace(traj.config, nodes=K // 2),
                    traj.gamma, traj.dims, traj.symbol)
-    return float(np.max(norm(traj, _stack(traj.states[1::2]) - _stack(coarse.states))))
+    return float(np.max(norm(traj, traj.values[1::2] - coarse.values)))
 
 
 def check_semigroup_property(ctx: CheckContext) -> CheckRecord:
@@ -428,8 +421,8 @@ def check_semigroup_property(ctx: CheckContext) -> CheckRecord:
     err = _half_node_gap(traj, picard_solve, _node_norms)
     t1, t2 = 0.125, 0.125
     comp = picard_solve(evaluate(traj, t2), traj.potentials, replace(traj.config, horizon=t1),
-                        traj.alpha, traj.dims, traj.symbol).states[-1]
-    disc = float(np.max(np.abs(evaluate(traj, t1 + t2).values - comp.values)))
+                        traj.alpha, traj.dims, traj.symbol).values[-1]
+    disc = float(np.max(np.abs(evaluate(traj, t1 + t2).values - comp)))
     tol = 10.0 * err
     return _record("semigroup_property", disc <= tol, discrepancy=disc, tol=tol)
 
@@ -466,8 +459,7 @@ def check_iterated(ctx: CheckContext, n: int = 256, nodes: int = 64) -> CheckRec
     seq_err = _half_node_gap(seq01, lambda *args: sequential_solve(*args, first_stage=stages[0]),
                              lambda _, stack: np.abs(stack))
     tol = 10.0 * (joint_err + seq_err)
-    u01 = _stack(seq01.states)
-    d_orders, d_joint = (float(np.max(np.abs(u01 - _stack(t.states)))) for t in (seq10, joint))
+    d_orders, d_joint = (float(np.max(np.abs(seq01.values - t.values))) for t in (seq10, joint))
     gaps, bounds = zip(*(_first_stage_gap(V, lam, sym, dims.mu)
                          for V, (lam, _) in zip((V0, V1), stages)))
     ok = d_orders <= tol and d_joint <= tol and all(g <= b for g, b in zip(gaps, bounds))

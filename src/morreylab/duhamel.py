@@ -213,14 +213,16 @@ def _march(u0, tables, d_list, d_gamma: float, times, basis):
     P(0) = I makes node k's own term pointwise, so u_k = inverse(base_k +
     history_k) / (1 - sum_i W_i[k, k'] V_i).  The bytes are checked first;
     a divisor that is not finite or has real part <= 0, or a state that is
-    not finite, raises a blow-up naming t_k.  Returns the K states' list.
+    not finite, raises a blow-up naming t_k.  Returns the states as one
+    read-only (K, n, ..., n) array.
     """
     rates, forward, inverse = basis
     K, F = times.size, rates.size
     I, J = len(d_list), K + (d_gamma == 0.0)
     # the coefficients, then the K states: complex when the data or the rates
     # are, as only then do the callers take the complex transforms
-    need = I * J * F * 16 + K * u0.size * np.result_type(u0, *tables, rates).itemsize
+    dtype = np.result_type(u0, *tables, rates)
+    need = I * J * F * 16 + K * u0.size * dtype.itemsize
     if need > _HISTORY_MAX_BYTES:
         raise ValueError(f"the march over {K} nodes needs {need} bytes, "
                          f"above the {_HISTORY_MAX_BYTES}-byte limit")
@@ -236,7 +238,7 @@ def _march(u0, tables, d_list, d_gamma: float, times, basis):
     divisors = 1.0 - np.tensordot(np.diagonal(W, off, 1, 2).T, tables, 1)
     positive = (np.isfinite(divisors) & (divisors.real > 0.0)).reshape(K, -1).all(axis=1)
     B, ref, E = math.isqrt(K - 1) + 1, 0, np.ones_like(rates)
-    states = []
+    states = np.empty((K,) + u0.shape, dtype)
     for k, step in enumerate(np.diff(times, prepend=0.0)):
         j = k + off
         if not positive[k]:
@@ -251,11 +253,12 @@ def _march(u0, tables, d_list, d_gamma: float, times, basis):
         u = inverse((base + history)[None])[0] / divisors[k]
         if not np.isfinite(u).all():
             raise RuntimeError(f"blow-up at t = {times[k]:.6g}: the state is not finite")
-        states.append(u)
+        states[k] = u
         coef[j] = forward(tables * u)
         if j + 1 - ref >= B:  # checkpoint: every stored node now at t_k
             coef[:ref] *= E
             ref, E = j + 1, np.ones_like(rates)
+    states.flags.writeable = False
     return states
 
 
@@ -264,10 +267,11 @@ def _march(u0, tables, d_list, d_gamma: float, times, basis):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time-indexed approximation of the perturbed evolution of one datum.
+    """Time-indexed approximation of the perturbed evolution of one datum:
+    values is the read-only (K, n, ..., n) array of its states, row k at times[k].
     Each fact is stored once: the node times are time_grid(config), mu is dims.mu."""
 
-    states: tuple
+    values: np.ndarray
     gamma: ScaleIndex
     alpha: ScaleIndex
     config: SolverConfig
@@ -282,6 +286,9 @@ class Trajectory:
     @functools.cached_property
     def times(self) -> np.ndarray:
         return time_grid(self.config)
+
+    def state(self, k: int) -> GridFunction:
+        return GridFunction(self.u0.N, self.u0.n, self.u0.L, self.values[k])
 
     def node_near(self, t: float) -> int | None:
         j = int(np.argmin(np.abs(self.times - t)))
@@ -314,10 +321,10 @@ def picard_solve(u0: GridFunction, potentials, cfg: SolverConfig, gamma: ScaleIn
         real = all(np.isrealobj(x) for x in [u0.values, symbol.table, *tables])
         values = _march(u0.values, tables, d_list, d_gamma, times,
                         _fourier_basis(symbol.table, real, dims.mu))
-        states = [GridFunction(u0.N, u0.n, u0.L, v) for v in values]
     else:
-        states = apply_semigroup(u0, times, dims.mu, symbol)
-    return Trajectory(tuple(states), gamma, alpha, cfg, potentials, dims, symbol, u0)
+        values = np.stack([s.values for s in apply_semigroup(u0, times, dims.mu, symbol)])
+        values.flags.writeable = False
+    return Trajectory(values, gamma, alpha, cfg, potentials, dims, symbol, u0)
 
 
 # -- sequential (iterated) perturbations --------------------------------------
@@ -443,8 +450,7 @@ def sequential_solve(u0: GridFunction, order, cfg: SolverConfig, gamma: ScaleInd
     times = time_grid(cfg)
     values = _march(u0.values, [V2.on_grid(u0.N, u0.n, u0.L).values], d_list[1:],
                     d_gamma, times, (-lam, lambda x: x @ Q, lambda y: y @ Q.T))
-    states = tuple(GridFunction(u0.N, u0.n, u0.L, v) for v in values)
-    return Trajectory(states, gamma, alpha, cfg, order, dims, symbol, u0)
+    return Trajectory(values, gamma, alpha, cfg, order, dims, symbol, u0)
 
 
 def evaluate(traj: Trajectory, t: float) -> GridFunction:
@@ -459,13 +465,13 @@ def evaluate(traj: Trajectory, t: float) -> GridFunction:
         raise ValueError(f"evaluate needs 0 < t <= horizon {T:g}, got t = {t:g}")
     k = traj.node_near(t)
     if k is not None:
-        return traj.states[k]
+        return traj.state(k)
     below = np.flatnonzero(traj.times < t * (1.0 - 1e-12))
     if below.size:
         j = int(below[-1])
-        datum, horizon, gamma = traj.states[j], t - float(traj.times[j]), traj.alpha
+        datum, horizon, gamma = traj.state(j), t - float(traj.times[j]), traj.alpha
     else:
         datum, horizon, gamma = traj.u0, t, traj.gamma
     nodes = traj.config.nodes if horizon > 0.5 * T else _SHORT_NODES
     cfg = replace(traj.config, horizon=horizon, nodes=nodes)
-    return picard_solve(datum, traj.potentials, cfg, gamma, traj.dims, traj.symbol).states[-1]
+    return picard_solve(datum, traj.potentials, cfg, gamma, traj.dims, traj.symbol).state(-1)

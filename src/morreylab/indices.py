@@ -458,6 +458,16 @@ _OUT_REASONS = (None, None, "outside the index triangle",
                 "outside the two-potential star region")
 
 
+def _row_classes(rows, dims: ProblemDims):
+    """(two, c0, c1) of nan-padded (n, 4) rows (p0, ell0, p1, ell1): the mask
+    of two-class rows and the slots' classes, a one-class row repeating its own."""
+    rows = np.asarray(rows, dtype=float)
+    two = ~np.isnan(rows[:, 2])
+    second = np.where(two[:, None], rows[:, 2:], rows[:, :2])
+    return (two, PotentialClass.from_exponents(rows[:, 0], rows[:, 1], dims),
+            PotentialClass.from_exponents(second[:, 0], second[:, 1], dims))
+
+
 def region_report(gamma: ScaleIndex, classes, dims: ProblemDims) -> list:
     """Why initial data at each row of gamma admit no joint working index,
     or None where they do: the closed-form region verdict for a block of
@@ -481,13 +491,8 @@ def region_report(gamma: ScaleIndex, classes, dims: ProblemDims) -> list:
     one class the sub-triangle already implies that bound, so the star
     test applies to two-class rows only.
     """
-    classes = np.asarray(classes, dtype=float)
-    two = ~np.isnan(classes[:, 2])
-    # a one-class row repeats its class in the second slot: the slope
-    # test is unchanged, and the kappa and star tests are masked by `two`
-    second = np.where(two[:, None], classes[:, 2:], classes[:, :2])
-    c0 = PotentialClass.from_exponents(classes[:, 0], classes[:, 1], dims)
-    c1 = PotentialClass.from_exponents(second[:, 0], second[:, 1], dims)
+    # a repeated class leaves the slope test as it is; `two` masks kappa and star
+    two, c0, c1 = _row_classes(classes, dims)
     inadmissible = (~c0.admissible, two & ~c1.admissible)
     code = np.select([inadmissible[0] | inadmissible[1],
                       ~in_triangle(gamma, dims),

@@ -21,9 +21,9 @@ from .grids import GridFunction
 from .indices import (
     TOL,
     MorreyParams,
-    PotentialClass,
     ProblemDims,
     ScaleIndex,
+    _row_classes,
     from_index,
     in_triangle,
     region_report,
@@ -107,8 +107,7 @@ def evolve_norms(u0: GridFunction, potentials, dims: ProblemDims, symbol: Symbol
     times, log_norms = [], []
     log_scale = 0.0
     for i in range(1, n_steps + 1):
-        traj = picard_solve(state, potentials, cfg, gamma, dims, symbol)
-        state = traj.states[-1]
+        state = picard_solve(state, potentials, cfg, gamma, dims, symbol).state(-1)
         sup = float(np.max(np.abs(state.values)))
         times.append(i * step)
         log_norms.append(log_scale + math.log(sup))
@@ -156,9 +155,8 @@ def continuous_dependence_check(base_traj: Trajectory, perturbed, norm_gaps,
     """
     d = -predicted_rate(from_index(base_traj.gamma, dims), dst, dims)
     ladder = RadiusLadder.for_grid(base_traj.u0)
-    base = np.stack([s.values for s in base_traj.states])
-    node_norms = (_scan(base_traj.u0, np.stack([s.values for s in traj.states]) - base,
-                        dst.p, dst.ell, ladder) for traj in perturbed)
+    node_norms = (_scan(base_traj.u0, traj.values - base_traj.values, dst.p, dst.ell, ladder)
+                  for traj in perturbed)
     sups = np.array([float(np.max(base_traj.times**d * x)) for x in node_norms])
     gaps = np.asarray(norm_gaps, dtype=float)
     return FitResult(_loglog_slope(gaps, sups), 1.0, tolerance), (sups / gaps).tolist()
@@ -248,11 +246,7 @@ def compare_region_predicates(gammas: ScaleIndex, rows, dims: ProblemDims):
     in query order.
     """
     rows = np.asarray(rows, dtype=float)
-    two = ~np.isnan(rows[:, 2])
-    # a one-class row repeats its class in the second slot, as in region_report
-    second = np.where(two[:, None], rows[:, 2:], rows[:, :2])
-    c0 = PotentialClass.from_exponents(rows[:, 0], rows[:, 1], dims)
-    c1 = PotentialClass.from_exponents(second[:, 0], second[:, 1], dims)
+    two, c0, c1 = _row_classes(rows, dims)
     excluded = ~in_triangle(gammas, dims) | ~c0.admissible | (two & ~c1.admissible)
     slot1 = ScaleIndex(np.where(two, c1.gamma0.gamma1, math.nan),
                        np.where(two, c1.gamma0.gamma2, math.nan))
@@ -300,13 +294,13 @@ def _laplace_of_trajectory(traj: Trajectory, lam: complex) -> GridFunction:
     caller must put Re(lambda) far enough below the growth rate.
     """
     ts = np.concatenate([[0.0], traj.times])
-    states = [traj.u0] + list(traj.states)
-    vals = np.zeros_like(states[0].values, dtype=complex)
+    states = [traj.u0.values, *traj.values]
+    vals = np.zeros_like(states[0], dtype=complex)
     for i in range(len(ts) - 1):
         dt = ts[i + 1] - ts[i]
-        vals += 0.5 * dt * (np.exp(lam * ts[i]) * states[i].values
-                            + np.exp(lam * ts[i + 1]) * states[i + 1].values)
-    if abs(lam.imag) == 0.0 and all(np.isrealobj(s.values) for s in states):
+        vals += 0.5 * dt * (np.exp(lam * ts[i]) * states[i]
+                            + np.exp(lam * ts[i + 1]) * states[i + 1])
+    if abs(lam.imag) == 0.0 and np.isrealobj(traj.u0.values) and np.isrealobj(traj.values):
         vals = vals.real
     return GridFunction(traj.u0.N, traj.u0.n, traj.u0.L, vals)
 

@@ -762,16 +762,23 @@ KEEPERS = {
 }
 
 
-def test_every_tracer_target_resolves():
-    """Every (module, attribute) the benchmark tracer wraps by name exists
-    in morreylab, so deleting one fails here, not only in a traced run."""
-    import importlib
+def _bench_tracer():
+    """The benchmark tracer, loaded from bench/tracer.py (bench is no package)."""
     import importlib.util
 
     path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_tracer_target_resolves():
+    """Every (module, attribute) the benchmark tracer wraps by name exists
+    in morreylab, so deleting one fails here, not only in a traced run."""
+    import importlib
+
+    tracer = _bench_tracer()
     missing = []
     for modname, attr, _ in tracer.TARGETS:
         owner = importlib.import_module(f"morreylab.{modname}")
@@ -780,6 +787,30 @@ def test_every_tracer_target_resolves():
         if not callable(owner):
             missing.append(f"{modname}.{attr}")
     assert tracer.TARGETS and missing == []
+
+
+def test_traced_solvers_record_spans_and_no_sweeps():
+    """The tracer's solver spans read each solve's residual_history, which
+    only a traced benchmark run reaches otherwise: one tiny solve of each
+    solver under its span records that span and counts no sweep."""
+    from morreylab import duhamel
+    from morreylab.fixtures import gaussian_bump
+    from morreylab.indices import MorreyParams, ProblemDims, to_index
+    from morreylab.potentials import power_law_potential
+    from morreylab.semigroup import laplacian_power_symbol
+
+    tracer = _bench_tracer()
+    tr = tracer.Tracer()
+    picard, sequential = (tr.wrap(getattr(duhamel, name.rpartition(".")[2]), name)
+                          for name in tracer.SOLVERS)
+    dims, n, L = ProblemDims(1, 1, 1.0), 64, 8.0
+    args = (duhamel.SolverConfig(0.25, 32), to_index(MorreyParams(2.0, 0.3), dims), dims,
+            laplacian_power_symbol(1, n, L, 1))
+    pair = [power_law_potential(1.0, 0.3, 2.0), power_law_potential(1.0, 0.5, 1.5)]
+    picard(gaussian_bump(1, n, L), pair, *args)
+    sequential(gaussian_bump(1, n, L), pair, *args)
+    assert [tr.names[span[0]] for span in tr.spans] == list(tracer.SOLVERS)
+    assert tr.sweeps == 0
 
 
 def test_every_all_entry_is_defined():

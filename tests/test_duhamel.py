@@ -214,9 +214,9 @@ def test_choose_theta_gives_up_at_ladder_top():
 def test_no_potential_is_base_flow(sym, bump):
     cfg = SolverConfig(horizon=0.25, nodes=32)
     traj = picard_solve(bump, [], cfg, gamma_of(2.0, 1.0), DIMS, sym)
-    for t, state in zip(traj.times, traj.states):
+    for t, state in zip(traj.times, traj.values):
         exact = apply_semigroup(bump, t, 1.0, sym)
-        assert np.array_equal(state.values, exact.values)
+        assert np.array_equal(state, exact.values)
 
 
 def test_constant_potential_exponential(sym, bump):
@@ -227,8 +227,8 @@ def test_constant_potential_exponential(sym, bump):
     traj = picard_solve(bump, [constant_potential(c)], cfg, gamma_of(2.0, 1.0),
                         DIMS, sym)
     worst = max(
-        float(np.max(np.abs(s.values - math.exp(c * t) * apply_semigroup(bump, t, 1.0, sym).values)))
-        for t, s in zip(traj.times, traj.states)
+        float(np.max(np.abs(s - math.exp(c * t) * apply_semigroup(bump, t, 1.0, sym).values)))
+        for t, s in zip(traj.times, traj.values)
     )
     assert worst <= 1e-7
 
@@ -243,8 +243,8 @@ def test_linearity(sym, bump):
     combo = picard_solve(a * bump + b * other, [V], cfg, gamma, DIMS, sym)
     one = picard_solve(bump, [V], cfg, gamma, DIMS, sym)
     two = picard_solve(other, [V], cfg, gamma, DIMS, sym)
-    for c, u, v in zip(combo.states, one.states, two.states):
-        assert rel_gap((a * u + b * v).values, c.values) <= 1e-14
+    for c, u, v in zip(combo.values, one.values, two.values):
+        assert rel_gap(a * u + b * v, c) <= 1e-14
 
 
 def test_consistency_across_gamma(sym, bump):
@@ -259,8 +259,7 @@ def test_consistency_across_gamma(sym, bump):
     V = power_law_potential(1.0, 0.5, 1.5)
     t1 = picard_solve(bump, [V], cfg, gamma_of(2.0, 0.7), DIMS, sym)
     t2 = picard_solve(bump, [V], cfg, gamma_of(4.0, 0.5), DIMS, sym)
-    worst = max(float(np.max(np.abs(a.values - b.values)))
-                for a, b in zip(t1.states, t2.states))
+    worst = float(np.max(np.abs(t1.values - t2.values)))
     assert worst <= 2e-3
 
 
@@ -279,7 +278,7 @@ def test_apriori_weighted_bound(sym, bump):
     V = power_law_potential(1.0, 0.5, 1.5)
     traj = picard_solve(bump, [V], cfg, gamma_of(2.0, 0.7), DIMS, sym)
     theta, _ = contraction_theta(traj)
-    u_norm = _weighted_norm(traj, np.stack([s.values for s in traj.states]), theta)
+    u_norm = _weighted_norm(traj, traj.values, theta)
     base = apply_semigroup(bump, traj.times, 1.0, sym)
     base_norm = _weighted_norm(traj, np.stack([b.values for b in base]), theta)
     gamma_norm = morrey_norm(bump, 2.0, 0.7)
@@ -297,10 +296,7 @@ def test_self_convergence_within_estimate(sym, bump):
     estimate = _half_node_gap(traj, picard_solve, _node_norms)
     ref = picard_solve(bump, [V], SolverConfig(horizon=0.25, nodes=128),
                        gamma, DIMS, sym)
-    gap = max(
-        float(np.max(np.abs(traj.states[k].values - ref.states[2 * k + 1].values)))
-        for k in range(cfg.nodes)
-    )
+    gap = float(np.max(np.abs(traj.values - ref.values[1::2])))
     assert 0.0 < gap <= 5.0 * estimate
 
 
@@ -345,8 +341,8 @@ def test_node_norms_match_per_state_norms(dims, n):
                         laplacian_power_symbol(dims.N, n, L, 1))
     mp = from_index(traj.alpha, dims)
     ladder = RadiusLadder.for_grid(u0)
-    per_state = np.array([morrey_norm(s, mp.p, mp.ell, ladder) for s in traj.states])
-    stacked = _node_norms(traj, np.stack([s.values for s in traj.states]))
+    per_state = np.array([morrey_norm(traj.state(k), mp.p, mp.ell, ladder) for k in range(16)])
+    stacked = _node_norms(traj, traj.values)
     if dims.N == 1:
         assert np.array_equal(stacked, per_state)
     else:
@@ -364,7 +360,7 @@ def test_stacked_gaps_match_per_state_reference(sym, bump):
     mp = from_index(traj.alpha, DIMS)
     ladder = RadiusLadder.for_grid(bump)
     assert _half_node_gap(traj, picard_solve, _node_norms) == max(
-        morrey_norm(traj.states[2 * j + 1] - coarse.states[j], mp.p, mp.ell, ladder)
+        morrey_norm(traj.state(2 * j + 1) - coarse.state(j), mp.p, mp.ell, ladder)
         for j in range(16))
 
     dst, eps = MorreyParams(2.0, 0.7), (0.05, 0.1, 0.2)
@@ -374,8 +370,8 @@ def test_stacked_gaps_match_per_state_reference(sym, bump):
     _, consts = continuous_dependence_check(traj, perturbed, gaps, dst, DIMS)
     d = -predicted_rate(from_index(traj.gamma, DIMS), dst, DIMS)
     sups = np.array([float((traj.times**d * np.array([
-        morrey_norm(a - b, dst.p, dst.ell, ladder)
-        for a, b in zip(p.states, traj.states)])).max()) for p in perturbed])
+        morrey_norm(p.state(k) - traj.state(k), dst.p, dst.ell, ladder)
+        for k in range(cfg.nodes)])).max()) for p in perturbed])
     assert consts == (sups / gaps).tolist()
 
 
@@ -472,10 +468,8 @@ def test_sequential_orders_and_joint_agree(sym, bump):
     joint = picard_solve(bump, [V0, V1], cfg, gamma, DIMS, sym)
     s01 = sequential_solve(bump, [V0, V1], cfg, gamma, DIMS, sym)
     s10 = sequential_solve(bump, [V1, V0], cfg, gamma, DIMS, sym)
-    d_orders = max(float(np.max(np.abs(a.values - b.values)))
-                   for a, b in zip(s01.states, s10.states))
-    d_joint = max(float(np.max(np.abs(a.values - b.values)))
-                  for a, b in zip(s01.states, joint.states))
+    d_orders = float(np.max(np.abs(s01.values - s10.values)))
+    d_joint = float(np.max(np.abs(s01.values - joint.values)))
     assert d_orders < 0.05
     assert d_joint < 0.05
 
@@ -491,8 +485,7 @@ def test_sequential_gap_to_joint_shrinks_with_nodes(sym, bump, grading):
         cfg = SolverConfig(horizon=0.25, nodes=nodes, grading=grading)
         joint = picard_solve(bump, [V0, V1], cfg, gamma, DIMS, sym)
         seq = sequential_solve(bump, [V0, V1], cfg, gamma, DIMS, sym)
-        gaps.append(max(float(np.max(np.abs(a.values - b.values)))
-                        for a, b in zip(seq.states, joint.states)))
+        gaps.append(float(np.max(np.abs(seq.values - joint.values))))
     assert gaps[1] <= 0.7 * gaps[0]
 
 
@@ -506,7 +499,7 @@ def test_sequential_predicted_ratio(sym, bump):
         theta, predicted = contraction_theta(traj)
         lam, Q = _propagator_matrices(V1, sym, 1.0)
         first = (np.exp(np.multiply.outer(traj.times, lam)) * (bump.values @ Q)) @ Q.T
-        u = np.stack([s.values for s in traj.states])
+        u = traj.values
         ratio = _weighted_norm(traj, u - first, theta) / _weighted_norm(traj, u, theta)
         assert 0.0 < ratio <= predicted
 
@@ -582,7 +575,40 @@ def const_traj(sym, bump):
 def test_evaluate_at_node(const_traj):
     k = 10
     out = evaluate(const_traj, float(const_traj.times[k]))
-    assert np.array_equal(out.values, const_traj.states[k].values)
+    assert np.array_equal(out.values, const_traj.values[k])
+
+
+def value_solves():
+    """Solves of each kind on 32 nodes, by name: (trajectory thunk, the
+    dtype its values must have)."""
+    cfg, gamma = SolverConfig(horizon=0.25, nodes=32), gamma_of(2.0, 0.3)
+    V = power_law_potential(1.0, 0.5, 1.5)
+    bump, sym = gaussian_bump(1, N, L), laplacian_power_symbol(1, N, L, 1)
+    skew = symbol_from_coefficients(1, N, L, 1, {2: -(1 + 0.3j)})
+    return {
+        "free": (lambda: picard_solve(bump, [], cfg, gamma, DIMS, sym), float),
+        "march": (lambda: picard_solve(bump, [V], cfg, gamma, DIMS, sym), float),
+        "sequential": (lambda: sequential_solve(bump, _two_potentials(), cfg, gamma,
+                                                DIMS, sym), float),
+        "complex_free": (lambda: picard_solve(bump, [], cfg, gamma, DIMS, skew), complex),
+        "complex_march": (lambda: picard_solve(bump, [V], cfg, gamma, DIMS, skew), complex),
+    }
+
+
+@pytest.mark.parametrize("name", list(value_solves()))
+def test_solve_values_are_one_read_only_array(name):
+    """A solve's states are one read-only (K,) + grid array, float for real
+    data and complex under a complex symbol; state(k) is a view of row k,
+    and evaluate at a node gives that row."""
+    solve, dtype = value_solves()[name]
+    traj = solve()
+    assert traj.values.shape == (32, N) and traj.values.dtype == dtype
+    assert not traj.values.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        traj.values[0, 0] = 0.0
+    k = 10
+    assert np.shares_memory(traj.state(k).values, traj.values[k])
+    assert np.array_equal(evaluate(traj, float(traj.times[k])).values, traj.values[k])
 
 
 def test_evaluate_off_node(const_traj, sym, bump):
@@ -596,7 +622,7 @@ def test_evaluate_off_node(const_traj, sym, bump):
 def test_evaluate_only_within_horizon(const_traj, t):
     with pytest.raises(ValueError, match="horizon"):
         evaluate(const_traj, t)
-    assert evaluate(const_traj, 0.25) is const_traj.states[-1]
+    assert np.array_equal(evaluate(const_traj, 0.25).values, const_traj.values[-1])
 
 
 def test_evaluate_small_time_matches_base(const_traj, sym, bump):
@@ -615,7 +641,7 @@ def test_2d_constant_potential_spot_check():
     traj = picard_solve(bump2, [constant_potential(0.5, N=2)], cfg, gamma, dims2, sym2)
     t = traj.times[-1]
     exact = math.exp(0.5 * t) * apply_semigroup(bump2, t, 1.0, sym2)
-    assert np.max(np.abs(traj.states[-1].values - exact.values)) < 1e-6
+    assert np.max(np.abs(traj.values[-1] - exact.values)) < 1e-6
 
 
 # -- the march against converged references ------------------------------------------
@@ -858,7 +884,7 @@ def test_march_matches_converged_picard(name):
     traj = exact_shapes()[name]()
     with np.load(Path(__file__).parent / "data" / "exact_solves.npz") as exact:
         for k, ref in zip(exact[name + "_nodes"], exact[name]):
-            assert rel_gap(traj.states[k].values, ref) <= 1e-13
+            assert rel_gap(traj.values[k], ref) <= 1e-13
 
 
 @pytest.mark.parametrize("d", [0.0, 0.25, 0.6])
